@@ -172,11 +172,13 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    if not 0 < args.bound < 2**15:
-        print("error: --max must be a positive integer below 2^15", file=sys.stderr)
+    try:
+        pairs = enumerate_admissible(args.bound)
+    except ValueError as exc:
+        print(f"error: --max: {exc}", file=sys.stderr)
         return EXIT_USAGE
     records = []
-    for pair in enumerate_admissible(args.bound):
+    for pair in pairs:
         cert = certify(pair.p, pair.q)
         assert isinstance(cert, ParityCertificate)
         records.append(_record_for_pair(cert))
@@ -271,3 +273,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def entrypoint() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

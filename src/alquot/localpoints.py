@@ -27,7 +27,7 @@ from enum import Enum
 
 from .ntheory import INFINITY, Place, is_prime
 from .quaternion import QuaternionAlgebra, interchange, is_isomorphic, quad_field_splits
-from .shimura import AdmissiblePair, genus_quotient
+from .shimura import AdmissiblePair
 
 __all__ = [
     "StatusSource",
@@ -137,16 +137,8 @@ def pic1_at_other_prime(p: int, q: int) -> bool:
 
 
 def deficiency_ledger(pair: AdmissiblePair) -> DeficiencyLedger:
-    """Full local record for V/w_p of an admissible pair.
-
-    The ledger speaks about degree g-1 divisor classes via degree 1: the
-    bridge needs the quotient genus to be even (so g-1 is odd) together
-    with the everywhere-existence of degree-2 classes, and the evenness is
-    asserted here before the ledger is formed.
-    """
+    """Full local record for V/w_p of an admissible pair."""
     p, q = pair.p, pair.q
-    if genus_quotient(pair).g_quotient % 2:
-        raise ValueError("degree bridge needs an even quotient genus")
     return DeficiencyLedger(
         at_infinity=LocalStatus(INFINITY, pic1_real(p, q, p), StatusSource.REAL_SPLITTING),
         at_p=LocalStatus(Place(p), pic1_at_own_prime(), StatusSource.OWN_PRIME_UNIFORMIZATION),

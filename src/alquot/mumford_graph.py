@@ -151,25 +151,6 @@ def _expand_involution(
     return mapping
 
 
-def _make_graph(
-    vertices: dict[str, str],
-    base_edges: list[tuple[str, str, str, int]],
-    involution_pairs: dict[str, list[tuple[str, str]]],
-) -> LengthedQuotientGraph:
-    """Assemble a graph from base-edge declarations and involution pairs."""
-    endpoints, lengths = _expand_edge_tables(base_edges)
-    involutions = {
-        name: _expand_involution(set(endpoints), name, involution_pairs.get(name, []))
-        for name in INVOLUTION_NAMES
-    }
-    return LengthedQuotientGraph(
-        vertex_parity=dict(vertices),
-        edge_endpoints=endpoints,
-        edge_length=lengths,
-        involutions=involutions,
-    )
-
-
 def parse_graph(text: str) -> LengthedQuotientGraph:
     """Parse the line-oriented format; raises GraphParseError with the
     offending line number."""

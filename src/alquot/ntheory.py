@@ -16,8 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Place",
@@ -209,6 +211,7 @@ _MAX_SEARCH_MODULUS = 1 << 20
 
 @lru_cache(maxsize=None)
 def _square_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    import numpy as np  # only the oracle needs numpy; keep it off the import path
     r = np.arange(n, dtype=np.int64)
     squares = (r * r) % n
     mask = np.zeros(n, dtype=bool)
@@ -217,6 +220,7 @@ def _square_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _primitive_solution_exists(a: int, b: int, n: int) -> bool:
+    import numpy as np
     # Any primitive triple has a unit coordinate, which unit rescaling
     # moves to 1, so three one-parameter scans are exhaustive.
     squares, is_square = _square_tables(n)

@@ -71,7 +71,13 @@ F4_POINT_CAP = 10
 
 @dataclass(frozen=True)
 class ParityCertificate:
-    """Complete trace of one parity computation."""
+    """Complete trace of one parity computation.
+
+    The ledger speaks about degree g-1 divisor classes via degree 1: the
+    bridge needs the quotient genus to be even (so g-1 is odd) together
+    with the everywhere-existence of degree-2 classes, and the evenness is
+    asserted here, where the genus and the ledger meet.
+    """
 
     pair: AdmissiblePair
     genus: GenusData
@@ -80,8 +86,9 @@ class ParityCertificate:
     assumptions: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        expected = Verdict.ODD if self.ledger.deficient_count % 2 else Verdict.EVEN
-        if self.verdict is not expected:
+        if self.genus.g_quotient % 2:
+            raise ValueError("degree bridge needs an even quotient genus")
+        if self.verdict is not poonen_stoll_verdict(self.ledger):
             raise ValueError("verdict contradicts the ledger parity")
         if not self.assumptions:
             raise ValueError("a certificate always cites its assumptions")

@@ -43,7 +43,7 @@ class AdmissiblePair:
     def __post_init__(self) -> None:
         failure = _admissibility_failure(self.p, self.q)
         if failure is not None:
-            raise ValueError(f"({self.p}, {self.q}) inadmissible: {failure}")
+            raise _Inadmissible(AdmissibilityRejection(self.p, self.q, failure))
 
     @property
     def disc(self) -> int:
@@ -57,6 +57,14 @@ class AdmissibilityRejection:
     p: int
     q: int
     reason: str
+
+
+class _Inadmissible(ValueError):
+    """Raised by ``AdmissiblePair`` with the rejection that ``check_admissible`` returns."""
+
+    def __str__(self) -> str:
+        rejection = self.args[0]
+        return f"({rejection.p}, {rejection.q}) inadmissible: {rejection.reason}"
 
 
 def _admissibility_failure(p: int, q: int) -> str | None:
@@ -77,10 +85,10 @@ def _admissibility_failure(p: int, q: int) -> str | None:
 
 def check_admissible(p: int, q: int) -> AdmissiblePair | AdmissibilityRejection:
     """Validate the pipeline hypotheses; rejection is a value, not an error."""
-    failure = _admissibility_failure(p, q)
-    if failure is not None:
-        return AdmissibilityRejection(p, q, failure)
-    return AdmissiblePair(p, q)
+    try:
+        return AdmissiblePair(p, q)
+    except _Inadmissible as exc:
+        return exc.args[0]
 
 
 @dataclass(frozen=True)

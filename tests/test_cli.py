@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import alquot.cli
 from alquot.cli import CSV_HEADER, OutputRecord, main
 from alquot.mumford_graph import parse_graph, serialize_graph
 from alquot.parity import STANDING_ASSUMPTIONS
@@ -100,8 +105,47 @@ def test_enumerate_unwritable_out(tmp_path, capsys):
     assert "cannot write" in capsys.readouterr().err
 
 
-def test_enumerate_bound_guard(capsys):
-    assert main(["enumerate", "--max", str(2**15)]) == 1
+@pytest.mark.parametrize("bound", [0, -1, 2**15])
+def test_enumerate_bound_guard(bound, capsys):
+    assert main(["enumerate", "--max", str(bound)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "2^15" in captured.err
+
+
+def test_enumerate_integrity_failure_propagates(monkeypatch):
+    def broken(p, q):
+        raise ValueError("integrity check failed")
+
+    monkeypatch.setattr(alquot.cli, "certify", broken)
+    with pytest.raises(ValueError, match="integrity check failed"):
+        main(["enumerate", "--max", "30"])
+
+
+def _python(*args: str) -> subprocess.CompletedProcess:
+    src = str(Path(alquot.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        check=False,
+    )
+
+
+def test_cli_import_does_not_load_numpy():
+    done = _python("-c", "import sys, alquot.cli; print('numpy' in sys.modules)")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
+
+
+def test_module_invocation_matches_main(capsys):
+    assert main(["certify", "5", "17", "--format", "json"]) == 0
+    expected = capsys.readouterr().out
+    done = _python("-m", "alquot.cli", "certify", "5", "17", "--format", "json")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == expected
 
 
 def test_hilbert(capsys):

@@ -1,5 +1,10 @@
+import dataclasses
+import sys
+
 import pytest
 
+import alquot.quadforms
+import alquot.shimura
 from alquot.localpoints import DeficiencyLedger, LocalStatus, StatusSource
 from alquot.ntheory import INFINITY, Place
 from alquot.parity import (
@@ -59,6 +64,36 @@ def test_certificate_consistency_guard():
         ParityCertificate(cert.pair, cert.genus, cert.ledger, Verdict.EVEN, cert.assumptions)
     with pytest.raises(ValueError):
         ParityCertificate(cert.pair, cert.genus, cert.ledger, Verdict.ODD, ())
+
+
+def test_certificate_requires_even_quotient_genus():
+    cert = certify(5, 17)
+    odd_genus = dataclasses.replace(cert.genus, g_quotient=3)
+    with pytest.raises(ValueError, match="even quotient genus"):
+        ParityCertificate(cert.pair, odd_genus, cert.ledger, cert.verdict, cert.assumptions)
+
+
+def _count_calls(monkeypatch, function) -> list:
+    """Count calls of ``function`` through every alquot module that binds it."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return function(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("alquot") and getattr(module, function.__name__, None) is function:
+            monkeypatch.setattr(module, function.__name__, counted)
+    return calls
+
+
+def test_certify_computes_each_invariant_once(monkeypatch):
+    class_numbers = _count_calls(monkeypatch, alquot.quadforms.class_number)
+    genera = _count_calls(monkeypatch, alquot.shimura.genus_quotient)
+    cert = certify(29, 17)
+    assert cert.genus.g_quotient == 16
+    assert class_numbers == [(-4 * 29,)]
+    assert genera == [(AdmissiblePair(29, 17),)]
 
 
 def test_enumerate_examples():

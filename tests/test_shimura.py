@@ -1,5 +1,6 @@
 import pytest
 
+import alquot.shimura
 from alquot.shimura import (
     AdmissibilityRejection,
     AdmissiblePair,
@@ -32,6 +33,27 @@ def test_check_admissible_rejections():
 
 def test_admissible_pair_constructor_validates():
     with pytest.raises(ValueError):
+        AdmissiblePair(7, 17)
+
+
+def test_check_admissible_evaluates_the_rule_once(monkeypatch):
+    rule = alquot.shimura._admissibility_failure
+    calls = []
+
+    def counted(p, q):
+        calls.append((p, q))
+        return rule(p, q)
+
+    monkeypatch.setattr(alquot.shimura, "_admissibility_failure", counted)
+    assert isinstance(check_admissible(5, 17), AdmissiblePair)
+    assert calls == [(5, 17)]
+    calls.clear()
+    assert check_admissible(7, 17).reason == "p ≢ 5 mod 24"
+    assert calls == [(7, 17)]
+
+
+def test_admissible_pair_error_names_the_failed_hypothesis():
+    with pytest.raises(ValueError, match=r"^\(7, 17\) inadmissible: p ≢ 5 mod 24$"):
         AdmissiblePair(7, 17)
 
 
