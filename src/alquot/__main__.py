@@ -1,0 +1,6 @@
+"""``python -m alquot``: the ``alquot`` command."""
+
+from .cli import entrypoint
+
+if __name__ == "__main__":
+    entrypoint()

@@ -17,9 +17,11 @@ frozen and list-valued cells join their items with semicolons.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
+import os
 import sys
 from dataclasses import asdict, dataclass, fields
 
@@ -197,12 +199,34 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         sys.stdout.write(payload)
     else:
         try:
-            with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(payload)
+            _write_replacing(args.out, payload)
         except OSError as exc:
             print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
             return EXIT_USAGE
     return EXIT_OK
+
+
+def _write_replacing(path: str, text: str) -> None:
+    """Write ``text`` to a new file beside ``path`` and rename it onto
+    ``path``, so a failed write leaves an existing file as it was and no
+    partial file behind.  A symbolic link is followed to its target, and a
+    target that is not a regular file (``/dev/null``, a pipe) is written in
+    place, since replacing it would destroy it."""
+    path = os.path.realpath(path)
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        return
+    temp = f"{path}.{os.urandom(4).hex()}.tmp"
+    handle = open(temp, "x", encoding="utf-8")
+    try:
+        with handle:
+            handle.write(text)
+        os.replace(temp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(temp)
+        raise
 
 
 def _cmd_hilbert(args: argparse.Namespace) -> int:

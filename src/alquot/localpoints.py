@@ -26,7 +26,13 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .ntheory import INFINITY, Place, is_prime
-from .quaternion import QuaternionAlgebra, interchange, is_isomorphic, quad_field_splits
+from .quaternion import (
+    QuaternionAlgebra,
+    _ramified_places_among,
+    interchange,
+    is_isomorphic,
+    quad_field_splits,
+)
 from .shimura import AdmissiblePair
 
 __all__ = [
@@ -131,8 +137,10 @@ def pic1_at_other_prime(p: int, q: int) -> bool:
         raise ValueError("needs distinct odd primes")
     B = QuaternionAlgebra.from_ramified_places({p, q})
     swapped = interchange(B, p)
-    return is_isomorphic(swapped, QuaternionAlgebra.from_symbols(-1, -p * q)) or is_isomorphic(
-        swapped, QuaternionAlgebra.from_symbols(-p, -q)
+    # 2ab = 2pq for both symbol algebras, so their candidate primes are 2, p, q
+    return any(
+        is_isomorphic(swapped, QuaternionAlgebra(_ramified_places_among(a, b, (2, p, q))))
+        for a, b in ((-1, -p * q), (-p, -q))
     )
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .localpoints import DeficiencyLedger, deficiency_ledger
-from .quaternion import eichler_class_number
+from .quaternion import _eichler_formula
 from .shimura import (
     AdmissibilityRejection,
     AdmissiblePair,
@@ -160,7 +160,8 @@ def hyperelliptic_sieve(pairs: list[AdmissiblePair]) -> list[SieveReport]:
     reports = []
     for pair in pairs:
         product = (pair.p - 1) * (pair.q - 1)
-        h = eichler_class_number(2 * pair.p * pair.q)
+        # admissible p, q are distinct odd primes: 2pq factors as (2, p, q)
+        h = _eichler_formula((2, pair.p, pair.q))
         flag = (
             HyperellipticFlag.NOT_HYPERELLIPTIC
             if product > HYPERELLIPTIC_PRODUCT_BOUND

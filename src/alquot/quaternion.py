@@ -14,6 +14,7 @@ the ramification set carries everything the rest of the package needs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -47,7 +48,16 @@ def ramified_places(a: int, b: int) -> frozenset[Place]:
     """
     if a == 0 or b == 0:
         raise ValueError("symbol entries must be nonzero")
-    candidates = [INFINITY] + [Place(p) for p in prime_factors(2 * a * b)]
+    return _ramified_places_among(a, b, prime_factors(2 * a * b))
+
+
+def _ramified_places_among(a: int, b: int, primes: Iterable[int]) -> frozenset[Place]:
+    """Places among oo and ``primes`` where (a,b)_v = -1.
+
+    Complete when ``primes`` are the primes dividing 2ab; callers that know
+    them pass them instead of factoring 2ab again.
+    """
+    candidates = [INFINITY] + [Place(p) for p in primes]
     return frozenset(v for v in candidates if hilbert_symbol(a, b, v) == -1)
 
 
@@ -154,14 +164,21 @@ def eichler_class_number(D: int) -> int:
     """
     if D < 1 or not is_squarefree(D):
         raise ValueError("D must be a squarefree positive integer")
+    return _eichler_formula(prime_factors(D))
+
+
+def _eichler_formula(primes: tuple[int, ...]) -> int:
+    """Eichler's formula for the squarefree D whose primes are ``primes``
+    (distinct), so callers that know the factorization skip factoring D.
+    The integrality check is the same for every caller."""
     mass = Fraction(1, 12)
     term2 = Fraction(1, 4)
     term3 = Fraction(1, 3)
-    for ell in prime_factors(D):
+    for ell in primes:
         mass *= ell - 1
         term2 *= 1 - kronecker(-4, ell)
         term3 *= 1 - kronecker(-3, ell)
     h = mass + term2 + term3
     if h.denominator != 1 or h <= 0:
-        raise ValueError(f"Eichler formula gives non-integral value {h} for D={D}")
+        raise ValueError(f"Eichler formula gives non-integral value {h} for D={math.prod(primes)}")
     return int(h)

@@ -1,5 +1,7 @@
+import errno
 import json
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -103,6 +105,58 @@ def test_enumerate_unwritable_out(tmp_path, capsys):
     bad = tmp_path / "missing-dir" / "table.csv"
     assert main(["enumerate", "--max", "30", "--out", str(bad)]) == 1
     assert "cannot write" in capsys.readouterr().err
+
+
+class _DiskFullFile:
+    """Stands in for ``open``: writes part of the text, then fails."""
+
+    def __init__(self, path, mode, encoding):
+        self._handle = open(path, mode, encoding=encoding)
+
+    def write(self, text):
+        self._handle.write(text[: len(text) // 2])
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._handle.close()
+
+
+def _failing_replace(src, dst):
+    raise OSError(errno.EXDEV, os.strerror(errno.EXDEV))
+
+
+@pytest.mark.parametrize("failing_step", ["write", "replace"])
+def test_enumerate_failed_out_keeps_the_old_file(tmp_path, capsys, monkeypatch, failing_step):
+    target = tmp_path / "table.csv"
+    target.write_text("previous table\n", encoding="utf-8")
+    if failing_step == "write":
+        monkeypatch.setattr(alquot.cli, "open", _DiskFullFile, raising=False)
+    else:
+        monkeypatch.setattr(os, "replace", _failing_replace)
+    assert main(["enumerate", "--max", "30", "--out", str(target)]) == 1
+    assert "cannot write" in capsys.readouterr().err
+    assert target.read_text(encoding="utf-8") == "previous table\n"
+    assert list(tmp_path.iterdir()) == [target]
+
+
+def test_enumerate_out_through_a_symlink_replaces_its_target(tmp_path, capsys):
+    target = tmp_path / "table.csv"
+    target.write_text("previous table\n", encoding="utf-8")
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)
+    assert main(["enumerate", "--max", "30", "--out", str(link)]) == 0
+    assert link.is_symlink()
+    assert target.read_text(encoding="utf-8") == ENUMERATE_30_CSV
+    assert sorted(tmp_path.iterdir()) == [link, target]
+
+
+def test_enumerate_out_to_a_device_writes_in_place(capsys):
+    assert main(["enumerate", "--max", "30", "--out", os.devnull]) == 0
+    assert capsys.readouterr().err == ""
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
 
 
 @pytest.mark.parametrize("bound", [0, -1, 2**15])
@@ -212,3 +266,11 @@ def test_unknown_command_exit_1(capsys):
 @pytest.mark.parametrize("argv", [["certify", "5"], ["enumerate"], ["hilbert", "1", "2"]])
 def test_missing_arguments_exit_1(argv):
     assert main(argv) == 1
+
+
+def test_package_invocation_matches_main(capsys):
+    assert main(["certify", "5", "17", "--format", "json"]) == 0
+    expected = capsys.readouterr().out
+    done = _python("-m", "alquot", "certify", "5", "17", "--format", "json")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == expected

@@ -9,8 +9,9 @@ from alquot.localpoints import (
     pic1_at_own_prime,
     pic1_real,
 )
-from alquot.ntheory import INFINITY, Place
+from alquot.ntheory import INFINITY, Place, is_prime
 from alquot.parity import enumerate_admissible
+from alquot.quaternion import QuaternionAlgebra, interchange, is_isomorphic
 from alquot.shimura import AdmissiblePair
 
 
@@ -52,6 +53,27 @@ def test_pic1_at_other_prime_symbol_order_irrelevant():
         assert is_isomorphic(
             QuaternionAlgebra.from_symbols(-p, -q), QuaternionAlgebra.from_symbols(-q, -p)
         )
+
+
+def _interchange_criterion_from_symbols(p, q):
+    """The criterion with both symbol algebras built by factoring 2pq."""
+    swapped = interchange(QuaternionAlgebra.from_ramified_places({p, q}), p)
+    return is_isomorphic(swapped, QuaternionAlgebra.from_symbols(-1, -p * q)) or is_isomorphic(
+        swapped, QuaternionAlgebra.from_symbols(-p, -q)
+    )
+
+
+def test_pic1_at_other_prime_matches_the_symbol_algebras():
+    pairs = [(pair.p, pair.q) for pair in enumerate_admissible(500)]
+    small = [p for p in range(3, 60) if is_prime(p)]
+    pairs += [(p, q) for p in small for q in small if p < q]
+    outcomes = set()
+    for p, q in pairs:
+        for a, b in ((p, q), (q, p)):
+            expected = _interchange_criterion_from_symbols(a, b)
+            assert pic1_at_other_prime(a, b) is expected, (a, b)
+            outcomes.add(expected)
+    assert outcomes == {True, False}
 
 
 def test_deficiency_ledger_examples():

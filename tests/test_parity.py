@@ -3,6 +3,7 @@ import sys
 
 import pytest
 
+import alquot.ntheory
 import alquot.quadforms
 import alquot.shimura
 from alquot.localpoints import DeficiencyLedger, LocalStatus, StatusSource
@@ -16,6 +17,7 @@ from alquot.parity import (
     hyperelliptic_sieve,
     poonen_stoll_verdict,
 )
+from alquot.quaternion import eichler_class_number
 from alquot.shimura import AdmissibilityRejection, AdmissiblePair
 
 
@@ -94,6 +96,22 @@ def test_certify_computes_each_invariant_once(monkeypatch):
     assert cert.genus.g_quotient == 16
     assert class_numbers == [(-4 * 29,)]
     assert genera == [(AdmissiblePair(29, 17),)]
+
+
+def test_certify_and_sieve_reuse_the_known_primes(monkeypatch):
+    # 100109 = 5 mod 24 is prime and (100109/41) = -1
+    factorizations = _count_calls(monkeypatch, alquot.ntheory.prime_factors)
+    cert = certify(100109, 41)
+    report = hyperelliptic_sieve([cert.pair])[0]
+    assert factorizations == []
+    assert report.definite_class_number == eichler_class_number(2 * 100109 * 41)
+
+
+def test_sieve_class_number_is_eichlers_formula():
+    pairs = enumerate_admissible(500)
+    assert len(pairs) > 100
+    for report in hyperelliptic_sieve(pairs):
+        assert report.definite_class_number == eichler_class_number(2 * report.pair.p * report.pair.q)
 
 
 def test_enumerate_examples():

@@ -1,6 +1,7 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from alquot.ntheory import is_prime
+from alquot.ntheory import is_prime, is_squarefree, kronecker
 from alquot.quadforms import QuadraticForm, class_number, reduced_forms
 
 
@@ -57,3 +58,48 @@ def test_form_dataclass():
     assert f.discriminant() == -20
     assert QuadraticForm(2, -2, 3).is_reduced is False
     assert QuadraticForm(2, 4, 6).is_primitive is False
+
+
+def test_class_number_counts_the_reference_forms():
+    for D in range(-5000, -2):
+        if D % 4 in (0, 1):
+            assert class_number(D) == len(reduced_forms(D)), D
+
+
+def _prime_1_mod_4_from(n):
+    p = n + (1 - n) % 4
+    while not is_prime(p):
+        p += 4
+    return p
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 199_000).map(_prime_1_mod_4_from))
+def test_class_number_counts_the_reference_forms_at_large_primes(p):
+    assert p <= 200_000
+    assert class_number(-4 * p) == len(reduced_forms(-4 * p))
+
+
+def _is_fundamental(D):
+    if D % 4 == 1:
+        return is_squarefree(D)
+    return D % 4 == 0 and (D // 4) % 4 in (2, 3) and is_squarefree(D // 4)
+
+
+def _analytic_class_number(D):
+    """Dirichlet's class number formula for fundamental D < -4, in exact
+    integers: h(D) = -(1/|D|) * sum of (D/a) a over 0 < a < |D|.  It uses
+    no binary quadratic forms at all."""
+    total = sum(kronecker(D, a) * a for a in range(1, -D))
+    h, remainder = divmod(-total, -D)
+    assert remainder == 0
+    return h
+
+
+def test_class_number_matches_the_analytic_formula():
+    discriminants = [D for D in range(-2000, -4) if _is_fundamental(D)]
+    discriminants.append(-4 * 1013)
+    for D in discriminants:
+        assert class_number(D) == _analytic_class_number(D), D
+    # tabulated class numbers of Q(sqrt(-p))
+    assert [_analytic_class_number(-4 * p) for p in (5, 13, 29, 53, 101, 173)] == [2, 2, 6, 6, 14, 14]
