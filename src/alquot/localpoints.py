@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .ntheory import INFINITY, Place, is_prime
+from .ntheory import INFINITY, Place
 from .quaternion import (
     QuaternionAlgebra,
     _ramified_places_among,
@@ -133,13 +133,14 @@ def pic1_at_other_prime(p: int, q: int) -> bool:
     exchanging invariants at p and oo must be isomorphic to B(-1,-pq) or
     to B(-p,-q).
     """
-    if p == q or p == 2 or q == 2 or not (is_prime(p) and is_prime(q)):
+    if p == q or p == 2 or q == 2:
         raise ValueError("needs distinct odd primes")
-    B = QuaternionAlgebra.from_ramified_places({p, q})
+    B = QuaternionAlgebra.from_ramified_places({p, q})  # proves p and q prime
     swapped = interchange(B, p)
-    # 2ab = 2pq for both symbol algebras, so their candidate primes are 2, p, q
+    # 2ab = 2pq for both symbol algebras, so their candidate places are 2, p, q
+    candidates = (Place(2), *B.ram_set)
     return any(
-        is_isomorphic(swapped, QuaternionAlgebra(_ramified_places_among(a, b, (2, p, q))))
+        is_isomorphic(swapped, QuaternionAlgebra(_ramified_places_among(a, b, candidates)))
         for a, b in ((-1, -p * q), (-p, -q))
     )
 

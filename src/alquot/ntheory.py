@@ -5,8 +5,8 @@ symbols at every place (finite primes and the archimedean place).  The
 Hilbert symbol is computed twice over: once by the classical closed
 formulas, and once by ``hilbert_symbol_oracle``, which decides solvability
 of z^2 = a x^2 + b y^2 by exhaustive search over a residue ring large
-enough for Hensel lifting.  The two implementations share nothing beyond
-``valuation`` and exist to check each other.
+enough for Hensel lifting.  They share only ``_valuation``, the loop that
+``valuation`` runs after its checks, and exist to check each other.
 
 Everything here is deterministic and pure; all functions are safe to call
 from multiple threads.
@@ -114,6 +114,10 @@ def valuation(n: int, p: int) -> tuple[int, int]:
         raise ValueError("the valuation of 0 is undefined")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
+    return _valuation(n, p)
+
+
+def _valuation(n: int, p: int) -> tuple[int, int]:
     e = 0
     while n % p == 0:
         n //= p
@@ -184,9 +188,9 @@ def hilbert_symbol(a: int, b: int, v: Place) -> int:
         raise ValueError("hilbert symbol needs nonzero arguments")
     if not v.is_finite:
         return -1 if (a < 0 and b < 0) else 1
-    p = v.prime
-    alpha, u = valuation(a, p)
-    beta, w = valuation(b, p)
+    p = v.prime  # proven prime when the Place was built
+    alpha, u = _valuation(a, p)
+    beta, w = _valuation(b, p)
     if p == 2:
         eps_u = ((u - 1) // 2) % 2
         eps_w = ((w - 1) // 2) % 2
@@ -198,9 +202,9 @@ def hilbert_symbol(a: int, b: int, v: Place) -> int:
     if (alpha * beta * ((p - 1) // 2)) % 2:
         sign = -sign
     if beta % 2:
-        sign *= legendre(u, p)
+        sign *= kronecker(u, p)
     if alpha % 2:
-        sign *= legendre(w, p)
+        sign *= kronecker(w, p)
     return sign
 
 
@@ -209,7 +213,8 @@ def hilbert_symbol(a: int, b: int, v: Place) -> int:
 _MAX_SEARCH_MODULUS = 1 << 20
 
 
-@lru_cache(maxsize=None)
+# 32 moduli cover a sweep over small places; one table is at most ~9 MB
+@lru_cache(maxsize=32)
 def _square_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     import numpy as np  # only the oracle needs numpy; keep it off the import path
     r = np.arange(n, dtype=np.int64)

@@ -16,14 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable
 
 from .ntheory import (
     INFINITY,
     Place,
     hilbert_symbol,
-    is_prime,
     is_squarefree,
     kronecker,
     prime_factors,
@@ -48,17 +46,16 @@ def ramified_places(a: int, b: int) -> frozenset[Place]:
     """
     if a == 0 or b == 0:
         raise ValueError("symbol entries must be nonzero")
-    return _ramified_places_among(a, b, prime_factors(2 * a * b))
+    return _ramified_places_among(a, b, [Place(p) for p in prime_factors(2 * a * b)])
 
 
-def _ramified_places_among(a: int, b: int, primes: Iterable[int]) -> frozenset[Place]:
-    """Places among oo and ``primes`` where (a,b)_v = -1.
+def _ramified_places_among(a: int, b: int, places: Iterable[Place]) -> frozenset[Place]:
+    """Places among oo and ``places`` where (a,b)_v = -1.
 
-    Complete when ``primes`` are the primes dividing 2ab; callers that know
+    Complete when ``places`` are the primes dividing 2ab; callers that hold
     them pass them instead of factoring 2ab again.
     """
-    candidates = [INFINITY] + [Place(p) for p in primes]
-    return frozenset(v for v in candidates if hilbert_symbol(a, b, v) == -1)
+    return frozenset(v for v in [INFINITY, *places] if hilbert_symbol(a, b, v) == -1)
 
 
 @dataclass(frozen=True)
@@ -117,9 +114,9 @@ def interchange(B: QuaternionAlgebra, p: int) -> QuaternionAlgebra:
     algebra ramified at p this yields a definite algebra unramified at p,
     and the operation is an involution.
     """
-    if p == 2 or not is_prime(p):
-        raise ValueError("interchange is defined at an odd prime")
     fin = Place(p)
+    if p == 2:
+        raise ValueError("interchange is defined at an odd prime")
     places = set(B.ram_set)
     had_p = fin in places
     had_inf = INFINITY in places
@@ -158,8 +155,8 @@ def eichler_class_number(D: int) -> int:
 
         H(D) = prod(l-1)/12 + prod(1 - (-4/l))/4 + prod(1 - (-3/l))/3
 
-    with products over the primes l dividing D, evaluated in exact rational
-    arithmetic.  A non-integral result means D is not the reduced
+    with products over the primes l dividing D, evaluated exactly as 12 H(D)
+    in integers.  A non-integral result means D is not the reduced
     discriminant of a definite maximal order and raises.
     """
     if D < 1 or not is_squarefree(D):
@@ -171,14 +168,12 @@ def _eichler_formula(primes: tuple[int, ...]) -> int:
     """Eichler's formula for the squarefree D whose primes are ``primes``
     (distinct), so callers that know the factorization skip factoring D.
     The integrality check is the same for every caller."""
-    mass = Fraction(1, 12)
-    term2 = Fraction(1, 4)
-    term3 = Fraction(1, 3)
+    mass, term2, term3 = 1, 3, 4
     for ell in primes:
         mass *= ell - 1
         term2 *= 1 - kronecker(-4, ell)
         term3 *= 1 - kronecker(-3, ell)
-    h = mass + term2 + term3
-    if h.denominator != 1 or h <= 0:
-        raise ValueError(f"Eichler formula gives non-integral value {h} for D={math.prod(primes)}")
-    return int(h)
+    h12 = mass + term2 + term3
+    if h12 % 12 or h12 <= 0:
+        raise ValueError(f"Eichler formula gives non-integral value {h12}/12 for D={math.prod(primes)}")
+    return h12 // 12

@@ -8,17 +8,17 @@ Riemann-Hurwitz, together with the admissibility test
 
     p = 5 mod 24,  q = 5 mod 12,  p != q,  (p/q) = -1
 
-under which the parity pipeline operates.  All genus arithmetic is exact
-rational with mandatory integrality checks, so a congruence-hypothesis
-violation surfaces as an error instead of a wrong number.
+under which the parity pipeline operates.  Genus formulas are evaluated
+exactly, as 12 times their value in integers, with mandatory integrality
+checks, so a congruence-hypothesis violation surfaces as an error instead
+of a wrong number.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .ntheory import is_prime, kronecker, legendre
+from .ntheory import is_prime, kronecker
 from .quadforms import class_number
 from .quaternion import QuaternionAlgebra, quad_field_splits
 
@@ -78,7 +78,7 @@ def _admissibility_failure(p: int, q: int) -> str | None:
         return "q ≢ 5 mod 12"
     if p == q:
         return "p and q must be distinct"
-    if legendre(p, q) != -1:
+    if kronecker(p, q) != -1:
         return "p is a square mod q"
     return None
 
@@ -116,10 +116,10 @@ def genus_VB(p: int, q: int) -> int:
         raise ValueError("the discriminant must be a product of two distinct odd primes")
     e2 = (1 - kronecker(-4, p)) * (1 - kronecker(-4, q))
     e3 = (1 - kronecker(-3, p)) * (1 - kronecker(-3, q))
-    g = 1 + Fraction((p - 1) * (q - 1), 12) - Fraction(e2, 4) - Fraction(e3, 3)
-    if g.denominator != 1 or g < 0:
-        raise ValueError(f"genus formula gives non-integral value {g} for ({p}, {q})")
-    return int(g)
+    g12 = 12 + (p - 1) * (q - 1) - 3 * e2 - 4 * e3
+    if g12 % 12 or g12 < 0:
+        raise ValueError(f"genus formula gives non-integral value {g12}/12 for ({p}, {q})")
+    return g12 // 12
 
 
 def fixed_points_e(p: int, q: int) -> int:
@@ -133,9 +133,9 @@ def fixed_points_e(p: int, q: int) -> int:
     """
     if p % 4 != 1:
         raise ValueError("fixed point count implemented only for p = 1 mod 4")
-    if p == q or q == 2 or not (is_prime(p) and is_prime(q)):
+    if p == q or q == 2:
         raise ValueError("the discriminant must be a product of two distinct odd primes")
-    B = QuaternionAlgebra.from_ramified_places({p, q})
+    B = QuaternionAlgebra.from_ramified_places({p, q})  # proves p and q prime
     if quad_field_splits(-p, B):
         return 2 * class_number(-4 * p)
     return 0

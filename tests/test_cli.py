@@ -274,3 +274,27 @@ def test_package_invocation_matches_main(capsys):
     done = _python("-m", "alquot", "certify", "5", "17", "--format", "json")
     assert done.returncode == 0, done.stderr
     assert done.stdout == expected
+
+
+def test_hilbert_error_texts(capsys):
+    assert main(["hilbert", "3", "5", "6"]) == 1
+    assert capsys.readouterr().err == "error: 6 is not prime\n"
+    assert main(["hilbert", "3", "5", "-5"]) == 1
+    assert capsys.readouterr().err == "error: -5 is not prime\n"
+    assert main(["hilbert", "3", "5", "x"]) == 1
+    assert capsys.readouterr().err == "error: place must be a prime or 'inf', got 'x'\n"
+    assert main(["hilbert", "0", "5", "inf"]) == 1
+    assert capsys.readouterr().err == "error: hilbert symbol needs nonzero arguments\n"
+
+
+def test_main_reuses_one_parser(monkeypatch, capsys):
+    def no_parser():
+        raise AssertionError("main built a parser")
+
+    monkeypatch.setattr(alquot.cli, "build_parser", no_parser)
+    assert main(["certify", "5", "17"]) == 0
+    assert "verdict: odd" in capsys.readouterr().out
+    assert main(["certify", "5"]) == 1
+    assert "usage error" in capsys.readouterr().err
+    assert main(["certify", "5", "17", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "odd"

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import alquot.ntheory
 from alquot.ntheory import (
     INFINITY,
     Place,
@@ -13,6 +14,7 @@ from alquot.ntheory import (
     prime_factors,
     valuation,
 )
+from test_parity import _count_calls
 
 SMALL_PLACES = [INFINITY, Place(2), Place(3), Place(5), Place(7), Place(13)]
 nonzero = st.integers(-50, 50).filter(lambda n: n != 0)
@@ -111,6 +113,20 @@ def test_oracle_examples():
     assert hilbert_symbol_oracle(-1, -1, Place(2)) == -1
     assert hilbert_symbol_oracle(-1, -1, Place(3)) == 1
     assert hilbert_symbol_oracle(2, 3, INFINITY) == 1
+
+
+def test_hilbert_symbol_trusts_its_place(monkeypatch):
+    place = Place(1000003)  # the one primality proof
+    primality = _count_calls(monkeypatch, alquot.ntheory.is_prime)
+    assert hilbert_symbol(1000003, 3, place) == kronecker(3, 1000003)
+    assert hilbert_symbol(-1, 2 * 1000003, place) == kronecker(-1, 1000003)
+    assert hilbert_symbol(3, 5, place) == 1
+    assert primality == []
+
+
+def test_oracle_square_tables_are_bounded():
+    maxsize = alquot.ntheory._square_tables.cache_info().maxsize
+    assert maxsize is not None and maxsize <= 64
 
 
 def test_oracle_rejects_oversized_search():

@@ -6,8 +6,8 @@ import pytest
 import alquot.ntheory
 import alquot.quadforms
 import alquot.shimura
-from alquot.localpoints import DeficiencyLedger, LocalStatus, StatusSource
-from alquot.ntheory import INFINITY, Place
+from alquot.localpoints import DeficiencyLedger, LocalStatus, StatusSource, pic1_at_other_prime
+from alquot.ntheory import INFINITY, Place, legendre, valuation
 from alquot.parity import (
     HyperellipticFlag,
     ParityCertificate,
@@ -17,8 +17,8 @@ from alquot.parity import (
     hyperelliptic_sieve,
     poonen_stoll_verdict,
 )
-from alquot.quaternion import eichler_class_number
-from alquot.shimura import AdmissibilityRejection, AdmissiblePair
+from alquot.quaternion import QuaternionAlgebra, eichler_class_number, interchange
+from alquot.shimura import AdmissibilityRejection, AdmissiblePair, fixed_points_e, genus_VB
 
 
 def _ledger(inf_ok: bool, p_ok: bool, q_ok: bool) -> DeficiencyLedger:
@@ -105,6 +105,36 @@ def test_certify_and_sieve_reuse_the_known_primes(monkeypatch):
     report = hyperelliptic_sieve([cert.pair])[0]
     assert factorizations == []
     assert report.definite_class_number == eichler_class_number(2 * 100109 * 41)
+
+
+def test_certify_proves_each_prime_a_bounded_number_of_times(monkeypatch):
+    # check_admissible proves p and q; the rest of the path trusts the Places
+    # and algebras built from them
+    primality = _count_calls(monkeypatch, alquot.ntheory.is_prime)
+    cert = certify(100109, 41)
+    assert isinstance(cert, ParityCertificate)
+    assert len(primality) <= 14
+
+
+@pytest.mark.parametrize(
+    "function, args",
+    [
+        (genus_VB, (9, 17)),
+        (fixed_points_e, (9, 17)),
+        (fixed_points_e, (5, 15)),
+        (fixed_points_e, (5, 2)),
+        (fixed_points_e, (5, 5)),
+        (pic1_at_other_prime, (9, 5)),
+        (pic1_at_other_prime, (5, 9)),
+        (pic1_at_other_prime, (2, 5)),
+        (interchange, (QuaternionAlgebra.from_ramified_places({5, 17}), 9)),
+        (valuation, (8, 4)),
+        (legendre, (3, 9)),
+    ],
+)
+def test_int_entry_points_reject_composites_twos_and_equal_primes(function, args):
+    with pytest.raises(ValueError):
+        function(*args)
 
 
 def test_sieve_class_number_is_eichlers_formula():

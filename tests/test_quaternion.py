@@ -1,6 +1,9 @@
+import math
+from fractions import Fraction
+
 import pytest
 
-from alquot.ntheory import INFINITY, Place
+from alquot.ntheory import INFINITY, Place, is_squarefree, kronecker, prime_factors
 from alquot.quaternion import (
     QuaternionAlgebra,
     eichler_class_number,
@@ -106,6 +109,24 @@ def test_eichler_class_number_examples():
         eichler_class_number(12)
     with pytest.raises(ValueError):
         eichler_class_number(1)  # 2/3 is not integral
+
+
+def test_eichler_class_number_matches_the_rational_formula():
+    # the library evaluates 12 H(D) in integers; Fraction is the reference
+    for D in range(1, 3000):
+        if not is_squarefree(D):
+            continue
+        ells = prime_factors(D)
+        h = (
+            Fraction(math.prod(ell - 1 for ell in ells), 12)
+            + Fraction(math.prod(1 - kronecker(-4, ell) for ell in ells), 4)
+            + Fraction(math.prod(1 - kronecker(-3, ell) for ell in ells), 3)
+        )
+        if h.denominator == 1 and h > 0:
+            assert eichler_class_number(D) == h, D
+        else:
+            with pytest.raises(ValueError, match="non-integral"):
+                eichler_class_number(D)
 
 
 def test_eichler_lower_bound():

@@ -1,6 +1,9 @@
+from fractions import Fraction
+
 import pytest
 
 import alquot.shimura
+from alquot.ntheory import is_prime, kronecker
 from alquot.shimura import (
     AdmissibilityRejection,
     AdmissiblePair,
@@ -65,6 +68,20 @@ def test_genus_examples():
         genus_VB(5, 5)
     with pytest.raises(ValueError):
         genus_VB(2, 17)
+
+
+def test_genus_matches_the_rational_formula():
+    # the library evaluates 12 g in integers; Fraction is the reference
+    primes = [n for n in range(3, 300) if is_prime(n)]
+    for p in primes:
+        for q in primes:
+            if p == q:
+                continue
+            e2 = (1 - kronecker(-4, p)) * (1 - kronecker(-4, q))
+            e3 = (1 - kronecker(-3, p)) * (1 - kronecker(-3, q))
+            g = 1 + Fraction((p - 1) * (q - 1), 12) - Fraction(e2, 4) - Fraction(e3, 3)
+            assert g.denominator == 1
+            assert genus_VB(p, q) == g, (p, q)
 
 
 def test_fixed_points_examples():
