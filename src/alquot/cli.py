@@ -156,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Building the parser costs ~1 ms, ten times a parse, so ``main`` reuses one.
+# Building the parser costs ~1 ms, over ten parses, so ``main`` reuses one.
 _PARSER = build_parser()
 
 

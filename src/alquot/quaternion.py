@@ -52,8 +52,8 @@ def ramified_places(a: int, b: int) -> frozenset[Place]:
 def _ramified_places_among(a: int, b: int, places: Iterable[Place]) -> frozenset[Place]:
     """Places among oo and ``places`` where (a,b)_v = -1.
 
-    Complete when ``places`` are the primes dividing 2ab; callers that hold
-    them pass them instead of factoring 2ab again.
+    Complete when ``places`` are those of the primes dividing 2ab; callers
+    that hold them pass them instead of factoring 2ab again.
     """
     return frozenset(v for v in [INFINITY, *places] if hilbert_symbol(a, b, v) == -1)
 
