@@ -11,7 +11,9 @@ batch scripts can tell malformed input from out-of-regime input.
                                          the local-point criterion
 
 JSON and CSV speak the fixed record schema below; the CSV column order is
-frozen and list-valued cells join their items with semicolons.
+frozen and list-valued cells join their items with semicolons.  ``enumerate``
+sieves its table in one pass and certifies each already-checked pair with
+``ParityCertificate.for_pair``, so no pair is checked twice.
 """
 
 from __future__ import annotations
@@ -93,11 +95,6 @@ class OutputRecord:
 CSV_HEADER = [f.name for f in fields(OutputRecord)]
 
 
-def _record_for_pair(cert: ParityCertificate) -> OutputRecord:
-    report = hyperelliptic_sieve([cert.pair])[0]
-    return OutputRecord.from_certificate(cert, report)
-
-
 def _certificate_text(cert: ParityCertificate, flag: HyperellipticFlag) -> str:
     lines = [
         f"admissible pair: p={cert.pair.p} q={cert.pair.q} disc={cert.pair.disc}",
@@ -168,12 +165,11 @@ def _cmd_certify(args: argparse.Namespace) -> int:
         else:
             print(f"rejected: {result.reason}")
         return EXIT_REJECTED
-    record = _record_for_pair(result)
+    report = hyperelliptic_sieve([result.pair])[0]
     if args.format == "json":
-        print(record.to_json())
+        print(OutputRecord.from_certificate(result, report).to_json())
     else:
-        flag = HyperellipticFlag(record.hyperelliptic_flag)
-        print(_certificate_text(result, flag))
+        print(_certificate_text(result, report.flag))
     return EXIT_OK
 
 
@@ -183,11 +179,10 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: --max: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    records = []
-    for pair in pairs:
-        cert = certify(pair.p, pair.q)
-        assert isinstance(cert, ParityCertificate)
-        records.append(_record_for_pair(cert))
+    records = [
+        OutputRecord.from_certificate(ParityCertificate.for_pair(report.pair), report)
+        for report in hyperelliptic_sieve(pairs)
+    ]
 
     if args.format == "json":
         payload = json.dumps([asdict(r) for r in records], indent=2) + "\n"

@@ -241,14 +241,9 @@ def serialize_graph(graph: LengthedQuotientGraph) -> str:
         parts = [f"inv {name}"]
         for eid in graph.base_edges():
             target = w[eid]
-            if target == eid:
-                continue
-            tb = _base_id(target)
-            if tb < eid:
-                continue  # listed from the smaller base id
-            if tb == eid and target != eid:
-                parts.extend([eid, target])  # reversal pair e -> ~e
-            elif tb > eid:
+            # a moved edge is listed from the smaller base id; a reversal
+            # e -> ~e has the same base id on both sides
+            if target != eid and _base_id(target) >= eid:
                 parts.extend([eid, target])
         lines.append(" ".join(parts))
     return "\n".join(lines) + "\n"
@@ -319,7 +314,7 @@ def validate(graph: LengthedQuotientGraph, dual_graph_checks: bool = False) -> l
                 out.append(f"{name} is not an involution at {eid!r}")
             if w[opposite(eid)] != opposite(w[eid]):
                 out.append(f"{name} does not commute with opposition at {eid!r}")
-            if graph.edge_length[w[eid]] != graph.edge_length[eid]:
+            if graph.edge_length.get(w[eid]) != graph.edge_length.get(eid):
                 out.append(f"{name} does not preserve the length of {eid!r}")
         vmap = _derived_vertex_map(graph, w)
         if isinstance(vmap, str):
@@ -333,7 +328,8 @@ def validate(graph: LengthedQuotientGraph, dual_graph_checks: bool = False) -> l
 
     if dual_graph_checks:
         for eid in graph.base_edges():
-            if graph.edge_length[eid] % 2 == 0 and graph.involutions["wp"][eid] == opposite(eid):
+            # a missing length is reported above as nonpositive, not as even
+            if graph.edge_length.get(eid, 1) % 2 == 0 and graph.involutions["wp"][eid] == opposite(eid):
                 out.append(f"edge {eid!r} has even length and is reversed by wp")
 
     return out

@@ -2,23 +2,26 @@
 
 The Poonen-Stoll criterion reduces the parity of the Shafarevich-Tate
 order of a curve's jacobian to counting deficient places: places whose
-completion carries no rational divisor of degree g - 1.  ``certify``
-assembles genus data and a deficiency ledger for an admissible pair and
-issues the verdict; every external fact the argument leans on is listed
-on the certificate.
+completion carries no rational divisor of degree g - 1.
+``ParityCertificate.for_pair`` is the one construction path: it
+assembles genus data and a deficiency ledger for an ``AdmissiblePair``
+and issues the verdict; every external fact the argument leans on is
+listed on the certificate.  ``certify`` checks admissibility of two
+integers once and then calls it.
 
 ``enumerate_admissible`` scans a box for admissible pairs, and
 ``hyperelliptic_sieve`` applies the point-count bound that rules out
-hyperellipticity of the quotient for all but finitely many pairs.
+hyperellipticity of the quotient for all but finitely many pairs, in
+one pass over a whole table.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
 from .localpoints import DeficiencyLedger, deficiency_ledger
+from .ntheory import is_prime
 from .quaternion import _eichler_formula
 from .shimura import (
     AdmissibilityRejection,
@@ -93,6 +96,19 @@ class ParityCertificate:
         if not self.assumptions:
             raise ValueError("a certificate always cites its assumptions")
 
+    @classmethod
+    def for_pair(cls, pair: AdmissiblePair) -> "ParityCertificate":
+        """Genus, ledger and verdict for a pair that is already admissible."""
+        genus = genus_quotient(pair)
+        ledger = deficiency_ledger(pair)
+        return cls(
+            pair=pair,
+            genus=genus,
+            ledger=ledger,
+            verdict=poonen_stoll_verdict(ledger),
+            assumptions=STANDING_ASSUMPTIONS,
+        )
+
 
 def poonen_stoll_verdict(ledger: DeficiencyLedger) -> Verdict:
     """Odd exactly when the number of deficient places is odd."""
@@ -108,31 +124,19 @@ def certify(p: int, q: int) -> ParityCertificate | AdmissibilityRejection:
     checked = check_admissible(p, q)
     if isinstance(checked, AdmissibilityRejection):
         return checked
-    genus = genus_quotient(checked)
-    ledger = deficiency_ledger(checked)
-    return ParityCertificate(
-        pair=checked,
-        genus=genus,
-        ledger=ledger,
-        verdict=poonen_stoll_verdict(ledger),
-        assumptions=STANDING_ASSUMPTIONS,
-    )
+    return ParityCertificate.for_pair(checked)
 
 
 def enumerate_admissible(bound: int) -> list[AdmissiblePair]:
     """All admissible (p, q) with p <= bound and q <= bound, sorted."""
     if not 0 < bound < 2**15:
         raise ValueError("bound must be a positive integer below 2^15")
-    ps = [p for p in range(5, bound + 1, 24)]
-    qs = [q for q in range(5, bound + 1, 12)]
-    pairs = []
-    for p in ps:
-        for q in qs:
-            checked = check_admissible(p, q)
-            if isinstance(checked, AdmissiblePair):
-                pairs.append(checked)
-    pairs.sort(key=lambda pr: (pr.p, pr.q))
-    return pairs
+    # check_admissible decides every candidate; the lists only skip
+    # composites, and the ascending loops emit pairs in (p, q) order.
+    ps = [p for p in range(5, bound + 1, 24) if is_prime(p)]
+    qs = [q for q in range(5, bound + 1, 12) if is_prime(q)]
+    checked = (check_admissible(p, q) for p in ps for q in qs)
+    return [pair for pair in checked if isinstance(pair, AdmissiblePair)]
 
 
 @dataclass(frozen=True)
@@ -173,8 +177,8 @@ def hyperelliptic_sieve(pairs: list[AdmissiblePair]) -> list[SieveReport]:
                 flag=flag,
                 genus_product=product,
                 definite_class_number=h,
-                supersingular_lower_bound=math.ceil(h / 2),
-                refined_not_hyperelliptic=math.ceil(product / 24) > F4_POINT_CAP,
+                supersingular_lower_bound=(h + 1) // 2,
+                refined_not_hyperelliptic=-(-product // 24) > F4_POINT_CAP,
             )
         )
     return reports

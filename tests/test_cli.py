@@ -9,6 +9,8 @@ from pathlib import Path
 import pytest
 
 import alquot.cli
+import alquot.parity
+import alquot.shimura
 from alquot.cli import CSV_HEADER, OutputRecord, main
 from alquot.mumford_graph import parse_graph, serialize_graph
 from alquot.parity import STANDING_ASSUMPTIONS
@@ -168,12 +170,40 @@ def test_enumerate_bound_guard(bound, capsys):
 
 
 def test_enumerate_integrity_failure_propagates(monkeypatch):
-    def broken(p, q):
+    def broken(pair):
         raise ValueError("integrity check failed")
 
-    monkeypatch.setattr(alquot.cli, "certify", broken)
+    # both certificate paths compute the genus through this name
+    monkeypatch.setattr(alquot.parity, "genus_quotient", broken)
     with pytest.raises(ValueError, match="integrity check failed"):
         main(["enumerate", "--max", "30"])
+
+
+def test_enumerate_checks_each_candidate_once_and_sieves_once(monkeypatch, capsys):
+    checked, sieved = [], []
+    failure = alquot.shimura._admissibility_failure
+    sieve = alquot.cli.hyperelliptic_sieve
+
+    def counted_failure(p, q):
+        checked.append((p, q))
+        return failure(p, q)
+
+    def counted_sieve(pairs):
+        sieved.append(len(pairs))
+        return sieve(pairs)
+
+    monkeypatch.setattr(alquot.shimura, "_admissibility_failure", counted_failure)
+    monkeypatch.setattr(alquot.cli, "hyperelliptic_sieve", counted_sieve)
+    assert main(["enumerate", "--max", "200"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+
+    def prime(n):
+        return n > 1 and all(n % d for d in range(2, n))
+
+    ps = [p for p in range(1, 201) if prime(p) and p % 24 == 5]
+    qs = [q for q in range(1, 201) if prime(q) and q % 12 == 5]
+    assert checked == [(p, q) for p in ps for q in qs]
+    assert sieved == [len(rows)]
 
 
 def _python(*args: str) -> subprocess.CompletedProcess:

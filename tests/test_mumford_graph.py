@@ -1,3 +1,4 @@
+from dataclasses import replace
 from random import Random
 
 import pytest
@@ -132,6 +133,16 @@ inv wpq e2 ~e2
 """
     g = parse_graph(text)
     assert any("not an automorphism" in v for v in validate(g))
+
+
+@pytest.mark.parametrize("lengths", [{"e1": 2}, {"~e1": 2}])
+def test_validate_reports_a_missing_length(lengths):
+    g = replace(parse_graph(TWO_EDGE), edge_length=lengths)
+    missing = next(eid for eid in ("e1", "~e1") if eid not in lengths)
+    for checks in (False, True):
+        violations = validate(g, dual_graph_checks=checks)
+        assert f"edge {missing!r} has nonpositive length" in violations
+        assert any("does not preserve the length" in v for v in violations)
 
 
 def test_validate_dual_graph_checks():

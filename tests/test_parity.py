@@ -18,7 +18,13 @@ from alquot.parity import (
     poonen_stoll_verdict,
 )
 from alquot.quaternion import QuaternionAlgebra, eichler_class_number, interchange
-from alquot.shimura import AdmissibilityRejection, AdmissiblePair, fixed_points_e, genus_VB
+from alquot.shimura import (
+    AdmissibilityRejection,
+    AdmissiblePair,
+    check_admissible,
+    fixed_points_e,
+    genus_VB,
+)
 
 
 def _ledger(inf_ok: bool, p_ok: bool, q_ok: bool) -> DeficiencyLedger:
@@ -152,6 +158,19 @@ def test_enumerate_examples():
         enumerate_admissible(2**15)
 
 
+def test_enumerate_is_complete():
+    # every integer pair in the box, not only the congruence classes
+    candidates = (check_admissible(p, q) for p in range(1, 401) for q in range(1, 401))
+    expected = [pair for pair in candidates if isinstance(pair, AdmissiblePair)]
+    assert len(expected) > 100
+    assert enumerate_admissible(400) == expected
+
+
+def test_for_pair_is_what_certify_builds():
+    pair = AdmissiblePair(101, 29)
+    assert ParityCertificate.for_pair(pair) == certify(101, 29)
+
+
 def test_enumerate_sorted_and_admissible():
     pairs = enumerate_admissible(200)
     assert pairs == sorted(pairs, key=lambda x: (x.p, x.q))
@@ -170,6 +189,15 @@ def test_sieve_examples():
     assert second.flag is HyperellipticFlag.NOT_HYPERELLIPTIC
     assert second.genus_product == 448
     assert second.refined_not_hyperelliptic is True
+
+
+def test_sieve_bounds_are_exact_beyond_float_precision():
+    # H(2pq) ~ 9.6e16 > 2^53: a float ceil(H/2) loses 4
+    pair = AdmissiblePair(1073741909, 1073741969)
+    report = hyperelliptic_sieve([pair])[0]
+    assert report.definite_class_number == 96076812451666248
+    assert report.supersingular_lower_bound == 48038406225833124
+    assert report.refined_not_hyperelliptic is True
 
 
 def test_sieve_flag_matches_product_rule():
