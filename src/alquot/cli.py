@@ -249,7 +249,7 @@ def _cmd_graph_check(args: argparse.Namespace) -> int:
     try:
         with open(args.path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {args.path}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:

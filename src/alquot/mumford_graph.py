@@ -31,7 +31,7 @@ round-trips.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Mapping
 
@@ -434,13 +434,8 @@ def base_change(
     """
     if e < 1 or f < 1:
         raise ValueError("e and f must be positive integers")
-    scaled = LengthedQuotientGraph(
-        vertex_parity=dict(graph.vertex_parity),
-        edge_endpoints=dict(graph.edge_endpoints),
-        edge_length={eid: length * e for eid, length in graph.edge_length.items()},
-        involutions={n: dict(m) for n, m in graph.involutions.items()},
-        bipartite=graph.bipartite,
-    )
+    # instances are immutable, so the unchanged tables are shared
+    scaled = replace(graph, edge_length={eid: n * e for eid, n in graph.edge_length.items()})
     if f % 2:
         frobenius = dict(graph.involutions["wp"])
     else:

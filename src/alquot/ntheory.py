@@ -6,7 +6,9 @@ Hilbert symbol is computed twice over: once by the classical closed
 formulas, and once by ``hilbert_symbol_oracle``, which decides solvability
 of z^2 = a x^2 + b y^2 by exhaustive search over a residue ring large
 enough for Hensel lifting.  They share only ``_valuation``, the loop that
-``valuation`` runs after its checks, and exist to check each other.
+``valuation`` runs after its checks, and exist to check each other.  The
+search scans a byte mask of the squares in plain Python, so this module,
+like the whole package, needs nothing beyond the standard library.
 
 Everything here is deterministic and pure; all functions are safe to call
 from multiple threads.
@@ -14,12 +16,10 @@ from multiple threads.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    import numpy as np
+from itertools import compress
 
 __all__ = [
     "Place",
@@ -208,34 +208,30 @@ def hilbert_symbol(a: int, b: int, v: Place) -> int:
     return sign
 
 
-# Largest residue ring the oracle will scan.  Keeps the int64 vector
-# arithmetic overflow-free (n^3 < 2^63) and bounds the search time.
+# Largest residue ring the oracle will scan.  The scans are pure-Python
+# loops over the squares mod n, so this bounds the search time.
 _MAX_SEARCH_MODULUS = 1 << 20
 
 
-# 32 moduli cover a sweep over small places; one table is at most ~9 MB
+# 32 moduli cover a sweep over small places; one table (8 bytes per distinct
+# square plus a 1-byte mask) holds at most ~5.3 MB
 @lru_cache(maxsize=32)
-def _square_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
-    import numpy as np  # only the oracle needs numpy; keep it off the import path
-    r = np.arange(n, dtype=np.int64)
-    squares = (r * r) % n
-    mask = np.zeros(n, dtype=bool)
-    mask[squares] = True
-    return squares, mask
+def _square_tables(n: int) -> tuple[array, bytes]:
+    is_square = bytearray(n)
+    for r in range(n // 2 + 1):  # r and n - r have the same square
+        is_square[r * r % n] = 1
+    return array("q", compress(range(n), is_square)), bytes(is_square)
 
 
 def _primitive_solution_exists(a: int, b: int, n: int) -> bool:
-    import numpy as np
-    # Any primitive triple has a unit coordinate, which unit rescaling
-    # moves to 1, so three one-parameter scans are exhaustive.
+    # A primitive triple mod n = p^k has a unit coordinate.  It is x or y:
+    # were both divisible by p, so would be z^2 = a x^2 + b y^2.  Unit
+    # rescaling moves that coordinate to 1, so two one-parameter scans are
+    # exhaustive.
     squares, is_square = _square_tables(n)
-    if is_square[(a + b * squares) % n].any():  # x = 1
+    if any(is_square[(a + b * s) % n] for s in squares):  # x = 1
         return True
-    if is_square[(a * squares + b) % n].any():  # y = 1
-        return True
-    b_mask = np.zeros(n, dtype=bool)  # z = 1: a x^2 = 1 - b y^2
-    b_mask[(b * squares) % n] = True
-    return bool(b_mask[(1 - a * squares) % n].any())
+    return any(is_square[(a * s + b) % n] for s in squares)  # y = 1
 
 
 def hilbert_symbol_oracle(a: int, b: int, v: Place) -> int:

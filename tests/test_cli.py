@@ -1,3 +1,4 @@
+import ast
 import errno
 import json
 import os
@@ -224,6 +225,36 @@ def test_cli_import_does_not_load_numpy():
     assert done.stdout == "False\n"
 
 
+def test_oracle_and_certify_run_with_numpy_blocked(capsys):
+    assert main(["certify", "5", "17"]) == 0
+    expected = capsys.readouterr().out
+    script = (
+        "import sys; sys.modules['numpy'] = None\n"
+        "from alquot.cli import main\n"
+        "from alquot.ntheory import Place, hilbert_symbol_oracle\n"
+        "print(hilbert_symbol_oracle(-1, -1, Place(2)))\n"
+        "raise SystemExit(main(['certify', '5', '17']))\n"
+    )
+    done = _python("-c", script)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "-1\n" + expected
+
+
+def test_package_imports_only_the_standard_library():
+    allowed = sys.stdlib_module_names | {"alquot"}
+    foreign = []
+    for module in sorted(Path(alquot.__file__).resolve().parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(module.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            foreign += [(module.name, n) for n in names if n.split(".")[0] not in allowed]
+    assert foreign == []
+
+
 def test_module_invocation_matches_main(capsys):
     assert main(["certify", "5", "17", "--format", "json"]) == 0
     expected = capsys.readouterr().out
@@ -280,6 +311,15 @@ def test_graph_check_parse_error(tmp_path, capsys):
 def test_graph_check_missing_file(capsys):
     assert main(["graph-check", "/nonexistent/graph.txt"]) == 1
     assert "cannot read" in capsys.readouterr().err
+
+
+def test_graph_check_undecodable_file(tmp_path, capsys):
+    path = tmp_path / "bad.graph"
+    path.write_bytes(b"v a even\n\xff\n")
+    assert main(["graph-check", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot read {path}: ")
 
 
 def test_graph_file_roundtrip(tmp_path):

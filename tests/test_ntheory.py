@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -132,6 +134,45 @@ def test_oracle_square_tables_are_bounded():
 def test_oracle_rejects_oversized_search():
     with pytest.raises(ValueError):
         hilbert_symbol_oracle(2**40, 3, Place(2))
+
+
+@pytest.mark.parametrize(
+    ("a", "b", "p", "symbol"),
+    [
+        (2**8 * 3, 5, 2, 1),  # search modulus 2^19
+        (2**8 * 3, -5, 2, -1),
+        (3**5, -2, 3, 1),  # search modulus 3^11
+        (3**5, 2, 3, -1),
+    ],
+)
+def test_oracle_agrees_at_the_largest_admitted_moduli(a, b, p, symbol):
+    assert hilbert_symbol_oracle(a, b, Place(p)) == hilbert_symbol(a, b, Place(p)) == symbol
+    with pytest.raises(ValueError, match="exceeds the exhaustive budget"):
+        hilbert_symbol_oracle(p * a, b, Place(p))  # one valuation more
+
+
+@pytest.mark.parametrize(
+    "p, k", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (5, 1), (7, 1), (11, 1)]
+)
+def test_oracle_scans_find_every_primitive_zero(p, k):
+    # the oracle scans only x = 1 and y = 1; search every primitive triple
+    n = p**k
+    triples = [t for t in product(range(n), repeat=3) if any(c % p for c in t)]
+    for a in range(n):
+        for b in range(n):
+            expected = any((a * x * x + b * y * y - z * z) % n == 0 for x, y, z in triples)
+            assert alquot.ntheory._primitive_solution_exists(a, b, n) == expected, (a, b, n)
+
+
+def test_oracle_uses_no_closed_formula(monkeypatch):
+    def formula(*args):
+        raise AssertionError("the oracle called a closed formula")
+
+    for name in ("kronecker", "legendre", "hilbert_symbol"):
+        monkeypatch.setattr(alquot.ntheory, name, formula)
+    assert hilbert_symbol_oracle(-1, -1, Place(2)) == -1
+    assert hilbert_symbol_oracle(-5, -17, Place(17)) == -1
+    assert hilbert_symbol_oracle(-1, -85, Place(5)) == 1
 
 
 @settings(max_examples=150)
