@@ -12,8 +12,13 @@ batch scripts can tell malformed input from out-of-regime input.
 
 JSON and CSV speak the fixed record schema below; the CSV column order is
 frozen and list-valued cells join their items with semicolons.  ``enumerate``
-sieves its table in one pass and certifies each already-checked pair with
-``ParityCertificate.for_pair``, so no pair is checked twice.
+sieves its table in one pass and certifies the already-checked pairs in
+(p, q) order, so no pair is checked twice, the class number h(-4p) is
+computed once per prime p, and the algebra {p, q} once per certificate.
+
+``certify`` and ``hilbert`` refuse inputs beyond a desk-scale budget
+(``_MAX_CERTIFY_PRIME``, ``_MAX_HILBERT_PRIME``) with exit 1 before any
+trial division, instead of running for minutes.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from .parity import (
     HyperellipticFlag,
     ParityCertificate,
     SieveReport,
+    _certify_table,
     certify,
     enumerate_admissible,
     hyperelliptic_sieve,
@@ -157,7 +163,17 @@ def build_parser() -> argparse.ArgumentParser:
 _PARSER = build_parser()
 
 
+# Desk-scale budgets, checked before any work.  ``certify`` proves p and q
+# by trial division and counts h(-4p) in O(p) steps, ~2 s at p = 10^8;
+# ``hilbert`` proves its place by trial division, ~0.1 s at 10^12.
+_MAX_CERTIFY_PRIME = 10**8
+_MAX_HILBERT_PRIME = 10**12
+
+
 def _cmd_certify(args: argparse.Namespace) -> int:
+    if max(args.p, args.q) > _MAX_CERTIFY_PRIME:
+        print("error: certify: p and q must be at most 10^8", file=sys.stderr)
+        return EXIT_USAGE
     result = certify(args.p, args.q)
     if isinstance(result, AdmissibilityRejection):
         if args.format == "json":
@@ -180,8 +196,8 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         print(f"error: --max: {exc}", file=sys.stderr)
         return EXIT_USAGE
     records = [
-        OutputRecord.from_certificate(ParityCertificate.for_pair(report.pair), report)
-        for report in hyperelliptic_sieve(pairs)
+        OutputRecord.from_certificate(cert, report)
+        for cert, report in zip(_certify_table(pairs), hyperelliptic_sieve(pairs))
     ]
 
     if args.format == "json":
@@ -234,6 +250,9 @@ def _cmd_hilbert(args: argparse.Namespace) -> int:
             prime = int(args.v)
         except ValueError:
             print(f"error: place must be a prime or 'inf', got {args.v!r}", file=sys.stderr)
+            return EXIT_USAGE
+        if prime > _MAX_HILBERT_PRIME:
+            print("error: place must be at most 10^12", file=sys.stderr)
             return EXIT_USAGE
     try:  # Place rejects a composite with "<n> is not prime"
         place = INFINITY if args.v == "inf" else Place(prime)

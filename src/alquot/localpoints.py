@@ -28,10 +28,10 @@ from enum import Enum
 from .ntheory import INFINITY, Place
 from .quaternion import (
     QuaternionAlgebra,
+    _interchange,
+    _quad_field_splits,
     _ramified_places_among,
-    interchange,
     is_isomorphic,
-    quad_field_splits,
 )
 from .shimura import AdmissiblePair
 
@@ -103,16 +103,23 @@ class DeficiencyLedger:
         return tuple(s.place for s in self.entries() if s.deficient)
 
 
+# 2pq is the 2ab of both symbol algebras of the interchange criterion, so
+# their candidate places are 2, p and q
+_TWO = Place(2)
+
+
 def pic1_real(p: int, q: int, quotient_prime: int) -> bool:
     """Degree-1 classes over R on the quotient by w_{quotient_prime}.
 
     Existence is equivalent to Q(sqrt(d)) splitting the algebra of
     discriminant pq, where d is the prime defining the involution.
     """
+    if p == q or p == 2 or q == 2:
+        raise ValueError("needs distinct odd primes")
     if quotient_prime not in (p, q):
         raise ValueError("the quotient prime must divide the discriminant")
-    B = QuaternionAlgebra.from_ramified_places({p, q})
-    return quad_field_splits(quotient_prime, B)
+    B = QuaternionAlgebra.from_ramified_places({p, q})  # proves p and q prime
+    return _quad_field_splits(quotient_prime, B)
 
 
 def pic1_at_own_prime() -> bool:
@@ -135,10 +142,17 @@ def pic1_at_other_prime(p: int, q: int) -> bool:
     """
     if p == q or p == 2 or q == 2:
         raise ValueError("needs distinct odd primes")
-    B = QuaternionAlgebra.from_ramified_places({p, q})  # proves p and q prime
-    swapped = interchange(B, p)
-    # 2ab = 2pq for both symbol algebras, so their candidate places are 2, p, q
-    candidates = (Place(2), *B.ram_set)
+    P = Place(p)
+    B = QuaternionAlgebra.from_ramified_places({P, q})  # proves q prime
+    return _pic1_at_other_prime(P, q, B)
+
+
+def _pic1_at_other_prime(P: Place, q: int, B: QuaternionAlgebra) -> bool:
+    """``pic1_at_other_prime`` at the Place P of p, for the algebra B of
+    discriminant pq."""
+    p = P.prime
+    swapped = _interchange(B, P)
+    candidates = (_TWO, *B.ram_set)
     return any(
         is_isomorphic(swapped, QuaternionAlgebra(_ramified_places_among(a, b, candidates)))
         for a, b in ((-1, -p * q), (-p, -q))
@@ -147,10 +161,18 @@ def pic1_at_other_prime(p: int, q: int) -> bool:
 
 def deficiency_ledger(pair: AdmissiblePair) -> DeficiencyLedger:
     """Full local record for V/w_p of an admissible pair."""
-    p, q = pair.p, pair.q
+    return _deficiency_ledger(pair, QuaternionAlgebra.from_ramified_places((pair.p, pair.q)))
+
+
+def _deficiency_ledger(pair: AdmissiblePair, B: QuaternionAlgebra) -> DeficiencyLedger:
+    """``deficiency_ledger`` for the pair's algebra B = {p, q}, whose Places
+    of p and q the entries reuse."""
+    place = {v.prime: v for v in B.ram_set}
+    P, Q = place[pair.p], place[pair.q]
+    real = _quad_field_splits(pair.p, B)  # pic1_real(p, q, p)
     return DeficiencyLedger(
-        at_infinity=LocalStatus(INFINITY, pic1_real(p, q, p), StatusSource.REAL_SPLITTING),
-        at_p=LocalStatus(Place(p), pic1_at_own_prime(), StatusSource.OWN_PRIME_UNIFORMIZATION),
-        at_q=LocalStatus(Place(q), pic1_at_other_prime(q, p), StatusSource.INTERCHANGE_CRITERION),
+        at_infinity=LocalStatus(INFINITY, real, StatusSource.REAL_SPLITTING),
+        at_p=LocalStatus(P, pic1_at_own_prime(), StatusSource.OWN_PRIME_UNIFORMIZATION),
+        at_q=LocalStatus(Q, _pic1_at_other_prime(Q, pair.p, B), StatusSource.INTERCHANGE_CRITERION),
         elsewhere=LocalStatus(None, True, StatusSource.GOOD_REDUCTION_FACT),
     )

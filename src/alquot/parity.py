@@ -9,6 +9,13 @@ and issues the verdict; every external fact the argument leans on is
 listed on the certificate.  ``certify`` checks admissibility of two
 integers once and then calls it.
 
+Each invariant is computed once, at the level it belongs to.  Per
+certificate: the algebra B = {p, q}, whose Places of p and q were proven
+prime when it was built, serves the genus and every ledger entry.  Per
+prime: the class number h(-4p); ``for_pair`` computes it for its one
+pair, and ``_certify_table`` once per run of pairs with equal p, so a
+table in (p, q) order needs one class number per distinct p.
+
 ``enumerate_admissible`` scans a box for admissible pairs, and
 ``hyperelliptic_sieve`` applies the point-count bound that rules out
 hyperellipticity of the quotient for all but finitely many pairs, in
@@ -19,16 +26,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterable, Iterator
 
-from .localpoints import DeficiencyLedger, deficiency_ledger
+from .localpoints import DeficiencyLedger, _deficiency_ledger
 from .ntheory import is_prime
-from .quaternion import _eichler_formula
+from .quadforms import class_number
+from .quaternion import QuaternionAlgebra, _eichler_formula
 from .shimura import (
     AdmissibilityRejection,
     AdmissiblePair,
     GenusData,
+    _genus_quotient,
     check_admissible,
-    genus_quotient,
 )
 
 __all__ = [
@@ -99,8 +108,16 @@ class ParityCertificate:
     @classmethod
     def for_pair(cls, pair: AdmissiblePair) -> "ParityCertificate":
         """Genus, ledger and verdict for a pair that is already admissible."""
-        genus = genus_quotient(pair)
-        ledger = deficiency_ledger(pair)
+        return cls._for_pair(pair, class_number(-4 * pair.p))
+
+    @classmethod
+    def _for_pair(cls, pair: AdmissiblePair, h: int) -> "ParityCertificate":
+        """``for_pair`` given h = h(-4p), which belongs to p and so can be
+        shared by every pair with that p.  The algebra B = {p, q} is built
+        once, here, and serves both the genus and the ledger."""
+        B = QuaternionAlgebra.from_ramified_places((pair.p, pair.q))
+        genus = _genus_quotient(pair, B, h)
+        ledger = _deficiency_ledger(pair, B)
         return cls(
             pair=pair,
             genus=genus,
@@ -125,6 +142,18 @@ def certify(p: int, q: int) -> ParityCertificate | AdmissibilityRejection:
     if isinstance(checked, AdmissibilityRejection):
         return checked
     return ParityCertificate.for_pair(checked)
+
+
+def _certify_table(pairs: Iterable[AdmissiblePair]) -> Iterator[ParityCertificate]:
+    """``ParityCertificate.for_pair`` of each pair, in order, computing
+    h(-4p) once per run of pairs with equal p.  Pairs in (p, q) order, as
+    ``enumerate_admissible`` returns them, need one class number per
+    distinct p, and only the current one is held."""
+    p = h = None
+    for pair in pairs:
+        if pair.p != p:
+            p, h = pair.p, class_number(-4 * pair.p)
+        yield ParityCertificate._for_pair(pair, h)
 
 
 def enumerate_admissible(bound: int) -> list[AdmissiblePair]:

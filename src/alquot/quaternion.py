@@ -117,6 +117,11 @@ def interchange(B: QuaternionAlgebra, p: int) -> QuaternionAlgebra:
     fin = Place(p)
     if p == 2:
         raise ValueError("interchange is defined at an odd prime")
+    return _interchange(B, fin)
+
+
+def _interchange(B: QuaternionAlgebra, fin: Place) -> QuaternionAlgebra:
+    """``interchange`` at an odd prime whose Place the caller holds."""
     places = set(B.ram_set)
     had_p = fin in places
     had_inf = INFINITY in places
@@ -139,6 +144,12 @@ def quad_field_splits(d: int, B: QuaternionAlgebra) -> bool:
     """
     if d in (0, 1) or not is_squarefree(d):
         raise ValueError("d must be squarefree and define a quadratic field")
+    return _quad_field_splits(d, B)
+
+
+def _quad_field_splits(d: int, B: QuaternionAlgebra) -> bool:
+    """``quad_field_splits`` for a d known to be squarefree, such as a prime
+    or its negative, so the caller skips factoring it again."""
     disc = d if d % 4 == 1 else 4 * d
     for v in B.ram_set:
         if v.is_finite:

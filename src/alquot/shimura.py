@@ -12,6 +12,13 @@ under which the parity pipeline operates.  Genus formulas are evaluated
 exactly, as 12 times their value in integers, with mandatory integrality
 checks, so a congruence-hypothesis violation surfaces as an error instead
 of a wrong number.
+
+The int and pair entry points validate their input and delegate to
+private cores that take what a certificate already holds: the algebra
+B = {p, q}, built once per certificate, and h(-4p), which belongs to the
+prime p and so is computed once per prime when a table shares it.
+``_genus_quotient(pair, B, h)`` is the core every certificate runs; it
+holds the integrity checks.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from dataclasses import dataclass
 
 from .ntheory import is_prime, kronecker
 from .quadforms import class_number
-from .quaternion import QuaternionAlgebra, quad_field_splits
+from .quaternion import QuaternionAlgebra, _quad_field_splits
 
 __all__ = [
     "AdmissiblePair",
@@ -114,6 +121,11 @@ def genus_VB(p: int, q: int) -> int:
     """
     if p == q or p == 2 or q == 2 or not (is_prime(p) and is_prime(q)):
         raise ValueError("the discriminant must be a product of two distinct odd primes")
+    return _genus_VB(p, q)
+
+
+def _genus_VB(p: int, q: int) -> int:
+    """``genus_VB`` for distinct odd primes the caller has already proven."""
     e2 = (1 - kronecker(-4, p)) * (1 - kronecker(-4, q))
     e3 = (1 - kronecker(-3, p)) * (1 - kronecker(-3, q))
     g12 = 12 + (p - 1) * (q - 1) - 3 * e2 - 4 * e3
@@ -136,9 +148,12 @@ def fixed_points_e(p: int, q: int) -> int:
     if p == q or q == 2:
         raise ValueError("the discriminant must be a product of two distinct odd primes")
     B = QuaternionAlgebra.from_ramified_places({p, q})  # proves p and q prime
-    if quad_field_splits(-p, B):
-        return 2 * class_number(-4 * p)
-    return 0
+    return _fixed_points_e(p, B, class_number(-4 * p))
+
+
+def _fixed_points_e(p: int, B: QuaternionAlgebra, h: int) -> int:
+    """``fixed_points_e`` for the algebra B of discriminant pq and h = h(-4p)."""
+    return 2 * h if _quad_field_splits(-p, B) else 0
 
 
 def genus_quotient(pair: AdmissiblePair) -> GenusData:
@@ -149,8 +164,16 @@ def genus_quotient(pair: AdmissiblePair) -> GenusData:
     Requires g_VB odd and 4 | e_p, both consequences of admissibility;
     violations raise instead of rounding.
     """
-    g = genus_VB(pair.p, pair.q)
-    e = fixed_points_e(pair.p, pair.q)
+    B = QuaternionAlgebra.from_ramified_places((pair.p, pair.q))
+    return _genus_quotient(pair, B, class_number(-4 * pair.p))
+
+
+def _genus_quotient(pair: AdmissiblePair, B: QuaternionAlgebra, h: int) -> GenusData:
+    """``genus_quotient`` for the pair's algebra B = {p, q} and h = h(-4p),
+    which the caller computes once and shares.  Every certificate runs the
+    integrity checks here."""
+    g = _genus_VB(pair.p, pair.q)
+    e = _fixed_points_e(pair.p, B, h)
     if (g + 1) % 2:
         raise ValueError(f"(g_VB + 1)/2 is not integral for {pair}")
     if e % 4:

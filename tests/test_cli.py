@@ -1,5 +1,6 @@
 import ast
 import errno
+import hashlib
 import json
 import os
 import stat
@@ -10,7 +11,9 @@ from pathlib import Path
 import pytest
 
 import alquot.cli
+import alquot.ntheory
 import alquot.parity
+import alquot.quadforms
 import alquot.shimura
 from alquot.cli import CSV_HEADER, OutputRecord, main
 from alquot.mumford_graph import parse_graph, serialize_graph
@@ -36,6 +39,13 @@ ENUMERATE_30_CSV = (
     f"5,17,85,5,4,2,17,odd,possibly_hyperelliptic,{ASSUMPTION_CELL}\n"
     f"29,17,493,37,12,16,17,odd,not_hyperelliptic,{ASSUMPTION_CELL}\n"
 )
+
+# sha256 of ``enumerate --max 1000`` (453 rows; the CSV is 207,689 bytes),
+# whose p-runs share one class number per p
+ENUMERATE_1000_SHA256 = {
+    "csv": "8b24ab184e6ef2d28bd043464cbc5b79f15ad5fc61b6abc2393aa5ba2779f9ff",
+    "json": "d66ff4427bc552d8c59438a18a6affb210b1c7f539514595b807a05786448e3c",
+}
 
 GRAPH_OK = """v a even
 v b odd
@@ -171,13 +181,21 @@ def test_enumerate_bound_guard(bound, capsys):
 
 
 def test_enumerate_integrity_failure_propagates(monkeypatch):
-    def broken(pair):
+    def broken(pair, B, h):
         raise ValueError("integrity check failed")
 
-    # both certificate paths compute the genus through this name
-    monkeypatch.setattr(alquot.parity, "genus_quotient", broken)
+    # the genus core holds the integrity checks, and both certificate paths
+    # (for_pair and the enumerate table) run it through this name
+    monkeypatch.setattr(alquot.parity, "_genus_quotient", broken)
     with pytest.raises(ValueError, match="integrity check failed"):
         main(["enumerate", "--max", "30"])
+
+
+@pytest.mark.parametrize("fmt", sorted(ENUMERATE_1000_SHA256))
+def test_enumerate_1000_golden(fmt, capsys):
+    assert main(["enumerate", "--max", "1000", "--format", fmt]) == 0
+    out = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(out).hexdigest() == ENUMERATE_1000_SHA256[fmt]
 
 
 def test_enumerate_checks_each_candidate_once_and_sieves_once(monkeypatch, capsys):
@@ -269,6 +287,59 @@ def test_hilbert(capsys):
     assert main(["hilbert", "-1", "-85", "5"]) == 0
     assert capsys.readouterr().out == "+1\n"
     assert main(["hilbert", "1", "7", "3"]) == 0
+    assert capsys.readouterr().out == "+1\n"
+
+
+def _forbid_trial_division(monkeypatch) -> None:
+    def refuse(*args):
+        raise AssertionError("trial division ran before the budget check")
+
+    for function in (alquot.ntheory.is_prime, alquot.quadforms.class_number):
+        for name, module in list(sys.modules.items()):
+            if name.startswith("alquot") and getattr(module, function.__name__, None) is function:
+                monkeypatch.setattr(module, function.__name__, refuse)
+
+
+@pytest.mark.parametrize("p, q", [(10**8 + 1, 17), (5, 10**8 + 1), (10**20 + 39, 17)])
+def test_certify_budget(p, q, monkeypatch, capsys):
+    assert alquot.cli._MAX_CERTIFY_PRIME == 10**8
+    _forbid_trial_division(monkeypatch)
+    assert main(["certify", str(p), str(q)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: certify: p and q must be at most 10^8\n"
+
+
+def test_certify_budget_admits_desk_scale_primes(capsys):
+    # p near 10^7, and the largest pairs perfbench's certify_large draws
+    # (p <= 2*10^5, q <= 10^7)
+    assert main(["certify", "10000229", "29", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "odd"
+    assert main(["certify", "199877", "9999749"]) == 0
+    assert "verdict: odd" in capsys.readouterr().out
+
+
+def test_certify_integrity_failure_propagates(monkeypatch):
+    def broken(pair, B, h):
+        raise ValueError("integrity check failed")
+
+    monkeypatch.setattr(alquot.parity, "_genus_quotient", broken)
+    with pytest.raises(ValueError, match="integrity check failed"):
+        main(["certify", "5", "17"])
+
+
+@pytest.mark.parametrize("v", [10**12 + 1, 10**20 + 39])
+def test_hilbert_budget(v, monkeypatch, capsys):
+    assert alquot.cli._MAX_HILBERT_PRIME == 10**12
+    _forbid_trial_division(monkeypatch)
+    assert main(["hilbert", "1", "1", str(v)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: place must be at most 10^12\n"
+
+
+def test_hilbert_budget_admits_its_largest_primes(capsys):
+    assert main(["hilbert", "-1", "-1", "999999999989"]) == 0  # the largest prime below 10^12
     assert capsys.readouterr().out == "+1\n"
 
 

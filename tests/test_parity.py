@@ -6,12 +6,21 @@ import pytest
 import alquot.ntheory
 import alquot.quadforms
 import alquot.shimura
-from alquot.localpoints import DeficiencyLedger, LocalStatus, StatusSource, pic1_at_other_prime
+from alquot.cli import main
+from alquot.localpoints import (
+    DeficiencyLedger,
+    LocalStatus,
+    StatusSource,
+    deficiency_ledger,
+    pic1_at_other_prime,
+    pic1_real,
+)
 from alquot.ntheory import INFINITY, Place, legendre, valuation
 from alquot.parity import (
     HyperellipticFlag,
     ParityCertificate,
     Verdict,
+    _certify_table,
     certify,
     enumerate_admissible,
     hyperelliptic_sieve,
@@ -24,6 +33,7 @@ from alquot.shimura import (
     check_admissible,
     fixed_points_e,
     genus_VB,
+    genus_quotient,
 )
 
 
@@ -95,13 +105,42 @@ def _count_calls(monkeypatch, function) -> list:
     return calls
 
 
+def _count_algebras(monkeypatch) -> list:
+    """Record the places of every ``QuaternionAlgebra.from_ramified_places`` call."""
+    calls = []
+    build = QuaternionAlgebra.from_ramified_places.__func__
+
+    def counted(cls, places):
+        calls.append(places)
+        return build(cls, places)
+
+    monkeypatch.setattr(QuaternionAlgebra, "from_ramified_places", classmethod(counted))
+    return calls
+
+
 def test_certify_computes_each_invariant_once(monkeypatch):
     class_numbers = _count_calls(monkeypatch, alquot.quadforms.class_number)
-    genera = _count_calls(monkeypatch, alquot.shimura.genus_quotient)
+    # the genus core, with the algebra and class number the certificate shares
+    genera = _count_calls(monkeypatch, alquot.shimura._genus_quotient)
+    algebras = _count_algebras(monkeypatch)
     cert = certify(29, 17)
     assert cert.genus.g_quotient == 16
     assert class_numbers == [(-4 * 29,)]
-    assert genera == [(AdmissiblePair(29, 17),)]
+    assert [args[0] for args in genera] == [AdmissiblePair(29, 17)]
+    assert algebras == [(29, 17)]
+
+
+def test_enumerate_computes_one_class_number_per_prime_and_one_algebra_per_certificate(
+    monkeypatch, capsys
+):
+    class_numbers = _count_calls(monkeypatch, alquot.quadforms.class_number)
+    algebras = _count_algebras(monkeypatch)
+    assert main(["enumerate", "--max", "500"]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    ps = sorted({int(row[0]) for row in rows})
+    assert len(rows) > len(ps) > 5
+    assert class_numbers == [(-4 * p,) for p in ps]
+    assert len(algebras) == len(rows)
 
 
 def test_certify_and_sieve_reuse_the_known_primes(monkeypatch):
@@ -114,12 +153,14 @@ def test_certify_and_sieve_reuse_the_known_primes(monkeypatch):
 
 
 def test_certify_proves_each_prime_a_bounded_number_of_times(monkeypatch):
-    # check_admissible proves p and q; the rest of the path trusts the Places
-    # and algebras built from them
+    # check_admissible proves p and q, and so does the certificate's one
+    # algebra as it builds their Places; the rest of the path trusts those
     primality = _count_calls(monkeypatch, alquot.ntheory.is_prime)
+    squarefree = _count_calls(monkeypatch, alquot.ntheory.is_squarefree)
     cert = certify(100109, 41)
     assert isinstance(cert, ParityCertificate)
-    assert len(primality) <= 14
+    assert len(primality) <= 4
+    assert squarefree == []
 
 
 @pytest.mark.parametrize(
@@ -133,6 +174,10 @@ def test_certify_proves_each_prime_a_bounded_number_of_times(monkeypatch):
         (pic1_at_other_prime, (9, 5)),
         (pic1_at_other_prime, (5, 9)),
         (pic1_at_other_prime, (2, 5)),
+        (pic1_real, (5, 5, 5)),
+        (pic1_real, (2, 5, 5)),
+        (pic1_real, (5, 2, 5)),
+        (pic1_real, (9, 17, 17)),
         (interchange, (QuaternionAlgebra.from_ramified_places({5, 17}), 9)),
         (valuation, (8, 4)),
         (legendre, (3, 9)),
@@ -141,6 +186,36 @@ def test_certify_proves_each_prime_a_bounded_number_of_times(monkeypatch):
 def test_int_entry_points_reject_composites_twos_and_equal_primes(function, args):
     with pytest.raises(ValueError):
         function(*args)
+
+
+def test_pic1_real_needs_distinct_odd_primes():
+    for args in ((5, 5, 5), (2, 5, 5)):
+        with pytest.raises(ValueError, match="needs distinct odd primes"):
+            pic1_real(*args)
+
+
+def test_table_certificates_are_for_pair_certificates():
+    # the table shares h(-4p) across each p-run; every certificate must be
+    # the one for_pair builds alone, and agree with the int entry points
+    pairs = enumerate_admissible(1000)
+    assert len(pairs) == 453
+    table = list(_certify_table(pairs))
+    assert table == [ParityCertificate.for_pair(pair) for pair in pairs]
+    for pair, cert in zip(pairs, table):
+        p, q = pair.p, pair.q
+        assert cert.pair == pair
+        assert cert.genus == genus_quotient(pair)
+        assert (cert.genus.g_VB, cert.genus.e_p) == (genus_VB(p, q), fixed_points_e(p, q))
+        assert cert.ledger == deficiency_ledger(pair)
+        assert cert.ledger.at_infinity.pic1_nonempty is pic1_real(p, q, p)
+        assert cert.ledger.at_q.pic1_nonempty is pic1_at_other_prime(q, p)
+        assert cert.verdict is poonen_stoll_verdict(cert.ledger)
+
+
+def test_table_certificates_do_not_depend_on_pair_order():
+    pairs = enumerate_admissible(300)
+    shuffled = pairs[1::2] + pairs[::2]
+    assert list(_certify_table(shuffled)) == [ParityCertificate.for_pair(pair) for pair in shuffled]
 
 
 def test_sieve_class_number_is_eichlers_formula():
