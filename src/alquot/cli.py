@@ -92,8 +92,8 @@ class OutputRecord:
 
     def csv_row(self) -> list[str]:
         row = []
-        for f in fields(self):
-            value = getattr(self, f.name)
+        for name in CSV_HEADER:
+            value = getattr(self, name)
             row.append(";".join(value) if isinstance(value, list) else str(value))
         return row
 

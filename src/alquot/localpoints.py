@@ -33,7 +33,7 @@ from .quaternion import (
     _ramified_places_among,
     is_isomorphic,
 )
-from .shimura import AdmissiblePair
+from .shimura import AdmissiblePair, _pair_algebra
 
 __all__ = [
     "StatusSource",
@@ -114,11 +114,9 @@ def pic1_real(p: int, q: int, quotient_prime: int) -> bool:
     Existence is equivalent to Q(sqrt(d)) splitting the algebra of
     discriminant pq, where d is the prime defining the involution.
     """
-    if p == q or p == 2 or q == 2:
-        raise ValueError("needs distinct odd primes")
+    B = _pair_algebra(p, q)
     if quotient_prime not in (p, q):
         raise ValueError("the quotient prime must divide the discriminant")
-    B = QuaternionAlgebra.from_ramified_places({p, q})  # proves p and q prime
     return _quad_field_splits(quotient_prime, B)
 
 
@@ -140,10 +138,8 @@ def pic1_at_other_prime(p: int, q: int) -> bool:
     exchanging invariants at p and oo must be isomorphic to B(-1,-pq) or
     to B(-p,-q).
     """
-    if p == q or p == 2 or q == 2:
-        raise ValueError("needs distinct odd primes")
-    P = Place(p)
-    B = QuaternionAlgebra.from_ramified_places({P, q})  # proves q prime
+    B = _pair_algebra(p, q)
+    P = next(v for v in B.ram_set if v.prime == p)
     return _pic1_at_other_prime(P, q, B)
 
 
@@ -161,7 +157,7 @@ def _pic1_at_other_prime(P: Place, q: int, B: QuaternionAlgebra) -> bool:
 
 def deficiency_ledger(pair: AdmissiblePair) -> DeficiencyLedger:
     """Full local record for V/w_p of an admissible pair."""
-    return _deficiency_ledger(pair, QuaternionAlgebra.from_ramified_places((pair.p, pair.q)))
+    return _deficiency_ledger(pair, _pair_algebra(pair.p, pair.q))
 
 
 def _deficiency_ledger(pair: AdmissiblePair, B: QuaternionAlgebra) -> DeficiencyLedger:

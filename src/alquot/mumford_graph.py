@@ -339,12 +339,12 @@ def _orbit_rep(eid: str, w: Mapping[str, str]) -> str:
     """Canonical name of the w-orbit of an oriented edge.
 
     The orbit pair {r, w(r)} and its opposite pair receive names that are
-    again opposite: the smallest base id occurring in the four involved
-    edges names the orbit containing its plain orientation.
+    again opposite: the smaller base id of r and w(r), which an edge shares
+    with its opposite, names the orbit containing its plain orientation.
     """
-    members = {eid, w[eid]}
-    rep_base = min(_base_id(x) for x in members | {opposite(x) for x in members})
-    return rep_base if rep_base in members else "~" + rep_base
+    target = w[eid]
+    rep_base = min(_base_id(eid), _base_id(target))
+    return rep_base if rep_base in (eid, target) else "~" + rep_base
 
 
 def quotient_edge_map(graph: LengthedQuotientGraph, name: str) -> dict[str, str]:

@@ -1,7 +1,9 @@
 """Exact integer arithmetic over the places of Q.
 
 Primality, p-adic valuations, Legendre and Kronecker symbols, and Hilbert
-symbols at every place (finite primes and the archimedean place).  The
+symbols at every place (finite primes and the archimedean place).
+``is_prime`` and ``prime_factors`` share one trial-division loop,
+``_least_prime_factor``, and ``is_squarefree`` reads the factorization.  The
 Hilbert symbol is computed twice over: once by the classical closed
 formulas, and once by ``hilbert_symbol_oracle``, which decides solvability
 of z^2 = a x^2 + b y^2 by exhaustive search over a residue ring large
@@ -16,6 +18,7 @@ from multiple threads.
 
 from __future__ import annotations
 
+import math
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
@@ -37,18 +40,19 @@ __all__ = [
 
 def is_prime(n: int) -> bool:
     """Deterministic primality test by trial division (desk scale)."""
-    if n < 2:
-        return False
     if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
+        return n > 1
+    return n % 2 == 1 and _least_prime_factor(n, 3) == n
+
+
+def _least_prime_factor(n: int, d: int) -> int:
+    """Least prime factor of the odd n > 1, given that n has no divisor in
+    [3, d) for the odd d: the module's one trial-division loop."""
     while d * d <= n:
         if n % d == 0:
-            return False
+            return d
         d += 2
-    return True
+    return n
 
 
 @dataclass(frozen=True)
@@ -82,30 +86,20 @@ def prime_factors(n: int) -> tuple[int, ...]:
         raise ValueError("0 has no prime factorization")
     n = abs(n)
     out: list[int] = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append(n)
+    if n % 2 == 0:
+        out.append(2)
+        n //= n & -n  # the largest power of 2 dividing n
+    d = 3
+    while n > 1:
+        d = _least_prime_factor(n, d)
+        out.append(d)
+        while n % d == 0:
+            n //= d
     return tuple(out)
 
 
 def is_squarefree(n: int) -> bool:
-    if n == 0:
-        return False
-    n = abs(n)
-    d = 2
-    while d * d <= n:
-        if n % (d * d) == 0:
-            return False
-        while n % d == 0:
-            n //= d
-        d += 1 if d == 2 else 2
-    return True
+    return n != 0 and math.prod(prime_factors(n)) == abs(n)
 
 
 def valuation(n: int, p: int) -> tuple[int, int]:

@@ -3,18 +3,19 @@
 The Poonen-Stoll criterion reduces the parity of the Shafarevich-Tate
 order of a curve's jacobian to counting deficient places: places whose
 completion carries no rational divisor of degree g - 1.
-``ParityCertificate.for_pair`` is the one construction path: it
-assembles genus data and a deficiency ledger for an ``AdmissiblePair``
-and issues the verdict; every external fact the argument leans on is
-listed on the certificate.  ``certify`` checks admissibility of two
-integers once and then calls it.
+``_certify_table`` is the one construction path: it assembles genus data
+and a deficiency ledger for each ``AdmissiblePair`` of a table and issues
+the verdict; every external fact the argument leans on is listed on the
+certificate.  ``ParityCertificate.for_pair`` is the certificate of the
+one-pair table, and ``certify`` checks admissibility of two integers once
+and then calls it.
 
 Each invariant is computed once, at the level it belongs to.  Per
 certificate: the algebra B = {p, q}, whose Places of p and q were proven
 prime when it was built, serves the genus and every ledger entry.  Per
-prime: the class number h(-4p); ``for_pair`` computes it for its one
-pair, and ``_certify_table`` once per run of pairs with equal p, so a
-table in (p, q) order needs one class number per distinct p.
+prime: the class number h(-4p), computed once per run of pairs with
+equal p, so a table in (p, q) order needs one class number per distinct
+p.
 
 ``enumerate_admissible`` scans a box for admissible pairs, and
 ``hyperelliptic_sieve`` applies the point-count bound that rules out
@@ -31,12 +32,13 @@ from typing import Iterable, Iterator
 from .localpoints import DeficiencyLedger, _deficiency_ledger
 from .ntheory import is_prime
 from .quadforms import class_number
-from .quaternion import QuaternionAlgebra, _eichler_formula
+from .quaternion import _eichler_formula
 from .shimura import (
     AdmissibilityRejection,
     AdmissiblePair,
     GenusData,
     _genus_quotient,
+    _pair_algebra,
     check_admissible,
 )
 
@@ -107,24 +109,10 @@ class ParityCertificate:
 
     @classmethod
     def for_pair(cls, pair: AdmissiblePair) -> "ParityCertificate":
-        """Genus, ledger and verdict for a pair that is already admissible."""
-        return cls._for_pair(pair, class_number(-4 * pair.p))
-
-    @classmethod
-    def _for_pair(cls, pair: AdmissiblePair, h: int) -> "ParityCertificate":
-        """``for_pair`` given h = h(-4p), which belongs to p and so can be
-        shared by every pair with that p.  The algebra B = {p, q} is built
-        once, here, and serves both the genus and the ledger."""
-        B = QuaternionAlgebra.from_ramified_places((pair.p, pair.q))
-        genus = _genus_quotient(pair, B, h)
-        ledger = _deficiency_ledger(pair, B)
-        return cls(
-            pair=pair,
-            genus=genus,
-            ledger=ledger,
-            verdict=poonen_stoll_verdict(ledger),
-            assumptions=STANDING_ASSUMPTIONS,
-        )
+        """Genus, ledger and verdict for a pair that is already admissible:
+        the certificate of the one-pair table."""
+        (cert,) = _certify_table((pair,))
+        return cert
 
 
 def poonen_stoll_verdict(ledger: DeficiencyLedger) -> Verdict:
@@ -145,15 +133,25 @@ def certify(p: int, q: int) -> ParityCertificate | AdmissibilityRejection:
 
 
 def _certify_table(pairs: Iterable[AdmissiblePair]) -> Iterator[ParityCertificate]:
-    """``ParityCertificate.for_pair`` of each pair, in order, computing
-    h(-4p) once per run of pairs with equal p.  Pairs in (p, q) order, as
-    ``enumerate_admissible`` returns them, need one class number per
-    distinct p, and only the current one is held."""
+    """The certificate of each pair, in order: the one construction path.
+    h(-4p) is computed once per run of pairs with equal p, so pairs in
+    (p, q) order, as ``enumerate_admissible`` returns them, need one class
+    number per distinct p, and only the current one is held.  B = {p, q}
+    is built once per pair and serves both the genus and the ledger."""
     p = h = None
     for pair in pairs:
         if pair.p != p:
             p, h = pair.p, class_number(-4 * pair.p)
-        yield ParityCertificate._for_pair(pair, h)
+        B = _pair_algebra(pair.p, pair.q)
+        genus = _genus_quotient(pair, B, h)
+        ledger = _deficiency_ledger(pair, B)
+        yield ParityCertificate(
+            pair=pair,
+            genus=genus,
+            ledger=ledger,
+            verdict=poonen_stoll_verdict(ledger),
+            assumptions=STANDING_ASSUMPTIONS,
+        )
 
 
 def enumerate_admissible(bound: int) -> list[AdmissiblePair]:

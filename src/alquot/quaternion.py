@@ -122,16 +122,11 @@ def interchange(B: QuaternionAlgebra, p: int) -> QuaternionAlgebra:
 
 def _interchange(B: QuaternionAlgebra, fin: Place) -> QuaternionAlgebra:
     """``interchange`` at an odd prime whose Place the caller holds."""
-    places = set(B.ram_set)
-    had_p = fin in places
-    had_inf = INFINITY in places
-    places.discard(fin)
-    places.discard(INFINITY)
-    if had_inf:
-        places.add(fin)
-    if had_p:
-        places.add(INFINITY)
-    return QuaternionAlgebra(frozenset(places))
+    # swapping the two memberships changes B only when exactly one holds
+    swapped = frozenset((fin, INFINITY))
+    if len(B.ram_set & swapped) == 1:
+        return QuaternionAlgebra(B.ram_set ^ swapped)
+    return B
 
 
 def quad_field_splits(d: int, B: QuaternionAlgebra) -> bool:
@@ -170,9 +165,10 @@ def eichler_class_number(D: int) -> int:
     in integers.  A non-integral result means D is not the reduced
     discriminant of a definite maximal order and raises.
     """
-    if D < 1 or not is_squarefree(D):
+    primes = prime_factors(D) if D >= 1 else ()
+    if math.prod(primes) != D:
         raise ValueError("D must be a squarefree positive integer")
-    return _eichler_formula(prime_factors(D))
+    return _eichler_formula(primes)
 
 
 def _eichler_formula(primes: tuple[int, ...]) -> int:

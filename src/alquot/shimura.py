@@ -13,10 +13,12 @@ exactly, as 12 times their value in integers, with mandatory integrality
 checks, so a congruence-hypothesis violation surfaces as an error instead
 of a wrong number.
 
-The int and pair entry points validate their input and delegate to
-private cores that take what a certificate already holds: the algebra
-B = {p, q}, built once per certificate, and h(-4p), which belongs to the
-prime p and so is computed once per prime when a table shares it.
+The entry points here and in ``localpoints`` build B = {p, q} through
+``_pair_algebra``, which owns the hypothesis that p and q are distinct
+odd primes and proves them prime as it builds their Places.  They
+delegate to private cores that take what a certificate already holds: B,
+built once per certificate, and h(-4p), which belongs to the prime p and
+so is computed once per prime when a table shares it.
 ``_genus_quotient(pair, B, h)`` is the core every certificate runs; it
 holds the integrity checks.
 """
@@ -112,6 +114,13 @@ class GenusData:
     mass_half: int
 
 
+def _pair_algebra(p: int, q: int) -> QuaternionAlgebra:
+    """The algebra B of discriminant pq; building it proves p and q prime."""
+    if p == q or p == 2 or q == 2:
+        raise ValueError("the discriminant pq needs distinct odd primes p and q")
+    return QuaternionAlgebra.from_ramified_places((p, q))
+
+
 def genus_VB(p: int, q: int) -> int:
     """Genus of the Shimura curve of discriminant pq:
 
@@ -119,8 +128,7 @@ def genus_VB(p: int, q: int) -> int:
 
     with e_2 = prod(1 - (-4/l)) and e_3 = prod(1 - (-3/l)) over l in {p, q}.
     """
-    if p == q or p == 2 or q == 2 or not (is_prime(p) and is_prime(q)):
-        raise ValueError("the discriminant must be a product of two distinct odd primes")
+    _pair_algebra(p, q)  # for its guard and primality proofs alone
     return _genus_VB(p, q)
 
 
@@ -145,10 +153,7 @@ def fixed_points_e(p: int, q: int) -> int:
     """
     if p % 4 != 1:
         raise ValueError("fixed point count implemented only for p = 1 mod 4")
-    if p == q or q == 2:
-        raise ValueError("the discriminant must be a product of two distinct odd primes")
-    B = QuaternionAlgebra.from_ramified_places({p, q})  # proves p and q prime
-    return _fixed_points_e(p, B, class_number(-4 * p))
+    return _fixed_points_e(p, _pair_algebra(p, q), class_number(-4 * p))
 
 
 def _fixed_points_e(p: int, B: QuaternionAlgebra, h: int) -> int:
@@ -164,8 +169,7 @@ def genus_quotient(pair: AdmissiblePair) -> GenusData:
     Requires g_VB odd and 4 | e_p, both consequences of admissibility;
     violations raise instead of rounding.
     """
-    B = QuaternionAlgebra.from_ramified_places((pair.p, pair.q))
-    return _genus_quotient(pair, B, class_number(-4 * pair.p))
+    return _genus_quotient(pair, _pair_algebra(pair.p, pair.q), class_number(-4 * pair.p))
 
 
 def _genus_quotient(pair: AdmissiblePair, B: QuaternionAlgebra, h: int) -> GenusData:

@@ -215,3 +215,27 @@ def test_prime_factors_and_squarefree():
     assert not is_squarefree(12)
     assert not is_squarefree(0)
     assert is_squarefree(-15)
+    # reference: a smallest-prime-factor sieve, independent of trial division
+    spf = list(range(2000))
+    for d in range(2, 45):
+        if spf[d] == d:
+            for m in range(d * d, 2000, d):
+                spf[m] = min(spf[m], d)
+    for m in range(1, 2000):
+        factors, squarefree, rest = [], True, m
+        while rest > 1:
+            ell = spf[rest]
+            factors.append(ell)
+            rest //= ell
+            if rest % ell == 0:
+                squarefree = False
+                while rest % ell == 0:
+                    rest //= ell
+        for n in (m, -m):
+            assert prime_factors(n) == tuple(factors), n
+            assert is_squarefree(n) == squarefree, n
+    big = 10**12 + 39  # prime
+    assert prime_factors((10**6 + 3) ** 2) == (10**6 + 3,)
+    assert not is_squarefree((10**6 + 3) ** 2)
+    assert prime_factors(2 * big) == (2, big)
+    assert is_squarefree(2 * big)

@@ -189,9 +189,21 @@ def test_int_entry_points_reject_composites_twos_and_equal_primes(function, args
 
 
 def test_pic1_real_needs_distinct_odd_primes():
-    for args in ((5, 5, 5), (2, 5, 5)):
-        with pytest.raises(ValueError, match="needs distinct odd primes"):
-            pic1_real(*args)
+    # every int entry point on B = {p, q} shares one guard and its message
+    for function, args in (
+        (genus_VB, (5, 5)),
+        (genus_VB, (2, 5)),
+        (fixed_points_e, (5, 5)),
+        (fixed_points_e, (5, 2)),
+        (pic1_real, (5, 5, 5)),
+        (pic1_real, (2, 5, 5)),
+        (pic1_at_other_prime, (5, 5)),
+        (pic1_at_other_prime, (2, 5)),
+    ):
+        with pytest.raises(ValueError, match="^the discriminant pq needs distinct odd primes p and q$"):
+            function(*args)
+    with pytest.raises(ValueError, match="^9 is not prime$"):
+        genus_VB(9, 17)
 
 
 def test_table_certificates_are_for_pair_certificates():

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import alquot.ntheory
 from alquot.ntheory import INFINITY, Place, is_squarefree, kronecker, prime_factors
 from alquot.quaternion import (
     QuaternionAlgebra,
@@ -13,6 +14,7 @@ from alquot.quaternion import (
     ramified_places,
     reduced_discriminant,
 )
+from test_parity import _count_calls
 
 
 def _places(*entries):
@@ -80,10 +82,18 @@ def test_interchange_examples():
 
 
 def test_interchange_involution_all_patterns():
-    for places in (_places(5, 17), _places(5, None), _places(), _places(2, 5, 17, None)):
+    # every pattern of (5 in B, oo in B), and what swapping them gives
+    expected = {
+        _places(5, 17): _places(17, None),
+        _places(17, None): _places(5, 17),
+        _places(5, None): _places(5, None),
+        _places(): _places(),
+        _places(2, 5, 17, None): _places(2, 5, 17, None),
+    }
+    for places, swapped in expected.items():
         B = QuaternionAlgebra(places)
+        assert interchange(B, 5).ram_set == swapped
         assert interchange(interchange(B, 5), 5) == B
-        assert len(interchange(B, 5).ram_set) % 2 == 0
 
 
 def test_quad_field_splits_examples():
@@ -109,6 +119,19 @@ def test_eichler_class_number_examples():
         eichler_class_number(12)
     with pytest.raises(ValueError):
         eichler_class_number(1)  # 2/3 is not integral
+    for D in (0, -5):
+        with pytest.raises(ValueError, match="squarefree positive"):
+            eichler_class_number(D)
+
+
+def test_eichler_class_number_factors_D_once(monkeypatch):
+    factorizations = _count_calls(monkeypatch, alquot.ntheory.prime_factors)
+    squarefree = _count_calls(monkeypatch, alquot.ntheory.is_squarefree)
+    # four primes: squarefree, but not the discriminant of a definite algebra
+    with pytest.raises(ValueError, match="non-integral"):
+        eichler_class_number(2 * 5 * 17 * 29)
+    assert factorizations == [(2 * 5 * 17 * 29,)]
+    assert squarefree == []
 
 
 def test_eichler_class_number_matches_the_rational_formula():
