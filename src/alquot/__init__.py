@@ -1,74 +1,23 @@
 """Local diophantine properties and jacobian parity for Atkin-Lehner
-quotients of Shimura curves, at desk scale and with exact arithmetic."""
+quotients of Shimura curves, at desk scale and with exact arithmetic.
 
-from .ntheory import (
-    INFINITY,
-    Place,
-    hilbert_symbol,
-    hilbert_symbol_oracle,
-    is_prime,
-    is_squarefree,
-    kronecker,
-    legendre,
-    prime_factors,
-    valuation,
-)
-from .quadforms import QuadraticForm, class_number, reduced_forms
-from .quaternion import (
-    QuaternionAlgebra,
-    eichler_class_number,
-    interchange,
-    is_isomorphic,
-    quad_field_splits,
-    ramified_places,
-    reduced_discriminant,
-)
-from .shimura import (
-    AdmissibilityRejection,
-    AdmissiblePair,
-    GenusData,
-    check_admissible,
-    fixed_points_e,
-    genus_VB,
-    genus_quotient,
-)
-from .localpoints import (
-    DeficiencyLedger,
-    LocalStatus,
-    StatusSource,
-    deficiency_ledger,
-    pic1_at_other_prime,
-    pic1_at_own_prime,
-    pic1_real,
-)
-from .parity import (
-    F4_POINT_CAP,
-    HYPERELLIPTIC_PRODUCT_BOUND,
-    STANDING_ASSUMPTIONS,
-    HyperellipticFlag,
-    ParityCertificate,
-    SieveReport,
-    Verdict,
-    certify,
-    enumerate_admissible,
-    hyperelliptic_sieve,
-    poonen_stoll_verdict,
-)
-from .mumford_graph import (
-    GraphParseError,
-    ImpossibleCaseError,
-    LengthedQuotientGraph,
-    LiftCase,
-    QuotientError,
-    base_change,
-    has_local_point,
-    lift_case_analysis,
-    opposite,
-    parse_graph,
-    quotient_by_involution,
-    quotient_edge_map,
-    serialize_graph,
-    validate,
-)
+The public API, ``__all__``, is the library modules' ``__all__`` lists in
+layer order; ``alquot.cli`` stays out of the package namespace.
+"""
+
+from . import localpoints, mumford_graph, ntheory, parity, quadforms, quaternion, shimura
+from .ntheory import *
+from .quadforms import *
+from .quaternion import *
+from .shimura import *
+from .localpoints import *
+from .parity import *
+from .mumford_graph import *
+
+__all__ = [
+    name
+    for module in (ntheory, quadforms, quaternion, shimura, localpoints, parity, mumford_graph)
+    for name in module.__all__
+]
 
 __version__ = "0.1.0"

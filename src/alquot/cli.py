@@ -29,10 +29,11 @@ import csv
 import io
 import json
 import os
+import stat
 import sys
 from dataclasses import asdict, dataclass, fields
 
-from .mumford_graph import GraphParseError, has_local_point, parse_graph, validate
+from .mumford_graph import INVOLUTION_NAMES, GraphParseError, has_local_point, parse_graph, validate
 from .ntheory import INFINITY, Place, hilbert_symbol
 from .parity import (
     HyperellipticFlag,
@@ -154,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_graph = sub.add_parser("graph-check", help="validate a graph file and test the "
                              "local-point criterion")
     p_graph.add_argument("path")
-    p_graph.add_argument("--frobenius", choices=("wp", "wq", "wpq"), default="wp")
+    p_graph.add_argument("--frobenius", choices=INVOLUTION_NAMES, default="wp")
 
     return parser
 
@@ -226,7 +227,8 @@ def _write_replacing(path: str, text: str) -> None:
     ``path``, so a failed write leaves an existing file as it was and no
     partial file behind.  A symbolic link is followed to its target, and a
     target that is not a regular file (``/dev/null``, a pipe) is written in
-    place, since replacing it would destroy it."""
+    place, since replacing it would destroy it.  A replaced file's
+    permission bits carry over to the new file."""
     path = os.path.realpath(path)
     if os.path.exists(path) and not os.path.isfile(path):
         with open(path, "w", encoding="utf-8") as handle:
@@ -237,6 +239,8 @@ def _write_replacing(path: str, text: str) -> None:
     try:
         with handle:
             handle.write(text)
+        if os.path.exists(path):
+            os.chmod(temp, stat.S_IMODE(os.stat(path).st_mode))
         os.replace(temp, path)
     except BaseException:
         with contextlib.suppress(OSError):

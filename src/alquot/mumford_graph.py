@@ -13,7 +13,8 @@ supplied, via a small line-oriented text format -- but it evaluates the
 combinatorics on them: validation of all structural invariants, quotient
 by an involution (with the stabilizer-doubling length rule), base change,
 the even-length reversed-edge criterion for local points, and the
-two-case reduction used when lifting an edge of a quotient graph.
+two-case reduction used when lifting an edge of a quotient graph.  These
+three share one predicate for the criterion, ``_reversed_with_even_length``.
 
 File format, one record per line, UTF-8::
 
@@ -249,6 +250,15 @@ def serialize_graph(graph: LengthedQuotientGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _reversed_with_even_length(
+    graph: LengthedQuotientGraph, w: Mapping[str, str], eid: str
+) -> bool:
+    """Whether w sends the oriented edge eid to its opposite and eid has
+    even length.  An edge with no length or no image under w does not
+    meet the criterion."""
+    return graph.edge_length.get(eid, 1) % 2 == 0 and w.get(eid) == opposite(eid)
+
+
 def _derived_vertex_map(graph: LengthedQuotientGraph, w: Mapping[str, str]) -> dict[str, str] | str:
     """Vertex action forced by an edge permutation, or an error message
     when the images of a shared endpoint disagree."""
@@ -328,8 +338,7 @@ def validate(graph: LengthedQuotientGraph, dual_graph_checks: bool = False) -> l
 
     if dual_graph_checks:
         for eid in graph.base_edges():
-            # a missing length is reported above as nonpositive, not as even
-            if graph.edge_length.get(eid, 1) % 2 == 0 and graph.involutions["wp"][eid] == opposite(eid):
+            if _reversed_with_even_length(graph, wp, eid):
                 out.append(f"edge {eid!r} has even length and is reversed by wp")
 
     return out
@@ -379,9 +388,13 @@ def quotient_by_involution(graph: LengthedQuotientGraph, name: str) -> LengthedQ
         if other == name:
             continue
         u = graph.involutions[other]
-        for eid in graph.edge_endpoints:
-            if u[w[eid]] != w[u[eid]]:
-                raise QuotientError(f"{other} does not commute with {name}; descent undefined")
+        try:
+            for eid in graph.edge_endpoints:
+                if u[w[eid]] != w[u[eid]]:
+                    raise QuotientError(f"{other} does not commute with {name}; descent undefined")
+        except KeyError:
+            # w is a total map on the edges (checked above), so u is not
+            raise QuotientError(f"{other} is not a permutation of the oriented edges") from None
 
     vertex_orbit = {v: min(v, vmap[v]) for v in graph.vertex_parity}
     parities = {
@@ -455,7 +468,7 @@ def has_local_point(
     """
     frob = graph.involution(frobenius) if isinstance(frobenius, str) else frobenius
     for eid in graph.oriented_edges():
-        if graph.edge_length[eid] % 2 == 0 and frob[eid] == opposite(eid):
+        if _reversed_with_even_length(graph, frob, eid):
             return True, eid
     return False, None
 
@@ -473,6 +486,8 @@ def lift_case_analysis(graph: LengthedQuotientGraph, s: str) -> LiftCase:
     """
     if s not in graph.edge_endpoints:
         raise ValueError(f"unknown edge {s!r}")
+    if s not in graph.edge_length:
+        raise ValueError(f"edge {s!r} has no length")
     wp, wq, wpq = (graph.involutions[n] for n in INVOLUTION_NAMES)
     sbar = opposite(s)
     even = graph.edge_length[s] % 2 == 0
@@ -483,13 +498,12 @@ def lift_case_analysis(graph: LengthedQuotientGraph, s: str) -> LiftCase:
 
     if wq[s] == s and wpq[s] == sbar and wp[s] != sbar:
         raise ValueError("inconsistent involutions: wq-fixed and wpq-reversed forces wp-reversal")
-    if even and wp[s] == sbar:
+    if _reversed_with_even_length(graph, wp, s):
         raise ImpossibleCaseError(
             f"edge {s!r} has even length and is reversed by wp; "
             "impossible on a quaternionic dual graph"
         )
     if even:
         return LiftCase.EVEN_LENGTH_WPQ_REVERSED
-    if wq[s] == s and wp[s] == sbar:
-        return LiftCase.WQ_FIXED_WP_REVERSED
-    raise ValueError("inconsistent involutions: no surviving case applies")
+    # odd, so wq-fixed by (1), and then wp-reversed by (2) and the check above
+    return LiftCase.WQ_FIXED_WP_REVERSED

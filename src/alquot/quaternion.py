@@ -6,7 +6,8 @@ of places where it ramifies, which always has even cardinality.  This
 module computes that set from a symbol pair, tests isomorphism as set
 equality, exchanges the local invariants at a prime and infinity,
 decides whether a quadratic field splits an algebra, and evaluates
-Eichler's class number formula for the definite case.
+Eichler's class number formula for the definite case, whose local
+factors ``_local_factors`` shares with the genus formula of ``shimura``.
 
 Maximal orders, ideal classes and unit groups are deliberately absent:
 the ramification set carries everything the rest of the package needs.
@@ -171,16 +172,24 @@ def eichler_class_number(D: int) -> int:
     return _eichler_formula(primes)
 
 
+def _local_factors(primes: Iterable[int]) -> tuple[int, int, int]:
+    """The Eichler-Shimura local data of the distinct primes ``primes``:
+    (prod(l-1), prod(1 - (-4/l)), prod(1 - (-3/l))), shared by Eichler's
+    class number formula and the genus formula of ``shimura``."""
+    mass, e2, e3 = 1, 1, 1
+    for ell in primes:
+        mass *= ell - 1
+        e2 *= 1 - kronecker(-4, ell)
+        e3 *= 1 - kronecker(-3, ell)
+    return mass, e2, e3
+
+
 def _eichler_formula(primes: tuple[int, ...]) -> int:
     """Eichler's formula for the squarefree D whose primes are ``primes``
     (distinct), so callers that know the factorization skip factoring D.
     The integrality check is the same for every caller."""
-    mass, term2, term3 = 1, 3, 4
-    for ell in primes:
-        mass *= ell - 1
-        term2 *= 1 - kronecker(-4, ell)
-        term3 *= 1 - kronecker(-3, ell)
-    h12 = mass + term2 + term3
+    mass, e2, e3 = _local_factors(primes)
+    h12 = mass + 3 * e2 + 4 * e3
     if h12 % 12 or h12 <= 0:
         raise ValueError(f"Eichler formula gives non-integral value {h12}/12 for D={math.prod(primes)}")
     return h12 // 12

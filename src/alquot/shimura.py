@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 from .ntheory import is_prime, kronecker
 from .quadforms import class_number
-from .quaternion import QuaternionAlgebra, _quad_field_splits
+from .quaternion import QuaternionAlgebra, _local_factors, _quad_field_splits
 
 __all__ = [
     "AdmissiblePair",
@@ -134,9 +134,8 @@ def genus_VB(p: int, q: int) -> int:
 
 def _genus_VB(p: int, q: int) -> int:
     """``genus_VB`` for distinct odd primes the caller has already proven."""
-    e2 = (1 - kronecker(-4, p)) * (1 - kronecker(-4, q))
-    e3 = (1 - kronecker(-3, p)) * (1 - kronecker(-3, q))
-    g12 = 12 + (p - 1) * (q - 1) - 3 * e2 - 4 * e3
+    mass, e2, e3 = _local_factors((p, q))
+    g12 = 12 + mass - 3 * e2 - 4 * e3
     if g12 % 12 or g12 < 0:
         raise ValueError(f"genus formula gives non-integral value {g12}/12 for ({p}, {q})")
     return g12 // 12

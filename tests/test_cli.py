@@ -166,6 +166,17 @@ def test_enumerate_out_through_a_symlink_replaces_its_target(tmp_path, capsys):
     assert sorted(tmp_path.iterdir()) == [link, target]
 
 
+@pytest.mark.parametrize("mode", [0o600, 0o755], ids=oct)
+def test_enumerate_out_keeps_the_target_permissions(tmp_path, capsys, mode):
+    target = tmp_path / "table.csv"
+    target.write_text("previous table\n", encoding="utf-8")
+    target.chmod(mode)
+    assert main(["enumerate", "--max", "30", "--out", str(target)]) == 0
+    assert target.read_text(encoding="utf-8") == ENUMERATE_30_CSV
+    assert stat.S_IMODE(target.stat().st_mode) == mode
+    assert list(tmp_path.iterdir()) == [target]
+
+
 def test_enumerate_out_to_a_device_writes_in_place(capsys):
     assert main(["enumerate", "--max", "30", "--out", os.devnull]) == 0
     assert capsys.readouterr().err == ""

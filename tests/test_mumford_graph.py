@@ -143,6 +143,25 @@ def test_validate_reports_a_missing_length(lengths):
         violations = validate(g, dual_graph_checks=checks)
         assert f"edge {missing!r} has nonpositive length" in violations
         assert any("does not preserve the length" in v for v in violations)
+    # an edge without a length does not meet the local-point criterion
+    assert has_local_point(g, "wp") == (True, opposite(missing))
+    with pytest.raises(ValueError, match="has no length"):
+        lift_case_analysis(g, missing)
+
+
+def test_a_missing_involution_image_is_reported_not_raised():
+    two_edge = parse_graph(TWO_EDGE)
+    wp = {eid: image for eid, image in two_edge.involutions["wp"].items() if eid != "e1"}
+    g = replace(two_edge, involutions={**two_edge.involutions, "wp": wp})
+    assert "wp is not a permutation of the oriented edges" in validate(g, dual_graph_checks=True)
+    assert has_local_point(g, "wp") == (True, "~e1")
+
+    swap = parse_graph(TWO_CYCLE_SWAP)
+    wq = {eid: image for eid, image in swap.involutions["wq"].items() if eid != "~e2"}
+    g = replace(swap, involutions={**swap.involutions, "wq": wq})
+    assert "wq is not a permutation of the oriented edges" in validate(g)
+    with pytest.raises(QuotientError, match="wq is not a permutation of the oriented edges"):
+        quotient_by_involution(g, "wp")
 
 
 def test_validate_dual_graph_checks():
