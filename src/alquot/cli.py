@@ -15,6 +15,8 @@ frozen and list-valued cells join their items with semicolons.  ``enumerate``
 sieves its table in one pass and certifies the already-checked pairs in
 (p, q) order, so no pair is checked twice, the class number h(-4p) is
 computed once per prime p, and the algebra {p, q} once per certificate.
+Rows are written as they are certified: an integrity check failing mid-table
+raises after stdout may hold a prefix, but leaves no partial ``--out`` file.
 
 ``certify`` and ``hilbert`` refuse inputs beyond a desk-scale budget
 (``_MAX_CERTIFY_PRIME``, ``_MAX_HILBERT_PRIME``) with exit 1 before any
@@ -26,12 +28,12 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import io
 import json
 import os
 import stat
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
+from typing import Iterator, TextIO
 
 from .mumford_graph import INVOLUTION_NAMES, GraphParseError, has_local_point, parse_graph, validate
 from .ntheory import INFINITY, Place, hilbert_symbol
@@ -84,7 +86,7 @@ class OutputRecord:
         )
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2)
+        return json.dumps({name: getattr(self, name) for name in CSV_HEADER}, indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "OutputRecord":
@@ -196,49 +198,46 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: --max: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    records = [
-        OutputRecord.from_certificate(cert, report)
-        for cert, report in zip(_certify_table(pairs), hyperelliptic_sieve(pairs))
-    ]
-
-    if args.format == "json":
-        payload = json.dumps([asdict(r) for r in records], indent=2) + "\n"
-    else:
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        for record in records:
-            writer.writerow(record.csv_row())
-        payload = buffer.getvalue()
-
-    if args.out is None:
-        sys.stdout.write(payload)
-    else:
-        try:
-            _write_replacing(args.out, payload)
-        except OSError as exc:
-            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+    records = map(OutputRecord.from_certificate, _certify_table(pairs), hyperelliptic_sieve(pairs))
+    try:
+        with _output(args.out) as handle:
+            if args.format == "json":
+                separator = "[\n  "  # json.dumps(table, indent=2), record by record
+                for record in records:
+                    handle.write(separator + record.to_json().replace("\n", "\n  "))
+                    separator = ",\n  "
+                handle.write("[]\n" if separator == "[\n  " else "\n]\n")
+            else:
+                writer = csv.writer(handle, lineterminator="\n")
+                writer.writerow(CSV_HEADER)
+                writer.writerows(record.csv_row() for record in records)
+    except OSError as exc:
+        print(f"error: cannot write {'stdout' if args.out is None else args.out}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     return EXIT_OK
 
 
-def _write_replacing(path: str, text: str) -> None:
-    """Write ``text`` to a new file beside ``path`` and rename it onto
-    ``path``, so a failed write leaves an existing file as it was and no
-    partial file behind.  A symbolic link is followed to its target, and a
-    target that is not a regular file (``/dev/null``, a pipe) is written in
-    place, since replacing it would destroy it.  A replaced file's
-    permission bits carry over to the new file."""
+@contextlib.contextmanager
+def _output(path: str | None) -> Iterator[TextIO]:
+    """Yield stdout when ``path`` is None, else a new file beside ``path``
+    that is renamed onto it on success, so a failed write leaves an existing
+    file as it was and no partial file behind.  A symbolic link is followed
+    to its target, and a target that is not a regular file (``/dev/null``, a
+    pipe) is written in place, since replacing it would destroy it.  A
+    replaced file's permission bits carry over to the new file."""
+    if path is None:
+        yield sys.stdout
+        return
     path = os.path.realpath(path)
     if os.path.exists(path) and not os.path.isfile(path):
         with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            yield handle
         return
     temp = f"{path}.{os.urandom(4).hex()}.tmp"
     handle = open(temp, "x", encoding="utf-8")
     try:
         with handle:
-            handle.write(text)
+            yield handle
         if os.path.exists(path):
             os.chmod(temp, stat.S_IMODE(os.stat(path).st_mode))
         os.replace(temp, path)

@@ -113,8 +113,11 @@ class LengthedQuotientGraph:
         return sorted(self.edge_endpoints)
 
     def involution(self, name: str) -> dict[str, str]:
+        """The named involution; ValueError if the name is unknown or the graph lacks it."""
         if name not in INVOLUTION_NAMES:
             raise ValueError(f"unknown involution {name!r}")
+        if name not in self.involutions:
+            raise ValueError(f"graph has no involution {name!r}")
         return self.involutions[name]
 
 
@@ -238,7 +241,7 @@ def serialize_graph(graph: LengthedQuotientGraph) -> str:
         src, dst = graph.edge_endpoints[eid]
         lines.append(f"e {eid} {src} {dst} {graph.edge_length[eid]}")
     for name in INVOLUTION_NAMES:
-        w = graph.involutions[name]
+        w = graph.involution(name)
         parts = [f"inv {name}"]
         for eid in graph.base_edges():
             target = w[eid]
@@ -315,7 +318,7 @@ def validate(graph: LengthedQuotientGraph, dual_graph_checks: bool = False) -> l
         return out
 
     for name in INVOLUTION_NAMES:
-        w = graph.involutions[name]
+        w = graph.involution(name)
         if set(w) != set(edges) or set(w.values()) != set(edges):
             out.append(f"{name} is not a permutation of the oriented edges")
             continue
@@ -330,7 +333,7 @@ def validate(graph: LengthedQuotientGraph, dual_graph_checks: bool = False) -> l
         if isinstance(vmap, str):
             out.append(f"{name} is not an automorphism: {vmap}")
 
-    wp, wq, wpq = (graph.involutions[n] for n in INVOLUTION_NAMES)
+    wp, wq, wpq = (graph.involution(n) for n in INVOLUTION_NAMES)
     if set(wp) == set(edges) and set(wq) == set(edges) and set(wpq) == set(edges):
         for eid in edges:
             if wpq[eid] != wp.get(wq[eid]):
@@ -387,7 +390,7 @@ def quotient_by_involution(graph: LengthedQuotientGraph, name: str) -> LengthedQ
     for other in INVOLUTION_NAMES:
         if other == name:
             continue
-        u = graph.involutions[other]
+        u = graph.involution(other)
         try:
             for eid in graph.edge_endpoints:
                 if u[w[eid]] != w[u[eid]]:
@@ -422,7 +425,7 @@ def quotient_by_involution(graph: LengthedQuotientGraph, name: str) -> LengthedQ
         if other == name:
             descended[other] = {orbit: orbit for orbit in endpoints}
         else:
-            u = graph.involutions[other]
+            u = graph.involution(other)
             descended[other] = {
                 edge_orbit[eid]: edge_orbit[u[eid]] for eid in graph.edge_endpoints
             }
@@ -450,7 +453,7 @@ def base_change(
     # instances are immutable, so the unchanged tables are shared
     scaled = replace(graph, edge_length={eid: n * e for eid, n in graph.edge_length.items()})
     if f % 2:
-        frobenius = dict(graph.involutions["wp"])
+        frobenius = dict(graph.involution("wp"))
     else:
         frobenius = {eid: eid for eid in graph.edge_endpoints}
     return scaled, frobenius
@@ -488,7 +491,10 @@ def lift_case_analysis(graph: LengthedQuotientGraph, s: str) -> LiftCase:
         raise ValueError(f"unknown edge {s!r}")
     if s not in graph.edge_length:
         raise ValueError(f"edge {s!r} has no length")
-    wp, wq, wpq = (graph.involutions[n] for n in INVOLUTION_NAMES)
+    wp, wq, wpq = (graph.involution(n) for n in INVOLUTION_NAMES)
+    for name, w in zip(INVOLUTION_NAMES, (wp, wq, wpq)):
+        if s not in w:
+            raise ValueError(f"{name} has no image for edge {s!r}")
     sbar = opposite(s)
     even = graph.edge_length[s] % 2 == 0
     if not (even or wq[s] == s):

@@ -1,4 +1,5 @@
 import ast
+import contextlib
 import errno
 import hashlib
 import json
@@ -6,6 +7,7 @@ import os
 import stat
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -94,10 +96,11 @@ def test_enumerate_csv_golden(capsys):
     assert capsys.readouterr().out == ENUMERATE_30_CSV
 
 
-def test_enumerate_empty_table_has_header(capsys):
-    assert main(["enumerate", "--max", "4"]) == 0
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_enumerate_empty_table_has_header(fmt, capsys):
+    assert main(["enumerate", "--max", "4", "--format", fmt]) == 0
     out = capsys.readouterr().out
-    assert out == ",".join(CSV_HEADER) + "\n"
+    assert out == {"csv": ",".join(CSV_HEADER) + "\n", "json": "[]\n"}[fmt]
 
 
 def test_enumerate_json(capsys):
@@ -118,6 +121,18 @@ def test_enumerate_unwritable_out(tmp_path, capsys):
     bad = tmp_path / "missing-dir" / "table.csv"
     assert main(["enumerate", "--max", "30", "--out", str(bad)]) == 1
     assert "cannot write" in capsys.readouterr().err
+
+
+class _FullStdout:
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def test_enumerate_unwritable_stdout(capsys):
+    with contextlib.redirect_stdout(_FullStdout()):
+        assert main(["enumerate", "--max", "30"]) == 1
+    reason = f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
+    assert capsys.readouterr().err == f"error: cannot write stdout: {reason}\n"
 
 
 class _DiskFullFile:
@@ -191,22 +206,57 @@ def test_enumerate_bound_guard(bound, capsys):
     assert "2^15" in captured.err
 
 
-def test_enumerate_integrity_failure_propagates(monkeypatch):
-    def broken(pair, B, h):
-        raise ValueError("integrity check failed")
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_enumerate_integrity_failure_propagates(fmt, tmp_path, monkeypatch, capsys):
+    genus, certified = alquot.parity._genus_quotient, []
+
+    def broken_at_second(pair, B, h):
+        certified.append(pair)
+        if len(certified) == 2:
+            raise ValueError("integrity check failed")
+        return genus(pair, B, h)
 
     # the genus core holds the integrity checks, and both certificate paths
     # (for_pair and the enumerate table) run it through this name
-    monkeypatch.setattr(alquot.parity, "_genus_quotient", broken)
+    monkeypatch.setattr(alquot.parity, "_genus_quotient", broken_at_second)
     with pytest.raises(ValueError, match="integrity check failed"):
-        main(["enumerate", "--max", "30"])
+        main(["enumerate", "--max", "30", "--format", fmt])
+    # rows are written as they are certified: stdout holds (5, 17) only
+    out = capsys.readouterr().out
+    first, second = {"csv": ("\n5,17,", "\n29,17,"), "json": ('"p": 5,', '"p": 29,')}[fmt]
+    assert first in out and second not in out
+
+    certified.clear()
+    target = tmp_path / "table"
+    target.write_text("previous table\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="integrity check failed"):
+        main(["enumerate", "--max", "30", "--format", fmt, "--out", str(target)])
+    assert target.read_text(encoding="utf-8") == "previous table\n"
+    assert list(tmp_path.iterdir()) == [target]
 
 
 @pytest.mark.parametrize("fmt", sorted(ENUMERATE_1000_SHA256))
-def test_enumerate_1000_golden(fmt, capsys):
+def test_enumerate_1000_golden(fmt, tmp_path, capsys):
     assert main(["enumerate", "--max", "1000", "--format", fmt]) == 0
     out = capsys.readouterr().out.encode("utf-8")
     assert hashlib.sha256(out).hexdigest() == ENUMERATE_1000_SHA256[fmt]
+    target = tmp_path / "table"
+    assert main(["enumerate", "--max", "1000", "--format", fmt, "--out", str(target)]) == 0
+    assert capsys.readouterr().out == ""
+    assert target.read_bytes() == out
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_enumerate_streams_its_table(fmt, tmp_path):
+    # 4823 rows, 2.2 MB of CSV or 3.4 MB of JSON: holding the table whole
+    # peaks at 7.8 (CSV) and 20.4 MB (JSON), writing it row by row below 2 MB
+    tracemalloc.start()
+    try:
+        assert main(["enumerate", "--max", "4000", "--format", fmt, "--out", str(tmp_path / "t")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
 
 
 def test_enumerate_checks_each_candidate_once_and_sieves_once(monkeypatch, capsys):

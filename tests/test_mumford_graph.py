@@ -4,6 +4,7 @@ from random import Random
 import pytest
 
 from alquot.mumford_graph import (
+    INVOLUTION_NAMES,
     GraphParseError,
     ImpossibleCaseError,
     LengthedQuotientGraph,
@@ -15,6 +16,7 @@ from alquot.mumford_graph import (
     opposite,
     parse_graph,
     quotient_by_involution,
+    quotient_edge_map,
     serialize_graph,
     validate,
 )
@@ -162,6 +164,39 @@ def test_a_missing_involution_image_is_reported_not_raised():
     assert "wq is not a permutation of the oriented edges" in validate(g)
     with pytest.raises(QuotientError, match="wq is not a permutation of the oriented edges"):
         quotient_by_involution(g, "wp")
+
+
+@pytest.mark.parametrize(
+    "missing, call",
+    [
+        ("wpq", lambda g: has_local_point(g, "wpq")),
+        ("wpq", lambda g: quotient_by_involution(g, "wq")),
+        ("wpq", serialize_graph),
+        ("wpq", lambda g: lift_case_analysis(g, "e1")),
+        ("wpq", lambda g: quotient_edge_map(g, "wpq")),
+        ("wp", lambda g: base_change(g, 1, 1)),
+    ],
+    ids=["has_local_point", "quotient", "serialize", "lift_case", "quotient_edge_map", "base_change"],
+)
+def test_a_missing_involution_raises_a_value_error_naming_it(missing, call):
+    two_edge = parse_graph(TWO_EDGE)
+    kept = {name: w for name, w in two_edge.involutions.items() if name != missing}
+    g = replace(two_edge, involutions=kept)
+    assert validate(g) == ["involutions must be exactly wp, wq, wpq"]
+    with pytest.raises(ValueError, match=f"graph has no involution '{missing}'"):
+        call(g)
+
+
+@pytest.mark.parametrize("name", INVOLUTION_NAMES)
+def test_lift_case_analysis_names_an_involution_without_an_image(name):
+    two_edge = parse_graph(TWO_EDGE)
+    w = {eid: image for eid, image in two_edge.involutions[name].items() if eid != "e1"}
+    g = replace(two_edge, involutions={**two_edge.involutions, name: w})
+    assert f"{name} is not a permutation of the oriented edges" in validate(g)
+    # not ImpossibleCaseError: the graph is malformed, so no case applies
+    with pytest.raises(ValueError, match=f"{name} has no image for edge 'e1'") as info:
+        lift_case_analysis(g, "e1")
+    assert type(info.value) is ValueError
 
 
 def test_validate_dual_graph_checks():
