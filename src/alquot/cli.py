@@ -12,10 +12,13 @@ batch scripts can tell malformed input from out-of-regime input.
 
 JSON and CSV speak the fixed record schema below; the CSV column order is
 frozen and list-valued cells join their items with semicolons.  ``enumerate``
-sieves its table in one pass and certifies the already-checked pairs in
-(p, q) order, so no pair is checked twice, the class number h(-4p) is
-computed once per prime p, and the algebra {p, q} once per certificate.
-Rows are written as they are certified: an integrity check failing mid-table
+checks its bound up front, then makes one pass: each pair is checked for
+admissibility as it is drawn, certified in (p, q) order and written, so no
+pair is checked twice, the class number h(-4p) is computed once per prime
+p, each prime is proven once, and the algebra {p, q} is built once per
+certificate.  The hyperelliptic flag is read off (p-1)(q-1) alone, so the
+sieve's class numbers are not computed, and no state is kept per pair:
+memory does not grow with the table.  An integrity check failing mid-table
 raises after stdout may hold a prefix, but leaves no partial ``--out`` file.
 
 ``certify`` and ``hilbert`` refuse inputs beyond a desk-scale budget
@@ -37,15 +40,7 @@ from typing import Iterator, TextIO
 
 from .mumford_graph import INVOLUTION_NAMES, GraphParseError, has_local_point, parse_graph, validate
 from .ntheory import INFINITY, Place, hilbert_symbol
-from .parity import (
-    HyperellipticFlag,
-    ParityCertificate,
-    SieveReport,
-    _certify_table,
-    certify,
-    enumerate_admissible,
-    hyperelliptic_sieve,
-)
+from .parity import ParityCertificate, _admissible_pairs, _certify_table, _hyperelliptic_flag, certify
 from .shimura import AdmissibilityRejection
 
 __all__ = ["OutputRecord", "build_parser", "main", "entrypoint"]
@@ -71,7 +66,7 @@ class OutputRecord:
     assumptions: list[str]
 
     @classmethod
-    def from_certificate(cls, cert: ParityCertificate, sieve: SieveReport) -> "OutputRecord":
+    def from_certificate(cls, cert: ParityCertificate) -> "OutputRecord":
         return cls(
             p=cert.pair.p,
             q=cert.pair.q,
@@ -81,7 +76,7 @@ class OutputRecord:
             g_quotient=cert.genus.g_quotient,
             deficient_places=[str(v) for v in cert.ledger.deficient_places()],
             verdict=cert.verdict.value,
-            hyperelliptic_flag=sieve.flag.value,
+            hyperelliptic_flag=_hyperelliptic_flag(cert.pair).value,
             assumptions=list(cert.assumptions),
         )
 
@@ -104,7 +99,7 @@ class OutputRecord:
 CSV_HEADER = [f.name for f in fields(OutputRecord)]
 
 
-def _certificate_text(cert: ParityCertificate, flag: HyperellipticFlag) -> str:
+def _certificate_text(cert: ParityCertificate) -> str:
     lines = [
         f"admissible pair: p={cert.pair.p} q={cert.pair.q} disc={cert.pair.disc}",
         f"covering curve genus: {cert.genus.g_VB}",
@@ -119,7 +114,7 @@ def _certificate_text(cert: ParityCertificate, flag: HyperellipticFlag) -> str:
     places = ", ".join(str(v) for v in cert.ledger.deficient_places()) or "none"
     lines.append(f"deficient places: {places}")
     lines.append(f"verdict: {cert.verdict.value}")
-    lines.append(f"hyperelliptic flag: {flag.value}")
+    lines.append(f"hyperelliptic flag: {_hyperelliptic_flag(cert.pair).value}")
     lines.append("assumptions:")
     lines.extend(f"  - {a}" for a in cert.assumptions)
     return "\n".join(lines)
@@ -184,21 +179,20 @@ def _cmd_certify(args: argparse.Namespace) -> int:
         else:
             print(f"rejected: {result.reason}")
         return EXIT_REJECTED
-    report = hyperelliptic_sieve([result.pair])[0]
     if args.format == "json":
-        print(OutputRecord.from_certificate(result, report).to_json())
+        print(OutputRecord.from_certificate(result).to_json())
     else:
-        print(_certificate_text(result, report.flag))
+        print(_certificate_text(result))
     return EXIT_OK
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     try:
-        pairs = enumerate_admissible(args.bound)
+        pairs = _admissible_pairs(args.bound)
     except ValueError as exc:
         print(f"error: --max: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    records = map(OutputRecord.from_certificate, _certify_table(pairs), hyperelliptic_sieve(pairs))
+    records = map(OutputRecord.from_certificate, _certify_table(pairs))
     try:
         with _output(args.out) as handle:
             if args.format == "json":

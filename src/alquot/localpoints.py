@@ -25,14 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .ntheory import INFINITY, Place
-from .quaternion import (
-    QuaternionAlgebra,
-    _interchange,
-    _quad_field_splits,
-    _ramified_places_among,
-    is_isomorphic,
-)
+from .ntheory import INFINITY, Place, hilbert_symbol
+from .quaternion import QuaternionAlgebra, _interchange, _quad_field_splits
 from .shimura import AdmissiblePair, _pair_algebra
 
 __all__ = [
@@ -103,8 +97,7 @@ class DeficiencyLedger:
         return tuple(s.place for s in self.entries() if s.deficient)
 
 
-# 2pq is the 2ab of both symbol algebras of the interchange criterion, so
-# their candidate places are 2, p and q
+# the one place of the interchange criterion that B does not hold
 _TWO = Place(2)
 
 
@@ -139,18 +132,23 @@ def pic1_at_other_prime(p: int, q: int) -> bool:
     to B(-p,-q).
     """
     B = _pair_algebra(p, q)
-    P = next(v for v in B.ram_set if v.prime == p)
-    return _pic1_at_other_prime(P, q, B)
+    place = {v.prime: v for v in B.ram_set}
+    return _pic1_at_other_prime(place[p], place[q], B)
 
 
-def _pic1_at_other_prime(P: Place, q: int, B: QuaternionAlgebra) -> bool:
-    """``pic1_at_other_prime`` at the Place P of p, for the algebra B of
-    discriminant pq."""
-    p = P.prime
-    swapped = _interchange(B, P)
-    candidates = (_TWO, *B.ram_set)
+def _pic1_at_other_prime(P: Place, Q: Place, B: QuaternionAlgebra) -> bool:
+    """``pic1_at_other_prime`` at the Places P of p and Q of q, for the
+    algebra B of discriminant pq.
+
+    Both symbol algebras have 2ab = 2pq, so they and the interchanged
+    algebra ramify only among oo, 2, p and q: agreeing at those four places
+    is isomorphism.  Each comparison stops at the first place of
+    disagreement, so no ramification set is built for a symbol algebra.
+    """
+    swapped = _interchange(B, P).ram_set
+    p, q = P.prime, Q.prime
     return any(
-        is_isomorphic(swapped, QuaternionAlgebra(_ramified_places_among(a, b, candidates)))
+        all((v in swapped) == (hilbert_symbol(a, b, v) == -1) for v in (INFINITY, _TWO, P, Q))
         for a, b in ((-1, -p * q), (-p, -q))
     )
 
@@ -169,6 +167,6 @@ def _deficiency_ledger(pair: AdmissiblePair, B: QuaternionAlgebra) -> Deficiency
     return DeficiencyLedger(
         at_infinity=LocalStatus(INFINITY, real, StatusSource.REAL_SPLITTING),
         at_p=LocalStatus(P, pic1_at_own_prime(), StatusSource.OWN_PRIME_UNIFORMIZATION),
-        at_q=LocalStatus(Q, _pic1_at_other_prime(Q, pair.p, B), StatusSource.INTERCHANGE_CRITERION),
+        at_q=LocalStatus(Q, _pic1_at_other_prime(Q, P, B), StatusSource.INTERCHANGE_CRITERION),
         elsewhere=LocalStatus(None, True, StatusSource.GOOD_REDUCTION_FACT),
     )

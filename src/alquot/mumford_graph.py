@@ -244,7 +244,7 @@ def serialize_graph(graph: LengthedQuotientGraph) -> str:
         w = graph.involution(name)
         parts = [f"inv {name}"]
         for eid in graph.base_edges():
-            target = w[eid]
+            target = _image(name, w, eid)
             # a moved edge is listed from the smaller base id; a reversal
             # e -> ~e has the same base id on both sides
             if target != eid and _base_id(target) >= eid:
@@ -347,14 +347,24 @@ def validate(graph: LengthedQuotientGraph, dual_graph_checks: bool = False) -> l
     return out
 
 
-def _orbit_rep(eid: str, w: Mapping[str, str]) -> str:
-    """Canonical name of the w-orbit of an oriented edge.
+def _image(name: str, w: Mapping[str, str], eid: str) -> str:
+    """The image of eid under the involution ``name``, which is w;
+    ValueError naming both when w has none."""
+    try:
+        return w[eid]
+    except KeyError:
+        raise ValueError(f"{name} has no image for edge {eid!r}") from None
+
+
+def _orbit_rep(name: str, w: Mapping[str, str], eid: str) -> str:
+    """Canonical name of the orbit of an oriented edge under the involution
+    ``name``, which is w.
 
     The orbit pair {r, w(r)} and its opposite pair receive names that are
     again opposite: the smaller base id of r and w(r), which an edge shares
     with its opposite, names the orbit containing its plain orientation.
     """
-    target = w[eid]
+    target = _image(name, w, eid)
     rep_base = min(_base_id(eid), _base_id(target))
     return rep_base if rep_base in (eid, target) else "~" + rep_base
 
@@ -363,7 +373,7 @@ def quotient_edge_map(graph: LengthedQuotientGraph, name: str) -> dict[str, str]
     """Where each oriented edge lands in the quotient by the named
     involution (the canonical orbit ids used by quotient_by_involution)."""
     w = graph.involution(name)
-    return {eid: _orbit_rep(eid, w) for eid in graph.edge_endpoints}
+    return {eid: _orbit_rep(name, w, eid) for eid in graph.edge_endpoints}
 
 
 def quotient_by_involution(graph: LengthedQuotientGraph, name: str) -> LengthedQuotientGraph:
@@ -492,17 +502,15 @@ def lift_case_analysis(graph: LengthedQuotientGraph, s: str) -> LiftCase:
     if s not in graph.edge_length:
         raise ValueError(f"edge {s!r} has no length")
     wp, wq, wpq = (graph.involution(n) for n in INVOLUTION_NAMES)
-    for name, w in zip(INVOLUTION_NAMES, (wp, wq, wpq)):
-        if s not in w:
-            raise ValueError(f"{name} has no image for edge {s!r}")
+    wp_s, wq_s, wpq_s = (_image(n, w, s) for n, w in zip(INVOLUTION_NAMES, (wp, wq, wpq)))
     sbar = opposite(s)
     even = graph.edge_length[s] % 2 == 0
-    if not (even or wq[s] == s):
+    if not (even or wq_s == s):
         raise ValueError("edge fails condition (1): even length or wq-fixed")
-    if not (wp[s] == sbar or wpq[s] == sbar):
+    if not (wp_s == sbar or wpq_s == sbar):
         raise ValueError("edge fails condition (2): wp- or wpq-reversed")
 
-    if wq[s] == s and wpq[s] == sbar and wp[s] != sbar:
+    if wq_s == s and wpq_s == sbar and wp_s != sbar:
         raise ValueError("inconsistent involutions: wq-fixed and wpq-reversed forces wp-reversal")
     if _reversed_with_even_length(graph, wp, s):
         raise ImpossibleCaseError(

@@ -11,16 +11,17 @@ one-pair table, and ``certify`` checks admissibility of two integers once
 and then calls it.
 
 Each invariant is computed once, at the level it belongs to.  Per
-certificate: the algebra B = {p, q}, whose Places of p and q were proven
-prime when it was built, serves the genus and every ledger entry.  Per
-prime: the class number h(-4p), computed once per run of pairs with
-equal p, so a table in (p, q) order needs one class number per distinct
-p.
+certificate: the algebra B = {p, q} serves the genus and every ledger
+entry.  Per prime: the Place, proven prime once per table, and the class
+number h(-4p), computed once per run of pairs with equal p, so a table
+in (p, q) order needs one class number per distinct p.  A table keeps
+nothing per pair, so its memory does not grow with its length.
 
 ``enumerate_admissible`` scans a box for admissible pairs, and
-``hyperelliptic_sieve`` applies the point-count bound that rules out
-hyperellipticity of the quotient for all but finitely many pairs, in
-one pass over a whole table.
+``hyperelliptic_sieve`` reports, with its witness numbers, the point-count
+bound that rules out hyperellipticity of the quotient for all but finitely
+many pairs.  The flag alone is ``_hyperelliptic_flag``, which both the
+sieve and the CLI records read.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from enum import Enum
 from typing import Iterable, Iterator
 
 from .localpoints import DeficiencyLedger, _deficiency_ledger
-from .ntheory import is_prime
+from .ntheory import Place, is_prime
 from .quadforms import class_number
 from .quaternion import _eichler_formula
 from .shimura import (
@@ -136,13 +137,17 @@ def _certify_table(pairs: Iterable[AdmissiblePair]) -> Iterator[ParityCertificat
     """The certificate of each pair, in order: the one construction path.
     h(-4p) is computed once per run of pairs with equal p, so pairs in
     (p, q) order, as ``enumerate_admissible`` returns them, need one class
-    number per distinct p, and only the current one is held.  B = {p, q}
-    is built once per pair and serves both the genus and the ledger."""
+    number per distinct p, and only the current one is held.  Each prime's
+    Place is proven once per table.  B = {p, q} is built once per pair and
+    serves both the genus and the ledger.  Nothing is kept per pair, so the
+    pairs may come from a generator."""
+    places: dict[int, Place] = {}
     p = h = None
     for pair in pairs:
         if pair.p != p:
             p, h = pair.p, class_number(-4 * pair.p)
-        B = _pair_algebra(pair.p, pair.q)
+        P, Q = (places.get(n) or places.setdefault(n, Place(n)) for n in (pair.p, pair.q))
+        B = _pair_algebra(P, Q)
         genus = _genus_quotient(pair, B, h)
         ledger = _deficiency_ledger(pair, B)
         yield ParityCertificate(
@@ -156,6 +161,12 @@ def _certify_table(pairs: Iterable[AdmissiblePair]) -> Iterator[ParityCertificat
 
 def enumerate_admissible(bound: int) -> list[AdmissiblePair]:
     """All admissible (p, q) with p <= bound and q <= bound, sorted."""
+    return list(_admissible_pairs(bound))
+
+
+def _admissible_pairs(bound: int) -> Iterator[AdmissiblePair]:
+    """``enumerate_admissible`` as a generator: the bound is checked now,
+    and each pair is checked when it is drawn."""
     if not 0 < bound < 2**15:
         raise ValueError("bound must be a positive integer below 2^15")
     # check_admissible decides every candidate; the lists only skip
@@ -163,7 +174,15 @@ def enumerate_admissible(bound: int) -> list[AdmissiblePair]:
     ps = [p for p in range(5, bound + 1, 24) if is_prime(p)]
     qs = [q for q in range(5, bound + 1, 12) if is_prime(q)]
     checked = (check_admissible(p, q) for p in ps for q in qs)
-    return [pair for pair in checked if isinstance(pair, AdmissiblePair)]
+    return (pair for pair in checked if isinstance(pair, AdmissiblePair))
+
+
+def _hyperelliptic_flag(pair: AdmissiblePair) -> HyperellipticFlag:
+    """The quotient can be hyperelliptic only if
+    (p-1)(q-1) <= HYPERELLIPTIC_PRODUCT_BOUND."""
+    if (pair.p - 1) * (pair.q - 1) > HYPERELLIPTIC_PRODUCT_BOUND:
+        return HyperellipticFlag.NOT_HYPERELLIPTIC
+    return HyperellipticFlag.POSSIBLY_HYPERELLIPTIC
 
 
 @dataclass(frozen=True)
@@ -186,22 +205,16 @@ class SieveReport:
 
 
 def hyperelliptic_sieve(pairs: list[AdmissiblePair]) -> list[SieveReport]:
-    """Flag each pair: the quotient can be hyperelliptic only if
-    (p-1)(q-1) <= HYPERELLIPTIC_PRODUCT_BOUND."""
+    """Flag each pair by ``_hyperelliptic_flag``, with the witness numbers."""
     reports = []
     for pair in pairs:
         product = (pair.p - 1) * (pair.q - 1)
         # admissible p, q are distinct odd primes: 2pq factors as (2, p, q)
         h = _eichler_formula((2, pair.p, pair.q))
-        flag = (
-            HyperellipticFlag.NOT_HYPERELLIPTIC
-            if product > HYPERELLIPTIC_PRODUCT_BOUND
-            else HyperellipticFlag.POSSIBLY_HYPERELLIPTIC
-        )
         reports.append(
             SieveReport(
                 pair=pair,
-                flag=flag,
+                flag=_hyperelliptic_flag(pair),
                 genus_product=product,
                 definite_class_number=h,
                 supersingular_lower_bound=(h + 1) // 2,

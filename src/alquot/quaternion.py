@@ -47,16 +47,8 @@ def ramified_places(a: int, b: int) -> frozenset[Place]:
     """
     if a == 0 or b == 0:
         raise ValueError("symbol entries must be nonzero")
-    return _ramified_places_among(a, b, [Place(p) for p in prime_factors(2 * a * b)])
-
-
-def _ramified_places_among(a: int, b: int, places: Iterable[Place]) -> frozenset[Place]:
-    """Places among oo and ``places`` where (a,b)_v = -1.
-
-    Complete when ``places`` are those of the primes dividing 2ab; callers
-    that hold them pass them instead of factoring 2ab again.
-    """
-    return frozenset(v for v in [INFINITY, *places] if hilbert_symbol(a, b, v) == -1)
+    places = [INFINITY, *map(Place, prime_factors(2 * a * b))]
+    return frozenset(v for v in places if hilbert_symbol(a, b, v) == -1)
 
 
 @dataclass(frozen=True)
@@ -115,10 +107,10 @@ def interchange(B: QuaternionAlgebra, p: int) -> QuaternionAlgebra:
     algebra ramified at p this yields a definite algebra unramified at p,
     and the operation is an involution.
     """
-    fin = Place(p)
     if p == 2:
         raise ValueError("interchange is defined at an odd prime")
-    return _interchange(B, fin)
+    held = [v for v in B.ram_set if v.prime == p]
+    return _interchange(B, held[0] if held else Place(p))  # Place(p) proves p
 
 
 def _interchange(B: QuaternionAlgebra, fin: Place) -> QuaternionAlgebra:

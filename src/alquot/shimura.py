@@ -15,10 +15,11 @@ of a wrong number.
 
 The entry points here and in ``localpoints`` build B = {p, q} through
 ``_pair_algebra``, which owns the hypothesis that p and q are distinct
-odd primes and proves them prime as it builds their Places.  They
-delegate to private cores that take what a certificate already holds: B,
-built once per certificate, and h(-4p), which belongs to the prime p and
-so is computed once per prime when a table shares it.
+odd primes and proves them prime as it builds their Places; a table
+passes it the Places it has proven once per prime instead.  The entry
+points delegate to private cores that take what a certificate already
+holds: B, built once per certificate, and h(-4p), which belongs to the
+prime p and so is computed once per prime when a table shares it.
 ``_genus_quotient(pair, B, h)`` is the core every certificate runs; it
 holds the integrity checks.
 """
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ntheory import is_prime, kronecker
+from .ntheory import Place, is_prime, kronecker
 from .quadforms import class_number
 from .quaternion import QuaternionAlgebra, _local_factors, _quad_field_splits
 
@@ -114,9 +115,11 @@ class GenusData:
     mass_half: int
 
 
-def _pair_algebra(p: int, q: int) -> QuaternionAlgebra:
-    """The algebra B of discriminant pq; building it proves p and q prime."""
-    if p == q or p == 2 or q == 2:
+def _pair_algebra(p: int | Place, q: int | Place) -> QuaternionAlgebra:
+    """The algebra B of discriminant pq.  Building it proves p and q prime,
+    unless they come as Places, which were proven when they were built."""
+    primes = {v.prime if isinstance(v, Place) else v for v in (p, q)}
+    if len(primes) < 2 or 2 in primes:
         raise ValueError("the discriminant pq needs distinct odd primes p and q")
     return QuaternionAlgebra.from_ramified_places((p, q))
 

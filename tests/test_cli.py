@@ -16,6 +16,7 @@ import alquot.cli
 import alquot.ntheory
 import alquot.parity
 import alquot.quadforms
+import alquot.quaternion
 import alquot.shimura
 from alquot.cli import CSV_HEADER, OutputRecord, main
 from alquot.mumford_graph import parse_graph, serialize_graph
@@ -259,23 +260,46 @@ def test_enumerate_streams_its_table(fmt, tmp_path):
     assert peak < 4_000_000
 
 
-def test_enumerate_checks_each_candidate_once_and_sieves_once(monkeypatch, capsys):
-    checked, sieved = [], []
+def test_enumerate_memory_does_not_grow_with_the_table(tmp_path):
+    # 453 rows at --max 1000, 3172 at --max 3000: holding the pair list
+    # grows the peak by about 0.3 MB, and the sieve reports with it by about
+    # 0.9 MB; one pass per pair grows it by under 0.05 MB
+    peaks = []
+    for bound in ("1000", "3000"):
+        tracemalloc.start()
+        try:
+            assert main(["enumerate", "--max", bound, "--out", str(tmp_path / "t")]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 150_000
+
+
+def test_enumerate_checks_each_candidate_once_and_proves_each_prime_once(monkeypatch, capsys):
+    checked, proofs = [], []
     failure = alquot.shimura._admissibility_failure
-    sieve = alquot.cli.hyperelliptic_sieve
+    prove = alquot.ntheory.is_prime
 
     def counted_failure(p, q):
         checked.append((p, q))
         return failure(p, q)
 
-    def counted_sieve(pairs):
-        sieved.append(len(pairs))
-        return sieve(pairs)
+    def counted_proof(n):
+        proofs.append(n)
+        return prove(n)
+
+    def refuse(*args):
+        raise AssertionError("enumerate computed a sieve report")
 
     monkeypatch.setattr(alquot.shimura, "_admissibility_failure", counted_failure)
-    monkeypatch.setattr(alquot.cli, "hyperelliptic_sieve", counted_sieve)
+    # Place proves its prime through the ntheory binding alone; the
+    # admissibility check and the candidate scan hold their own
+    monkeypatch.setattr(alquot.ntheory, "is_prime", counted_proof)
+    monkeypatch.setattr(alquot.parity, "hyperelliptic_sieve", refuse)
+    monkeypatch.setattr(alquot.parity, "_eichler_formula", refuse)
+    monkeypatch.setattr(alquot.quaternion, "_eichler_formula", refuse)
     assert main(["enumerate", "--max", "200"]) == 0
-    rows = capsys.readouterr().out.splitlines()[1:]
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
 
     def prime(n):
         return n > 1 and all(n % d for d in range(2, n))
@@ -283,7 +307,9 @@ def test_enumerate_checks_each_candidate_once_and_sieves_once(monkeypatch, capsy
     ps = [p for p in range(1, 201) if prime(p) and p % 24 == 5]
     qs = [q for q in range(1, 201) if prime(q) and q % 12 == 5]
     assert checked == [(p, q) for p in ps for q in qs]
-    assert sieved == [len(rows)]
+    table_primes = {int(n) for row in rows for n in row[:2]}
+    assert len(rows) > len(table_primes) > 5
+    assert sorted(proofs) == sorted(table_primes)
 
 
 def _python(*args: str) -> subprocess.CompletedProcess:

@@ -1,5 +1,6 @@
 import pytest
 
+import alquot.localpoints
 from alquot.localpoints import (
     DeficiencyLedger,
     LocalStatus,
@@ -74,6 +75,31 @@ def test_pic1_at_other_prime_matches_the_symbol_algebras():
             assert pic1_at_other_prime(a, b) is expected, (a, b)
             outcomes.add(expected)
     assert outcomes == {True, False}
+
+
+def test_pic1_at_other_prime_evaluates_every_place_it_concludes_from(monkeypatch):
+    # isomorphism is concluded from symbols evaluated at all four of oo, 2,
+    # p and q; none is inferred from the product formula, although the
+    # even cardinality of both sets would let three of them decide
+    calls = []
+    symbol = alquot.localpoints.hilbert_symbol
+
+    def recorded(a, b, v):
+        calls.append((a, b, v.prime))
+        return symbol(a, b, v)
+
+    monkeypatch.setattr(alquot.localpoints, "hilbert_symbol", recorded)
+    small = [p for p in range(3, 60) if is_prime(p)]
+    found = 0
+    for p in small:
+        for q in small:
+            if p != q:
+                calls.clear()
+                if pic1_at_other_prime(p, q):
+                    found += 1
+                    a, b = calls[-1][:2]
+                    assert {v for x, y, v in calls if (x, y) == (a, b)} == {None, 2, p, q}, (p, q)
+    assert found > 10
 
 
 def test_deficiency_ledger_examples():

@@ -187,16 +187,32 @@ def test_a_missing_involution_raises_a_value_error_naming_it(missing, call):
         call(g)
 
 
-@pytest.mark.parametrize("name", INVOLUTION_NAMES)
-def test_lift_case_analysis_names_an_involution_without_an_image(name):
+def _without_image_of_e1(name):
     two_edge = parse_graph(TWO_EDGE)
     w = {eid: image for eid, image in two_edge.involutions[name].items() if eid != "e1"}
-    g = replace(two_edge, involutions={**two_edge.involutions, name: w})
+    return replace(two_edge, involutions={**two_edge.involutions, name: w})
+
+
+@pytest.mark.parametrize("name", INVOLUTION_NAMES)
+def test_lift_case_analysis_names_an_involution_without_an_image(name):
+    g = _without_image_of_e1(name)
     assert f"{name} is not a permutation of the oriented edges" in validate(g)
     # not ImpossibleCaseError: the graph is malformed, so no case applies
     with pytest.raises(ValueError, match=f"{name} has no image for edge 'e1'") as info:
         lift_case_analysis(g, "e1")
     assert type(info.value) is ValueError
+
+
+@pytest.mark.parametrize("name", INVOLUTION_NAMES)
+def test_serialize_graph_names_an_involution_without_an_image(name):
+    with pytest.raises(ValueError, match=f"^{name} has no image for edge 'e1'$"):
+        serialize_graph(_without_image_of_e1(name))
+
+
+@pytest.mark.parametrize("name", INVOLUTION_NAMES)
+def test_quotient_edge_map_names_an_involution_without_an_image(name):
+    with pytest.raises(ValueError, match=f"^{name} has no image for edge 'e1'$"):
+        quotient_edge_map(_without_image_of_e1(name), name)
 
 
 def test_validate_dual_graph_checks():

@@ -127,7 +127,7 @@ def test_certify_computes_each_invariant_once(monkeypatch):
     assert cert.genus.g_quotient == 16
     assert class_numbers == [(-4 * 29,)]
     assert [args[0] for args in genera] == [AdmissiblePair(29, 17)]
-    assert algebras == [(29, 17)]
+    assert algebras == [(Place(29), Place(17))]
 
 
 def test_enumerate_computes_one_class_number_per_prime_and_one_algebra_per_certificate(
@@ -141,6 +141,16 @@ def test_enumerate_computes_one_class_number_per_prime_and_one_algebra_per_certi
     assert len(rows) > len(ps) > 5
     assert class_numbers == [(-4 * p,) for p in ps]
     assert len(algebras) == len(rows)
+
+
+def test_enumerate_evaluates_few_hilbert_symbols_per_row(monkeypatch, capsys):
+    # the interchange criterion compares place by place and stops at the
+    # first disagreement; building both symbol algebras took 8 per row
+    symbols = _count_calls(monkeypatch, alquot.ntheory.hilbert_symbol)
+    assert main(["enumerate", "--max", "500"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert len(rows) > 100
+    assert len(symbols) < 8 * len(rows)
 
 
 def test_certify_and_sieve_reuse_the_known_primes(monkeypatch):

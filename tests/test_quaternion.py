@@ -81,6 +81,19 @@ def test_interchange_examples():
         interchange(B, 2)
 
 
+def test_interchange_reuses_the_place_the_algebra_holds(monkeypatch):
+    B = QuaternionAlgebra(_places(1000003, 17))  # the one primality proof of 1000003
+    swapped = _places(17, None)
+    primality = _count_calls(monkeypatch, alquot.ntheory.is_prime)
+    assert interchange(B, 1000003).ram_set == swapped
+    assert primality == []
+    # a prime B does not hold is proven, and a composite refused
+    assert interchange(B, 1000033) == B
+    assert primality == [(1000033,)]
+    with pytest.raises(ValueError, match="^1000001 is not prime$"):
+        interchange(B, 1000001)
+
+
 def test_interchange_involution_all_patterns():
     # every pattern of (5 in B, oo in B), and what swapping them gives
     expected = {
