@@ -12,14 +12,16 @@ batch scripts can tell malformed input from out-of-regime input.
 
 JSON and CSV speak the fixed record schema below; the CSV column order is
 frozen and list-valued cells join their items with semicolons.  ``enumerate``
-checks its bound up front, then makes one pass: each pair is checked for
-admissibility as it is drawn, certified in (p, q) order and written, so no
-pair is checked twice, the class number h(-4p) is computed once per prime
-p, each prime is proven once, and the algebra {p, q} is built once per
-certificate.  The hyperelliptic flag is read off (p-1)(q-1) alone, so the
-sieve's class numbers are not computed, and no state is kept per pair:
-memory does not grow with the table.  An integrity check failing mid-table
-raises after stdout may hold a prefix, but leaves no partial ``--out`` file.
+checks its bound and each candidate prime up front, then makes one pass:
+each pair is checked by the per-pair rule alone as it is drawn, certified
+in (p, q) order and written, so no pair is checked twice and no prime is
+proven per pair.  The class number h(-4p) is computed once per prime p,
+each prime's Place and genus factors once per table, and the algebra
+{p, q} is the one algebra built per certificate.  The hyperelliptic flag
+is read off (p-1)(q-1) alone, so the sieve's class numbers are not
+computed, and no state is kept per pair: memory does not grow with the
+table.  An integrity check failing mid-table raises after stdout may hold a
+prefix, but leaves no partial ``--out`` file.
 
 ``certify`` and ``hilbert`` refuse inputs beyond a desk-scale budget
 (``_MAX_CERTIFY_PRIME``, ``_MAX_HILBERT_PRIME``) with exit 1 before any

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .ntheory import INFINITY, Place, hilbert_symbol
-from .quaternion import QuaternionAlgebra, _interchange, _quad_field_splits
+from .quaternion import QuaternionAlgebra, _exchanged, _quad_field_splits
 from .shimura import AdmissiblePair, _pair_algebra
 
 __all__ = [
@@ -142,13 +142,16 @@ def _pic1_at_other_prime(P: Place, Q: Place, B: QuaternionAlgebra) -> bool:
 
     Both symbol algebras have 2ab = 2pq, so they and the interchanged
     algebra ramify only among oo, 2, p and q: agreeing at those four places
-    is isomorphism.  Each comparison stops at the first place of
-    disagreement, so no ramification set is built for a symbol algebra.
+    is isomorphism.  The interchanged algebra is not built: its memberships
+    at those places are read off B by the exchange rule.  Each comparison
+    stops at the first place of disagreement, so no ramification set is
+    built for a symbol algebra either.
     """
-    swapped = _interchange(B, P).ram_set
+    places = (INFINITY, _TWO, P, Q)
+    swapped = [_exchanged(v, P) in B.ram_set for v in places]
     p, q = P.prime, Q.prime
     return any(
-        all((v in swapped) == (hilbert_symbol(a, b, v) == -1) for v in (INFINITY, _TWO, P, Q))
+        all(held == (hilbert_symbol(a, b, v) == -1) for held, v in zip(swapped, places))
         for a, b in ((-1, -p * q), (-p, -q))
     )
 

@@ -12,16 +12,19 @@ and then calls it.
 
 Each invariant is computed once, at the level it belongs to.  Per
 certificate: the algebra B = {p, q} serves the genus and every ledger
-entry.  Per prime: the Place, proven prime once per table, and the class
-number h(-4p), computed once per run of pairs with equal p, so a table
-in (p, q) order needs one class number per distinct p.  A table keeps
-nothing per pair, so its memory does not grow with its length.
+entry.  Per prime: the Place, proven prime once per table, the
+Eichler-Shimura factors the genus multiplies, also once per table, and
+the class number h(-4p), computed once per run of pairs with equal p, so
+a table in (p, q) order needs one class number per distinct p.  A table
+keeps nothing per pair, so its memory does not grow with its length.
 
-``enumerate_admissible`` scans a box for admissible pairs, and
-``hyperelliptic_sieve`` reports, with its witness numbers, the point-count
-bound that rules out hyperellipticity of the quotient for all but finitely
-many pairs.  The flag alone is ``_hyperelliptic_flag``, which both the
-sieve and the CLI records read.
+``enumerate_admissible`` scans a box for admissible pairs: the per-prime
+rule of ``check_admissible`` runs once per candidate prime and the
+per-pair rule once per candidate pair.  ``hyperelliptic_sieve`` reports,
+with its witness numbers, the point-count bound that rules out
+hyperellipticity of the quotient for all but finitely many pairs.  The
+flag alone is ``_hyperelliptic_flag``, which both the sieve and the CLI
+records read.
 """
 
 from __future__ import annotations
@@ -31,15 +34,17 @@ from enum import Enum
 from typing import Iterable, Iterator
 
 from .localpoints import DeficiencyLedger, _deficiency_ledger
-from .ntheory import Place, is_prime
+from .ntheory import Place
 from .quadforms import class_number
-from .quaternion import _eichler_formula
+from .quaternion import _eichler_formula, _local_factors
 from .shimura import (
     AdmissibilityRejection,
     AdmissiblePair,
     GenusData,
     _genus_quotient,
     _pair_algebra,
+    _pair_failure,
+    _prime_failure,
     check_admissible,
 )
 
@@ -138,17 +143,20 @@ def _certify_table(pairs: Iterable[AdmissiblePair]) -> Iterator[ParityCertificat
     h(-4p) is computed once per run of pairs with equal p, so pairs in
     (p, q) order, as ``enumerate_admissible`` returns them, need one class
     number per distinct p, and only the current one is held.  Each prime's
-    Place is proven once per table.  B = {p, q} is built once per pair and
-    serves both the genus and the ledger.  Nothing is kept per pair, so the
-    pairs may come from a generator."""
-    places: dict[int, Place] = {}
+    Place and genus factors are computed once per table.  B = {p, q} is
+    built once per pair and serves both the genus and the ledger.  Nothing
+    is kept per pair, so the pairs may come from a generator."""
+    primes: dict[int, tuple[Place, tuple[int, int, int]]] = {}
     p = h = None
     for pair in pairs:
         if pair.p != p:
             p, h = pair.p, class_number(-4 * pair.p)
-        P, Q = (places.get(n) or places.setdefault(n, Place(n)) for n in (pair.p, pair.q))
+        (P, fp), (Q, fq) = (
+            primes.get(n) or primes.setdefault(n, (Place(n), _local_factors((n,))))
+            for n in (pair.p, pair.q)
+        )
         B = _pair_algebra(P, Q)
-        genus = _genus_quotient(pair, B, h)
+        genus = _genus_quotient(pair, B, h, fp, fq)
         ledger = _deficiency_ledger(pair, B)
         yield ParityCertificate(
             pair=pair,
@@ -165,16 +173,18 @@ def enumerate_admissible(bound: int) -> list[AdmissiblePair]:
 
 
 def _admissible_pairs(bound: int) -> Iterator[AdmissiblePair]:
-    """``enumerate_admissible`` as a generator: the bound is checked now,
-    and each pair is checked when it is drawn."""
+    """``enumerate_admissible`` as a generator: the bound and each
+    candidate prime are checked now, and each pair by the per-pair rule
+    alone when it is drawn."""
     if not 0 < bound < 2**15:
         raise ValueError("bound must be a positive integer below 2^15")
-    # check_admissible decides every candidate; the lists only skip
-    # composites, and the ascending loops emit pairs in (p, q) order.
-    ps = [p for p in range(5, bound + 1, 24) if is_prime(p)]
-    qs = [q for q in range(5, bound + 1, 12) if is_prime(q)]
-    checked = (check_admissible(p, q) for p in ps for q in qs)
-    return (pair for pair in checked if isinstance(pair, AdmissiblePair))
+    # The rules of check_admissible, split by what they read: the per-prime
+    # rule builds the lists, once per candidate, and the per-pair rule
+    # decides each candidate pair, so no prime is proven per pair.  The
+    # ascending loops emit pairs in (p, q) order.
+    ps = [p for p in range(5, bound + 1, 24) if _prime_failure("p", p) is None]
+    qs = [q for q in range(5, bound + 1, 12) if _prime_failure("q", q) is None]
+    return (AdmissiblePair._admitted(p, q) for p in ps for q in qs if _pair_failure(p, q) is None)
 
 
 def _hyperelliptic_flag(pair: AdmissiblePair) -> HyperellipticFlag:

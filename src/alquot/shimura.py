@@ -8,25 +8,35 @@ Riemann-Hurwitz, together with the admissibility test
 
     p = 5 mod 24,  q = 5 mod 12,  p != q,  (p/q) = -1
 
-under which the parity pipeline operates.  Genus formulas are evaluated
-exactly, as 12 times their value in integers, with mandatory integrality
-checks, so a congruence-hypothesis violation surfaces as an error instead
-of a wrong number.
+under which the parity pipeline operates.  The test is two rules: a
+per-prime rule (p and q prime, each in its class) and a per-pair rule
+(distinct, (p/q) = -1).  ``check_admissible`` and ``AdmissiblePair`` run
+both, in that order; a table of candidates runs the per-prime rule once
+per candidate prime and the per-pair rule once per candidate pair, and
+builds the pairs it admits through ``AdmissiblePair._admitted``, which
+does not run the rules again.
+
+Genus formulas are evaluated exactly, as 12 times their value in
+integers, with mandatory integrality checks, so a congruence-hypothesis
+violation surfaces as an error instead of a wrong number.
 
 The entry points here and in ``localpoints`` build B = {p, q} through
 ``_pair_algebra``, which owns the hypothesis that p and q are distinct
 odd primes and proves them prime as it builds their Places; a table
 passes it the Places it has proven once per prime instead.  The entry
 points delegate to private cores that take what a certificate already
-holds: B, built once per certificate, and h(-4p), which belongs to the
-prime p and so is computed once per prime when a table shares it.
-``_genus_quotient(pair, B, h)`` is the core every certificate runs; it
-holds the integrity checks.
+holds: B, built once per certificate, and the facts that belong to one
+prime and so are computed once per prime when a table shares them: h(-4p)
+and the Eichler-Shimura factors ``_local_factors((l,))`` of l = p and q,
+whose products the genus formula reads.  ``_genus_quotient(pair, B, h,
+fp, fq)`` is the core every certificate runs; it and ``_genus_VB`` hold
+the integrity checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from .ntheory import Place, is_prime, kronecker
 from .quadforms import class_number
@@ -55,6 +65,15 @@ class AdmissiblePair:
         if failure is not None:
             raise _Inadmissible(AdmissibilityRejection(self.p, self.q, failure))
 
+    @classmethod
+    def _admitted(cls, p: int, q: int) -> "AdmissiblePair":
+        """The pair (p, q), which the caller has already put through both
+        rules: built without running them again."""
+        pair = object.__new__(cls)
+        object.__setattr__(pair, "p", p)
+        object.__setattr__(pair, "q", q)
+        return pair
+
     @property
     def disc(self) -> int:
         return self.p * self.q
@@ -77,15 +96,22 @@ class _Inadmissible(ValueError):
         return f"({rejection.p}, {rejection.q}) inadmissible: {rejection.reason}"
 
 
-def _admissibility_failure(p: int, q: int) -> str | None:
-    if not is_prime(p):
-        return "p is not prime"
-    if p % 24 != 5:
-        return "p ≢ 5 mod 24"
-    if not is_prime(q):
-        return "q is not prime"
-    if q % 12 != 5:
-        return "q ≢ 5 mod 12"
+# each prime of a pair lies in the class 5 mod its modulus
+_MODULUS = {"p": 24, "q": 12}
+
+
+def _prime_failure(role: str, n: int) -> str | None:
+    """The per-prime rule for n as the pair's prime ``role`` ("p" or "q"):
+    n is prime and n = 5 mod ``_MODULUS[role]``."""
+    if not is_prime(n):
+        return f"{role} is not prime"
+    if n % _MODULUS[role] != 5:
+        return f"{role} ≢ 5 mod {_MODULUS[role]}"
+    return None
+
+
+def _pair_failure(p: int, q: int) -> str | None:
+    """The per-pair rule, for p and q that pass the per-prime rule."""
     if p == q:
         return "p and q must be distinct"
     if kronecker(p, q) != -1:
@@ -93,12 +119,18 @@ def _admissibility_failure(p: int, q: int) -> str | None:
     return None
 
 
+def _admissibility_failure(p: int, q: int) -> str | None:
+    """The first failed hypothesis: the per-prime rule for p, then for q,
+    then the per-pair rule."""
+    return _prime_failure("p", p) or _prime_failure("q", q) or _pair_failure(p, q)
+
+
 def check_admissible(p: int, q: int) -> AdmissiblePair | AdmissibilityRejection:
     """Validate the pipeline hypotheses; rejection is a value, not an error."""
-    try:
-        return AdmissiblePair(p, q)
-    except _Inadmissible as exc:
-        return exc.args[0]
+    failure = _admissibility_failure(p, q)
+    if failure is not None:
+        return AdmissibilityRejection(p, q, failure)
+    return AdmissiblePair._admitted(p, q)
 
 
 @dataclass(frozen=True)
@@ -132,12 +164,14 @@ def genus_VB(p: int, q: int) -> int:
     with e_2 = prod(1 - (-4/l)) and e_3 = prod(1 - (-3/l)) over l in {p, q}.
     """
     _pair_algebra(p, q)  # for its guard and primality proofs alone
-    return _genus_VB(p, q)
+    return _genus_VB(p, q, _local_factors((p,)), _local_factors((q,)))
 
 
-def _genus_VB(p: int, q: int) -> int:
-    """``genus_VB`` for distinct odd primes the caller has already proven."""
-    mass, e2, e3 = _local_factors((p, q))
+def _genus_VB(p: int, q: int, fp: tuple[int, int, int], fq: tuple[int, int, int]) -> int:
+    """``genus_VB`` for distinct odd primes the caller has already proven,
+    from their factors fp = ``_local_factors((p,))`` and fq, which a table
+    computes once per prime.  The pair's factors are their products."""
+    mass, e2, e3 = map(mul, fp, fq)
     g12 = 12 + mass - 3 * e2 - 4 * e3
     if g12 % 12 or g12 < 0:
         raise ValueError(f"genus formula gives non-integral value {g12}/12 for ({p}, {q})")
@@ -171,14 +205,23 @@ def genus_quotient(pair: AdmissiblePair) -> GenusData:
     Requires g_VB odd and 4 | e_p, both consequences of admissibility;
     violations raise instead of rounding.
     """
-    return _genus_quotient(pair, _pair_algebra(pair.p, pair.q), class_number(-4 * pair.p))
+    p, q = pair.p, pair.q
+    return _genus_quotient(
+        pair, _pair_algebra(p, q), class_number(-4 * p), _local_factors((p,)), _local_factors((q,))
+    )
 
 
-def _genus_quotient(pair: AdmissiblePair, B: QuaternionAlgebra, h: int) -> GenusData:
-    """``genus_quotient`` for the pair's algebra B = {p, q} and h = h(-4p),
-    which the caller computes once and shares.  Every certificate runs the
-    integrity checks here."""
-    g = _genus_VB(pair.p, pair.q)
+def _genus_quotient(
+    pair: AdmissiblePair,
+    B: QuaternionAlgebra,
+    h: int,
+    fp: tuple[int, int, int],
+    fq: tuple[int, int, int],
+) -> GenusData:
+    """``genus_quotient`` for the pair's algebra B = {p, q}, h = h(-4p) and
+    the factors ``_local_factors`` gives p and q, which the caller computes
+    once and shares.  Every certificate runs the integrity checks here."""
+    g = _genus_VB(pair.p, pair.q, fp, fq)
     e = _fixed_points_e(pair.p, B, h)
     if (g + 1) % 2:
         raise ValueError(f"(g_VB + 1)/2 is not integral for {pair}")

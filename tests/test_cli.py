@@ -8,6 +8,7 @@ import stat
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -21,6 +22,7 @@ import alquot.shimura
 from alquot.cli import CSV_HEADER, OutputRecord, main
 from alquot.mumford_graph import parse_graph, serialize_graph
 from alquot.parity import STANDING_ASSUMPTIONS
+from test_parity import _count_calls
 
 ASSUMPTION_CELL = ";".join(STANDING_ASSUMPTIONS)
 
@@ -48,6 +50,12 @@ ENUMERATE_30_CSV = (
 ENUMERATE_1000_SHA256 = {
     "csv": "8b24ab184e6ef2d28bd043464cbc5b79f15ad5fc61b6abc2393aa5ba2779f9ff",
     "json": "d66ff4427bc552d8c59438a18a6affb210b1c7f539514595b807a05786448e3c",
+}
+
+# the table of perfbench's enumerate workload (2227 rows)
+ENUMERATE_2500_SHA256 = {
+    "csv": "4f85b299f9c6ed2244ac137519a5e2a123448ac48f45fd8a2ff8b86966320f8b",
+    "json": "9a4697139a08b2e8ffed49828bf19ab90c6c84df6a982430b30a0fd2b0c52dec",
 }
 
 GRAPH_OK = """v a even
@@ -211,11 +219,11 @@ def test_enumerate_bound_guard(bound, capsys):
 def test_enumerate_integrity_failure_propagates(fmt, tmp_path, monkeypatch, capsys):
     genus, certified = alquot.parity._genus_quotient, []
 
-    def broken_at_second(pair, B, h):
+    def broken_at_second(pair, *shared):
         certified.append(pair)
         if len(certified) == 2:
             raise ValueError("integrity check failed")
-        return genus(pair, B, h)
+        return genus(pair, *shared)
 
     # the genus core holds the integrity checks, and both certificate paths
     # (for_pair and the enumerate table) run it through this name
@@ -247,6 +255,13 @@ def test_enumerate_1000_golden(fmt, tmp_path, capsys):
     assert target.read_bytes() == out
 
 
+@pytest.mark.parametrize("fmt", sorted(ENUMERATE_2500_SHA256))
+def test_enumerate_2500_golden(fmt, capsys):
+    assert main(["enumerate", "--max", "2500", "--format", fmt]) == 0
+    out = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(out).hexdigest() == ENUMERATE_2500_SHA256[fmt]
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_enumerate_streams_its_table(fmt, tmp_path):
     # 4823 rows, 2.2 MB of CSV or 3.4 MB of JSON: holding the table whole
@@ -276,25 +291,32 @@ def test_enumerate_memory_does_not_grow_with_the_table(tmp_path):
 
 
 def test_enumerate_checks_each_candidate_once_and_proves_each_prime_once(monkeypatch, capsys):
-    checked, proofs = [], []
-    failure = alquot.shimura._admissibility_failure
-    prove = alquot.ntheory.is_prime
+    # enumerate splits the rules of check_admissible: the per-prime rule
+    # builds the candidate lists, the per-pair rule decides each pair
+    prime_rule = _count_calls(monkeypatch, alquot.shimura._prime_failure)
+    pair_rule = _count_calls(monkeypatch, alquot.shimura._pair_failure)
+    # the rules prove primes through the shimura binding, and Place through
+    # the ntheory binding alone
+    rule_proofs, place_proofs, raised = [], [], []
 
-    def counted_failure(p, q):
-        checked.append((p, q))
-        return failure(p, q)
+    def recording(prove, proofs):
+        def counted_proof(n):
+            proofs.append(n)
+            return prove(n)
 
-    def counted_proof(n):
-        proofs.append(n)
-        return prove(n)
+        return counted_proof
+
+    class RecordedInadmissible(alquot.shimura._Inadmissible):
+        def __init__(self, *args):
+            raised.append(args)
+            super().__init__(*args)
 
     def refuse(*args):
         raise AssertionError("enumerate computed a sieve report")
 
-    monkeypatch.setattr(alquot.shimura, "_admissibility_failure", counted_failure)
-    # Place proves its prime through the ntheory binding alone; the
-    # admissibility check and the candidate scan hold their own
-    monkeypatch.setattr(alquot.ntheory, "is_prime", counted_proof)
+    monkeypatch.setattr(alquot.shimura, "is_prime", recording(alquot.shimura.is_prime, rule_proofs))
+    monkeypatch.setattr(alquot.ntheory, "is_prime", recording(alquot.ntheory.is_prime, place_proofs))
+    monkeypatch.setattr(alquot.shimura, "_Inadmissible", RecordedInadmissible)
     monkeypatch.setattr(alquot.parity, "hyperelliptic_sieve", refuse)
     monkeypatch.setattr(alquot.parity, "_eichler_formula", refuse)
     monkeypatch.setattr(alquot.quaternion, "_eichler_formula", refuse)
@@ -304,12 +326,19 @@ def test_enumerate_checks_each_candidate_once_and_proves_each_prime_once(monkeyp
     def prime(n):
         return n > 1 and all(n % d for d in range(2, n))
 
+    # the candidates for p and for q are the classes 5 mod 24 and 5 mod 12
+    assert prime_rule == [("p", n) for n in range(5, 201, 24)] + [("q", n) for n in range(5, 201, 12)]
     ps = [p for p in range(1, 201) if prime(p) and p % 24 == 5]
     qs = [q for q in range(1, 201) if prime(q) and q % 12 == 5]
-    assert checked == [(p, q) for p in ps for q in qs]
+    assert pair_rule == [(p, q) for p in ps for q in qs]
+    assert raised == []
+    # each candidate is proven by the per-prime rule alone, each table
+    # prime once more by its Place, and no prime once per candidate pair
+    assert rule_proofs == [n for _, n in prime_rule]
     table_primes = {int(n) for row in rows for n in row[:2]}
     assert len(rows) > len(table_primes) > 5
-    assert sorted(proofs) == sorted(table_primes)
+    assert sorted(place_proofs) == sorted(table_primes)
+    assert max(Counter(rule_proofs + place_proofs).values()) <= 3
 
 
 def _python(*args: str) -> subprocess.CompletedProcess:
@@ -407,7 +436,7 @@ def test_certify_budget_admits_desk_scale_primes(capsys):
 
 
 def test_certify_integrity_failure_propagates(monkeypatch):
-    def broken(pair, B, h):
+    def broken(pair, *shared):
         raise ValueError("integrity check failed")
 
     monkeypatch.setattr(alquot.parity, "_genus_quotient", broken)

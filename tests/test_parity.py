@@ -5,6 +5,7 @@ import pytest
 
 import alquot.ntheory
 import alquot.quadforms
+import alquot.quaternion
 import alquot.shimura
 from alquot.cli import main
 from alquot.localpoints import (
@@ -143,6 +144,33 @@ def test_enumerate_computes_one_class_number_per_prime_and_one_algebra_per_certi
     assert len(algebras) == len(rows)
 
 
+def test_enumerate_computes_the_genus_factors_once_per_prime(monkeypatch, capsys):
+    factors = _count_calls(monkeypatch, alquot.quaternion._local_factors)
+    assert main(["enumerate", "--max", "500"]) == 0
+    rows = [[int(n) for n in line.split(",")[:4]] for line in capsys.readouterr().out.splitlines()[1:]]
+    primes = {n for row in rows for n in row[:2]}
+    assert len(rows) > len(primes) > 5
+    assert sorted(factors) == [((n,),) for n in sorted(primes)]
+    for p, q, _, g in rows:
+        assert g == genus_VB(p, q)
+
+
+def test_enumerate_builds_one_algebra_per_certificate(monkeypatch, capsys):
+    # count the instances, however they are built: B = {p, q} and nothing else
+    built = []
+    check = QuaternionAlgebra.__post_init__
+
+    def counted(self):
+        built.append(self.ram_set)
+        check(self)
+
+    monkeypatch.setattr(QuaternionAlgebra, "__post_init__", counted)
+    assert main(["enumerate", "--max", "500"]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    assert len(rows) > 100
+    assert built == [frozenset({Place(int(row[0])), Place(int(row[1]))}) for row in rows]
+
+
 def test_enumerate_evaluates_few_hilbert_symbols_per_row(monkeypatch, capsys):
     # the interchange criterion compares place by place and stops at the
     # first disagreement; building both symbol algebras took 8 per row
@@ -261,6 +289,17 @@ def test_enumerate_is_complete():
     expected = [pair for pair in candidates if isinstance(pair, AdmissiblePair)]
     assert len(expected) > 100
     assert enumerate_admissible(400) == expected
+
+
+def test_enumerated_pairs_are_the_validated_pairs():
+    # the table builds its pairs without running the rules again; each is
+    # still the pair that the validating constructor builds
+    pairs = enumerate_admissible(1000)
+    assert len(pairs) == 453
+    for pair in pairs:
+        validated = AdmissiblePair(pair.p, pair.q)
+        assert type(pair) is AdmissiblePair
+        assert pair == validated and hash(pair) == hash(validated)
 
 
 def test_for_pair_is_what_certify_builds():
