@@ -22,7 +22,7 @@ was computed versus what was cited.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .ntheory import INFINITY, Place, hilbert_symbol
@@ -71,12 +71,14 @@ class LocalStatus:
 
 @dataclass(frozen=True)
 class DeficiencyLedger:
-    """Status of V/w_p at oo, p, q, and (symbolically) everywhere else."""
+    """Status of V/w_p at oo, p, q, and (symbolically) everywhere else.
+    ``deficient_count`` is counted once, when the ledger is built."""
 
     at_infinity: LocalStatus
     at_p: LocalStatus
     at_q: LocalStatus
     elsewhere: LocalStatus
+    deficient_count: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.at_infinity.place != INFINITY:
@@ -85,13 +87,10 @@ class DeficiencyLedger:
             raise ValueError("the residual entry must be symbolic")
         if self.elsewhere.deficient:
             raise ValueError("the residual entry is never deficient")
+        object.__setattr__(self, "deficient_count", sum(1 for s in self.entries() if s.deficient))
 
     def entries(self) -> tuple[LocalStatus, ...]:
         return (self.at_infinity, self.at_p, self.at_q, self.elsewhere)
-
-    @property
-    def deficient_count(self) -> int:
-        return sum(1 for s in self.entries() if s.deficient)
 
     def deficient_places(self) -> tuple[Place, ...]:
         return tuple(s.place for s in self.entries() if s.deficient)
@@ -99,6 +98,9 @@ class DeficiencyLedger:
 
 # the one place of the interchange criterion that B does not hold
 _TWO = Place(2)
+
+# the symbolic entry, the same in every ledger
+_ELSEWHERE = LocalStatus(None, True, StatusSource.GOOD_REDUCTION_FACT)
 
 
 def pic1_real(p: int, q: int, quotient_prime: int) -> bool:
@@ -132,8 +134,7 @@ def pic1_at_other_prime(p: int, q: int) -> bool:
     to B(-p,-q).
     """
     B = _pair_algebra(p, q)
-    place = {v.prime: v for v in B.ram_set}
-    return _pic1_at_other_prime(place[p], place[q], B)
+    return _pic1_at_other_prime(*_places(B, p, q), B)
 
 
 def _pic1_at_other_prime(P: Place, Q: Place, B: QuaternionAlgebra) -> bool:
@@ -156,20 +157,25 @@ def _pic1_at_other_prime(P: Place, Q: Place, B: QuaternionAlgebra) -> bool:
     )
 
 
+def _places(B: QuaternionAlgebra, *primes: int) -> list[Place]:
+    """The Places of ``primes`` that B already holds."""
+    place = {v.prime: v for v in B.ram_set}
+    return [place[n] for n in primes]
+
+
 def deficiency_ledger(pair: AdmissiblePair) -> DeficiencyLedger:
     """Full local record for V/w_p of an admissible pair."""
-    return _deficiency_ledger(pair, _pair_algebra(pair.p, pair.q))
+    B = _pair_algebra(pair.p, pair.q)
+    return _deficiency_ledger(*_places(B, pair.p, pair.q), B)
 
 
-def _deficiency_ledger(pair: AdmissiblePair, B: QuaternionAlgebra) -> DeficiencyLedger:
-    """``deficiency_ledger`` for the pair's algebra B = {p, q}, whose Places
-    of p and q the entries reuse."""
-    place = {v.prime: v for v in B.ram_set}
-    P, Q = place[pair.p], place[pair.q]
-    real = _quad_field_splits(pair.p, B)  # pic1_real(p, q, p)
+def _deficiency_ledger(P: Place, Q: Place, B: QuaternionAlgebra) -> DeficiencyLedger:
+    """``deficiency_ledger`` at the Places P of p and Q of q, for the
+    algebra B = {p, q}."""
+    real = _quad_field_splits(P.prime, B)  # pic1_real(p, q, p)
     return DeficiencyLedger(
         at_infinity=LocalStatus(INFINITY, real, StatusSource.REAL_SPLITTING),
         at_p=LocalStatus(P, pic1_at_own_prime(), StatusSource.OWN_PRIME_UNIFORMIZATION),
         at_q=LocalStatus(Q, _pic1_at_other_prime(Q, P, B), StatusSource.INTERCHANGE_CRITERION),
-        elsewhere=LocalStatus(None, True, StatusSource.GOOD_REDUCTION_FACT),
+        elsewhere=_ELSEWHERE,
     )

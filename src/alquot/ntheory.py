@@ -65,6 +65,10 @@ class Place:
         if self.prime is not None and not is_prime(self.prime):
             raise ValueError(f"{self.prime} is not prime")
 
+    def __hash__(self) -> int:
+        # the generated hash builds the tuple (prime,) on every call
+        return hash(self.prime)
+
     @property
     def is_finite(self) -> bool:
         return self.prime is not None

@@ -157,7 +157,7 @@ def _certify_table(pairs: Iterable[AdmissiblePair]) -> Iterator[ParityCertificat
         )
         B = _pair_algebra(P, Q)
         genus = _genus_quotient(pair, B, h, fp, fq)
-        ledger = _deficiency_ledger(pair, B)
+        ledger = _deficiency_ledger(P, Q, B)
         yield ParityCertificate(
             pair=pair,
             genus=genus,

@@ -1,7 +1,10 @@
 import ast
 import contextlib
+import csv
+import dataclasses
 import errno
 import hashlib
+import io
 import json
 import os
 import stat
@@ -21,7 +24,7 @@ import alquot.quaternion
 import alquot.shimura
 from alquot.cli import CSV_HEADER, OutputRecord, main
 from alquot.mumford_graph import parse_graph, serialize_graph
-from alquot.parity import STANDING_ASSUMPTIONS
+from alquot.parity import STANDING_ASSUMPTIONS, enumerate_admissible
 from test_parity import _count_calls
 
 ASSUMPTION_CELL = ";".join(STANDING_ASSUMPTIONS)
@@ -260,6 +263,37 @@ def test_enumerate_2500_golden(fmt, capsys):
     assert main(["enumerate", "--max", "2500", "--format", fmt]) == 0
     out = capsys.readouterr().out.encode("utf-8")
     assert hashlib.sha256(out).hexdigest() == ENUMERATE_2500_SHA256[fmt]
+
+
+def test_enumerate_csv_encodes_each_assumptions_value_once(monkeypatch, capsys):
+    # certificates citing two assumption lists in turn, one of which the csv
+    # module must quote: a writer that reuses the first row's cell fails
+    certify_table = alquot.parity._certify_table
+    cited = [STANDING_ASSUMPTIONS, ('a "quoted", fact', "over\ntwo lines")]
+
+    def alternating(pairs):
+        for i, cert in enumerate(certify_table(pairs)):
+            yield dataclasses.replace(cert, assumptions=cited[i % 2])
+
+    monkeypatch.setattr(alquot.cli, "_certify_table", alternating)
+    assert main(["enumerate", "--max", "200"]) == 0
+    out = capsys.readouterr().out
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(CSV_HEADER)
+    records = map(OutputRecord.from_certificate, alternating(enumerate_admissible(200)))
+    writer.writerows(record.csv_row() for record in records)
+    assert out == expected.getvalue()
+    assert min(out.count(',"a ""quoted"", fact;over\ntwo lines"\n'), out.count(f",{ASSUMPTION_CELL}\n")) > 2
+
+
+def test_enumerate_csv_and_json_tables_agree(capsys):
+    assert main(["enumerate", "--max", "500", "--format", "json"]) == 0
+    records = [OutputRecord.from_json(json.dumps(obj)) for obj in json.loads(capsys.readouterr().out)]
+    assert main(["enumerate", "--max", "500"]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out, newline="")))
+    assert len(records) > 100
+    assert rows == [CSV_HEADER] + [record.csv_row() for record in records]
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

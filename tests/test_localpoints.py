@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 import alquot.localpoints
@@ -127,5 +129,8 @@ def test_ledger_guards():
     rest = LocalStatus(None, True, StatusSource.GOOD_REDUCTION_FACT)
     ledger = DeficiencyLedger(ok, at_p, at_q, rest)
     assert ledger.deficient_count == 1
+    # the count is taken when a ledger is built, so a replaced entry recounts
+    assert dataclasses.replace(ledger, at_infinity=dataclasses.replace(ok, pic1_nonempty=False)).deficient_count == 2
+    assert dataclasses.replace(ledger, at_q=dataclasses.replace(at_q, pic1_nonempty=True)).deficient_count == 0
     with pytest.raises(ValueError):
         DeficiencyLedger(at_p, ok, at_q, rest)  # first slot must be archimedean

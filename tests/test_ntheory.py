@@ -48,6 +48,19 @@ def test_place_requires_prime():
     assert str(INFINITY) == "inf"
 
 
+def test_place_hash_follows_equality():
+    # Place hashes as its prime; equality stays between Places alone
+    for v in SMALL_PLACES:
+        twin = Place(v.prime)
+        assert twin == v and hash(twin) == hash(v)
+        assert twin in set(SMALL_PLACES) and twin in frozenset(SMALL_PLACES)
+    assert Place(5) != 5 and 5 != Place(5)
+    assert 5 not in {Place(5)} and Place(5) not in frozenset({5, None})
+    assert len({Place(5), 5, INFINITY, None}) == 4
+    assert Place(11) not in frozenset(SMALL_PLACES)
+    assert sorted(reversed(SMALL_PLACES), key=Place.sort_key) == SMALL_PLACES[1:] + [INFINITY]
+
+
 def test_valuation_examples():
     assert valuation(-85, 5) == (1, -17)
     assert valuation(12, 2) == (2, 3)
