@@ -16,8 +16,8 @@ checks its bound and each candidate prime up front, then makes one pass:
 each pair is checked by the per-pair rule alone as it is drawn, certified
 in (p, q) order and written, so no pair is checked twice and no prime is
 proven per pair.  The class number h(-4p) is computed once per prime p,
-each prime's Place and genus factors once per table, and the algebra
-{p, q} is the one algebra built per certificate.  The hyperelliptic flag
+and each prime's Place and genus factors once per table; the two Places
+carry the algebra {p, q}, so no algebra is built.  The hyperelliptic flag
 is read off (p-1)(q-1) alone, so the sieve's class numbers are not
 computed.  In CSV, a cell constant across the table (the assumptions every
 certificate cites) is encoded once per table, not once per row.  No state

@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .ntheory import INFINITY, Place, hilbert_symbol
-from .quaternion import QuaternionAlgebra, _exchanged, _quad_field_splits
-from .shimura import AdmissiblePair, _pair_algebra
+from .quaternion import _exchanged, _quad_field_splits
+from .shimura import AdmissiblePair, _pair_places
 
 __all__ = [
     "StatusSource",
@@ -109,10 +109,10 @@ def pic1_real(p: int, q: int, quotient_prime: int) -> bool:
     Existence is equivalent to Q(sqrt(d)) splitting the algebra of
     discriminant pq, where d is the prime defining the involution.
     """
-    B = _pair_algebra(p, q)
+    places = _pair_places(p, q)
     if quotient_prime not in (p, q):
         raise ValueError("the quotient prime must divide the discriminant")
-    return _quad_field_splits(quotient_prime, B)
+    return _quad_field_splits(quotient_prime, places)
 
 
 def pic1_at_own_prime() -> bool:
@@ -133,23 +133,22 @@ def pic1_at_other_prime(p: int, q: int) -> bool:
     exchanging invariants at p and oo must be isomorphic to B(-1,-pq) or
     to B(-p,-q).
     """
-    B = _pair_algebra(p, q)
-    return _pic1_at_other_prime(*_places(B, p, q), B)
+    return _pic1_at_other_prime(*_pair_places(p, q))
 
 
-def _pic1_at_other_prime(P: Place, Q: Place, B: QuaternionAlgebra) -> bool:
-    """``pic1_at_other_prime`` at the Places P of p and Q of q, for the
-    algebra B of discriminant pq.
+def _pic1_at_other_prime(P: Place, Q: Place) -> bool:
+    """``pic1_at_other_prime`` at the Places P of p and Q of q, the
+    ramified places of the algebra B of discriminant pq.
 
     Both symbol algebras have 2ab = 2pq, so they and the interchanged
     algebra ramify only among oo, 2, p and q: agreeing at those four places
     is isomorphism.  The interchanged algebra is not built: its memberships
-    at those places are read off B by the exchange rule.  Each comparison
+    at those places are read off (P, Q) by the exchange rule.  Each comparison
     stops at the first place of disagreement, so no ramification set is
     built for a symbol algebra either.
     """
     places = (INFINITY, _TWO, P, Q)
-    swapped = [_exchanged(v, P) in B.ram_set for v in places]
+    swapped = [_exchanged(v, P) in (P, Q) for v in places]
     p, q = P.prime, Q.prime
     return any(
         all(held == (hilbert_symbol(a, b, v) == -1) for held, v in zip(swapped, places))
@@ -157,25 +156,18 @@ def _pic1_at_other_prime(P: Place, Q: Place, B: QuaternionAlgebra) -> bool:
     )
 
 
-def _places(B: QuaternionAlgebra, *primes: int) -> list[Place]:
-    """The Places of ``primes`` that B already holds."""
-    place = {v.prime: v for v in B.ram_set}
-    return [place[n] for n in primes]
-
-
 def deficiency_ledger(pair: AdmissiblePair) -> DeficiencyLedger:
     """Full local record for V/w_p of an admissible pair."""
-    B = _pair_algebra(pair.p, pair.q)
-    return _deficiency_ledger(*_places(B, pair.p, pair.q), B)
+    return _deficiency_ledger(*_pair_places(pair.p, pair.q))
 
 
-def _deficiency_ledger(P: Place, Q: Place, B: QuaternionAlgebra) -> DeficiencyLedger:
-    """``deficiency_ledger`` at the Places P of p and Q of q, for the
-    algebra B = {p, q}."""
-    real = _quad_field_splits(P.prime, B)  # pic1_real(p, q, p)
+def _deficiency_ledger(P: Place, Q: Place) -> DeficiencyLedger:
+    """``deficiency_ledger`` at the Places P of p and Q of q, which carry
+    the algebra B = {p, q} that every entry is read from."""
+    real = _quad_field_splits(P.prime, (P, Q))  # pic1_real(p, q, p)
     return DeficiencyLedger(
         at_infinity=LocalStatus(INFINITY, real, StatusSource.REAL_SPLITTING),
         at_p=LocalStatus(P, pic1_at_own_prime(), StatusSource.OWN_PRIME_UNIFORMIZATION),
-        at_q=LocalStatus(Q, _pic1_at_other_prime(Q, P, B), StatusSource.INTERCHANGE_CRITERION),
+        at_q=LocalStatus(Q, _pic1_at_other_prime(Q, P), StatusSource.INTERCHANGE_CRITERION),
         elsewhere=_ELSEWHERE,
     )

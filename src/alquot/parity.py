@@ -11,12 +11,13 @@ one-pair table, and ``certify`` checks admissibility of two integers once
 and then calls it.
 
 Each invariant is computed once, at the level it belongs to.  Per
-certificate: the algebra B = {p, q} serves the genus and every ledger
-entry.  Per prime: the Place, proven prime once per table, the
-Eichler-Shimura factors the genus multiplies, also once per table, and
-the class number h(-4p), computed once per run of pairs with equal p, so
-a table in (p, q) order needs one class number per distinct p.  A table
-keeps nothing per pair, so its memory does not grow with its length.
+certificate: the Places of p and q carry the algebra B = {p, q}, which
+serves the genus and every ledger entry, so no algebra is built.  Per
+prime: the Place, proven prime once per table, the Eichler-Shimura
+factors the genus multiplies, also once per table, and the class number
+h(-4p), computed once per run of pairs with equal p, so a table in (p, q)
+order needs one class number per distinct p.  A table keeps nothing per
+pair, so its memory does not grow with its length.
 
 ``enumerate_admissible`` scans a box for admissible pairs: the per-prime
 rule of ``check_admissible`` runs once per candidate prime and the
@@ -42,7 +43,6 @@ from .shimura import (
     AdmissiblePair,
     GenusData,
     _genus_quotient,
-    _pair_algebra,
     _pair_failure,
     _prime_failure,
     check_admissible,
@@ -143,9 +143,10 @@ def _certify_table(pairs: Iterable[AdmissiblePair]) -> Iterator[ParityCertificat
     h(-4p) is computed once per run of pairs with equal p, so pairs in
     (p, q) order, as ``enumerate_admissible`` returns them, need one class
     number per distinct p, and only the current one is held.  Each prime's
-    Place and genus factors are computed once per table.  B = {p, q} is
-    built once per pair and serves both the genus and the ledger.  Nothing
-    is kept per pair, so the pairs may come from a generator."""
+    Place and genus factors are computed once per table.  The Places of p
+    and q carry B = {p, q} to both the genus and the ledger, so no algebra
+    is built.  Nothing is kept per pair, so the pairs may come from a
+    generator."""
     primes: dict[int, tuple[Place, tuple[int, int, int]]] = {}
     p = h = None
     for pair in pairs:
@@ -155,9 +156,8 @@ def _certify_table(pairs: Iterable[AdmissiblePair]) -> Iterator[ParityCertificat
             primes.get(n) or primes.setdefault(n, (Place(n), _local_factors((n,))))
             for n in (pair.p, pair.q)
         )
-        B = _pair_algebra(P, Q)
-        genus = _genus_quotient(pair, B, h, fp, fq)
-        ledger = _deficiency_ledger(P, Q, B)
+        genus = _genus_quotient(pair, P, Q, h, fp, fq)
+        ledger = _deficiency_ledger(P, Q)
         yield ParityCertificate(
             pair=pair,
             genus=genus,

@@ -113,12 +113,7 @@ def interchange(B: QuaternionAlgebra, p: int) -> QuaternionAlgebra:
     if p == 2:
         raise ValueError("interchange is defined at an odd prime")
     held = [v for v in B.ram_set if v.prime == p]
-    return _interchange(B, held[0] if held else Place(p))  # Place(p) proves p
-
-
-def _interchange(B: QuaternionAlgebra, fin: Place) -> QuaternionAlgebra:
-    """``interchange`` at an odd prime whose Place the caller holds: the
-    image of B's ramification set under the exchange rule."""
+    fin = held[0] if held else Place(p)  # Place(p) proves p
     return QuaternionAlgebra(frozenset(_exchanged(v, fin) for v in B.ram_set))
 
 
@@ -143,14 +138,16 @@ def quad_field_splits(d: int, B: QuaternionAlgebra) -> bool:
     """
     if d in (0, 1) or not is_squarefree(d):
         raise ValueError("d must be squarefree and define a quadratic field")
-    return _quad_field_splits(d, B)
+    return _quad_field_splits(d, B.ram_set)
 
 
-def _quad_field_splits(d: int, B: QuaternionAlgebra) -> bool:
+def _quad_field_splits(d: int, ram: Iterable[Place]) -> bool:
     """``quad_field_splits`` for a d known to be squarefree, such as a prime
-    or its negative, so the caller skips factoring it again."""
+    or its negative, so the caller skips factoring it again, and for the
+    algebra whose ramified places are ``ram``: a certificate passes the
+    Places (P, Q) that carry B = {p, q}, so no algebra is built."""
     disc = d if d % 4 == 1 else 4 * d
-    for v in B.ram_set:
+    for v in ram:
         if v.is_finite:
             if kronecker(disc, v.prime) == 1:
                 return False

@@ -20,17 +20,18 @@ Genus formulas are evaluated exactly, as 12 times their value in
 integers, with mandatory integrality checks, so a congruence-hypothesis
 violation surfaces as an error instead of a wrong number.
 
-The entry points here and in ``localpoints`` build B = {p, q} through
-``_pair_algebra``, which owns the hypothesis that p and q are distinct
-odd primes and proves them prime as it builds their Places; a table
-passes it the Places it has proven once per prime instead.  The entry
-points delegate to private cores that take what a certificate already
-holds: B, built once per certificate, and the facts that belong to one
-prime and so are computed once per prime when a table shares them: h(-4p)
-and the Eichler-Shimura factors ``_local_factors((l,))`` of l = p and q,
-whose products the genus formula reads.  ``_genus_quotient(pair, B, h,
-fp, fq)`` is the core every certificate runs; it and ``_genus_VB`` hold
-the integrity checks.
+The int entry points here and in ``localpoints`` take p and q through
+``_pair_places``, which owns the hypothesis that p and q are distinct odd
+primes and proves them prime as it builds their Places; a table builds
+each prime's Place once instead.  The algebra B of discriminant pq is its
+ramification set {p, q}, so those two Places carry it: no algebra is
+built.  The entry points delegate to private cores that take what a
+certificate already holds: the Places P and Q, and the facts that belong
+to one prime and so are computed once per prime when a table shares them:
+h(-4p) and the Eichler-Shimura factors ``_local_factors((l,))`` of l = p
+and q, whose products the genus formula reads.  ``_genus_quotient(pair,
+P, Q, h, fp, fq)`` is the core every certificate runs; it and
+``_genus_VB`` hold the integrity checks.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from operator import mul
 
 from .ntheory import Place, is_prime, kronecker
 from .quadforms import class_number
-from .quaternion import QuaternionAlgebra, _local_factors, _quad_field_splits
+from .quaternion import _local_factors, _quad_field_splits
 
 __all__ = [
     "AdmissiblePair",
@@ -147,13 +148,12 @@ class GenusData:
     mass_half: int
 
 
-def _pair_algebra(p: int | Place, q: int | Place) -> QuaternionAlgebra:
-    """The algebra B of discriminant pq.  Building it proves p and q prime,
-    unless they come as Places, which were proven when they were built."""
-    primes = {v.prime if isinstance(v, Place) else v for v in (p, q)}
-    if len(primes) < 2 or 2 in primes:
+def _pair_places(p: int, q: int) -> tuple[Place, Place]:
+    """The Places of p and q, the ramified places of the algebra B of
+    discriminant pq.  Building them proves p and q prime."""
+    if p == q or 2 in (p, q):
         raise ValueError("the discriminant pq needs distinct odd primes p and q")
-    return QuaternionAlgebra.from_ramified_places((p, q))
+    return Place(p), Place(q)
 
 
 def genus_VB(p: int, q: int) -> int:
@@ -163,7 +163,7 @@ def genus_VB(p: int, q: int) -> int:
 
     with e_2 = prod(1 - (-4/l)) and e_3 = prod(1 - (-3/l)) over l in {p, q}.
     """
-    _pair_algebra(p, q)  # for its guard and primality proofs alone
+    _pair_places(p, q)  # for its guard and primality proofs alone
     return _genus_VB(p, q, _local_factors((p,)), _local_factors((q,)))
 
 
@@ -189,12 +189,14 @@ def fixed_points_e(p: int, q: int) -> int:
     """
     if p % 4 != 1:
         raise ValueError("fixed point count implemented only for p = 1 mod 4")
-    return _fixed_points_e(p, _pair_algebra(p, q), class_number(-4 * p))
+    P, Q = _pair_places(p, q)
+    return _fixed_points_e(P, Q, class_number(-4 * p))
 
 
-def _fixed_points_e(p: int, B: QuaternionAlgebra, h: int) -> int:
-    """``fixed_points_e`` for the algebra B of discriminant pq and h = h(-4p)."""
-    return 2 * h if _quad_field_splits(-p, B) else 0
+def _fixed_points_e(P: Place, Q: Place, h: int) -> int:
+    """``fixed_points_e`` at the Places P of p and Q of q, which carry the
+    algebra of discriminant pq, for h = h(-4p)."""
+    return 2 * h if _quad_field_splits(-P.prime, (P, Q)) else 0
 
 
 def genus_quotient(pair: AdmissiblePair) -> GenusData:
@@ -206,23 +208,23 @@ def genus_quotient(pair: AdmissiblePair) -> GenusData:
     violations raise instead of rounding.
     """
     p, q = pair.p, pair.q
-    return _genus_quotient(
-        pair, _pair_algebra(p, q), class_number(-4 * p), _local_factors((p,)), _local_factors((q,))
-    )
+    P, Q = _pair_places(p, q)
+    return _genus_quotient(pair, P, Q, class_number(-4 * p), _local_factors((p,)), _local_factors((q,)))
 
 
 def _genus_quotient(
     pair: AdmissiblePair,
-    B: QuaternionAlgebra,
+    P: Place,
+    Q: Place,
     h: int,
     fp: tuple[int, int, int],
     fq: tuple[int, int, int],
 ) -> GenusData:
-    """``genus_quotient`` for the pair's algebra B = {p, q}, h = h(-4p) and
-    the factors ``_local_factors`` gives p and q, which the caller computes
+    """``genus_quotient`` for the pair's Places P and Q, h = h(-4p) and the
+    factors ``_local_factors`` gives p and q, which the caller computes
     once and shares.  Every certificate runs the integrity checks here."""
     g = _genus_VB(pair.p, pair.q, fp, fq)
-    e = _fixed_points_e(pair.p, B, h)
+    e = _fixed_points_e(P, Q, h)
     if (g + 1) % 2:
         raise ValueError(f"(g_VB + 1)/2 is not integral for {pair}")
     if e % 4:

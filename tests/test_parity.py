@@ -107,33 +107,33 @@ def _count_calls(monkeypatch, function) -> list:
 
 
 def _count_algebras(monkeypatch) -> list:
-    """Record the places of every ``QuaternionAlgebra.from_ramified_places`` call."""
-    calls = []
-    build = QuaternionAlgebra.from_ramified_places.__func__
+    """Record the ramification set of every ``QuaternionAlgebra`` built,
+    however it is built."""
+    built = []
+    check = QuaternionAlgebra.__post_init__
 
-    def counted(cls, places):
-        calls.append(places)
-        return build(cls, places)
+    def counted(self):
+        built.append(self.ram_set)
+        check(self)
 
-    monkeypatch.setattr(QuaternionAlgebra, "from_ramified_places", classmethod(counted))
-    return calls
+    monkeypatch.setattr(QuaternionAlgebra, "__post_init__", counted)
+    return built
 
 
 def test_certify_computes_each_invariant_once(monkeypatch):
     class_numbers = _count_calls(monkeypatch, alquot.quadforms.class_number)
-    # the genus core, with the algebra and class number the certificate shares
+    # the genus core, with the Places and class number the certificate shares
     genera = _count_calls(monkeypatch, alquot.shimura._genus_quotient)
     algebras = _count_algebras(monkeypatch)
     cert = certify(29, 17)
     assert cert.genus.g_quotient == 16
     assert class_numbers == [(-4 * 29,)]
-    assert [args[0] for args in genera] == [AdmissiblePair(29, 17)]
-    assert algebras == [(Place(29), Place(17))]
+    assert [args[:3] for args in genera] == [(AdmissiblePair(29, 17), Place(29), Place(17))]
+    # the Places of p and q carry B = {p, q}: no algebra is built
+    assert algebras == []
 
 
-def test_enumerate_computes_one_class_number_per_prime_and_one_algebra_per_certificate(
-    monkeypatch, capsys
-):
+def test_enumerate_computes_one_class_number_per_prime_and_builds_no_algebra(monkeypatch, capsys):
     class_numbers = _count_calls(monkeypatch, alquot.quadforms.class_number)
     algebras = _count_algebras(monkeypatch)
     assert main(["enumerate", "--max", "500"]) == 0
@@ -141,7 +141,7 @@ def test_enumerate_computes_one_class_number_per_prime_and_one_algebra_per_certi
     ps = sorted({int(row[0]) for row in rows})
     assert len(rows) > len(ps) > 5
     assert class_numbers == [(-4 * p,) for p in ps]
-    assert len(algebras) == len(rows)
+    assert algebras == []
 
 
 def test_enumerate_computes_the_genus_factors_once_per_prime(monkeypatch, capsys):
@@ -153,22 +153,6 @@ def test_enumerate_computes_the_genus_factors_once_per_prime(monkeypatch, capsys
     assert sorted(factors) == [((n,),) for n in sorted(primes)]
     for p, q, _, g in rows:
         assert g == genus_VB(p, q)
-
-
-def test_enumerate_builds_one_algebra_per_certificate(monkeypatch, capsys):
-    # count the instances, however they are built: B = {p, q} and nothing else
-    built = []
-    check = QuaternionAlgebra.__post_init__
-
-    def counted(self):
-        built.append(self.ram_set)
-        check(self)
-
-    monkeypatch.setattr(QuaternionAlgebra, "__post_init__", counted)
-    assert main(["enumerate", "--max", "500"]) == 0
-    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
-    assert len(rows) > 100
-    assert built == [frozenset({Place(int(row[0])), Place(int(row[1]))}) for row in rows]
 
 
 def test_enumerate_evaluates_few_hilbert_symbols_per_row(monkeypatch, capsys):
@@ -191,8 +175,8 @@ def test_certify_and_sieve_reuse_the_known_primes(monkeypatch):
 
 
 def test_certify_proves_each_prime_a_bounded_number_of_times(monkeypatch):
-    # check_admissible proves p and q, and so does the certificate's one
-    # algebra as it builds their Places; the rest of the path trusts those
+    # check_admissible proves p and q, and so does the table as it builds
+    # their Places; the rest of the path trusts those
     primality = _count_calls(monkeypatch, alquot.ntheory.is_prime)
     squarefree = _count_calls(monkeypatch, alquot.ntheory.is_squarefree)
     cert = certify(100109, 41)

@@ -84,6 +84,41 @@ def test_genus_matches_the_rational_formula():
             assert genus_VB(p, q) == g, (p, q)
 
 
+def _character(d: int, ell: int) -> int:
+    """(d/ell) for an odd prime ell, by searching for a square root of d."""
+    if d % ell == 0:
+        return 0
+    return 1 if any(x * x % ell == d % ell for x in range(1, ell)) else -1
+
+
+def _twelve_g0(primes: list[int], chi4: dict, chi3: dict) -> int:
+    """12 times the genus of X_0(N) for N the product of the distinct odd
+    ``primes``: 1 + index/12 - nu2/4 - nu3/3 - cusps/2 (Shimura,
+    Prop. 1.40 and 1.43), with index prod(l+1), nu2 = prod(1 + (-4/l)),
+    nu3 = prod(1 + (-3/l)) and 2^k cusps for k primes."""
+    index, nu2, nu3 = 1, 1, 1
+    for ell in primes:
+        index *= ell + 1
+        nu2 *= 1 + chi4[ell]
+        nu3 *= 1 + chi3[ell]
+    return 12 + index - 3 * nu2 - 4 * nu3 - 6 * 2 ** len(primes)
+
+
+def test_genus_matches_the_new_part_of_X0_by_jacquet_langlands():
+    # Jac(V) is isogenous to the pq-new part of J_0(pq), so
+    # g_VB = g0(pq) - 2 g0(p) - 2 g0(q), from the Gamma_0(N) genus formula
+    primes = [n for n in range(3, 400, 2) if all(n % d for d in range(3, n, 2))]
+    chi4 = {ell: _character(-1, ell) for ell in primes}  # (-4/l) = (-1/l)
+    chi3 = {ell: _character(-3, ell) for ell in primes}
+    pairs = [(p, q) for p in primes for q in primes if p < q]
+    assert len(pairs) == 2926
+    for p, q in pairs:
+        old = _twelve_g0([p], chi4, chi3) + _twelve_g0([q], chi4, chi3)
+        g12 = _twelve_g0([p, q], chi4, chi3) - 2 * old
+        assert g12 % 12 == 0, (p, q)
+        assert genus_VB(p, q) == g12 // 12, (p, q)
+
+
 def test_fixed_points_examples():
     assert fixed_points_e(5, 17) == 4
     assert fixed_points_e(13, 17) == 0  # 17 splits Q(sqrt(-13))
