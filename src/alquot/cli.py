@@ -11,19 +11,11 @@ batch scripts can tell malformed input from out-of-regime input.
                                          the local-point criterion
 
 JSON and CSV speak the fixed record schema below; the CSV column order is
-frozen and list-valued cells join their items with semicolons.  ``enumerate``
-checks its bound and each candidate prime up front, then makes one pass:
-each pair is checked by the per-pair rule alone as it is drawn, certified
-in (p, q) order and written, so no pair is checked twice and no prime is
-proven per pair.  The class number h(-4p) is computed once per prime p,
-and each prime's Place and genus factors once per table; the two Places
-carry the algebra {p, q}, so no algebra is built.  The hyperelliptic flag
-is read off (p-1)(q-1) alone, so the sieve's class numbers are not
-computed.  In CSV, a cell constant across the table (the assumptions every
-certificate cites) is encoded once per table, not once per row.  No state
-is kept per pair: memory does not grow with the table.  An integrity check
-failing mid-table raises after stdout may hold a prefix, but leaves no
-partial ``--out`` file.
+frozen and list-valued cells join their items with semicolons.
+``enumerate`` streams its table in (p, q) order, one row per admissible
+pair, so memory does not grow with the table.  An integrity check failing
+mid-table raises after stdout may hold a prefix, but leaves no partial
+``--out`` file.
 
 ``certify`` and ``hilbert`` refuse inputs beyond a desk-scale budget
 (``_MAX_CERTIFY_PRIME``, ``_MAX_HILBERT_PRIME``) with exit 1 before any

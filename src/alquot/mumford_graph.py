@@ -27,7 +27,9 @@ File format, one record per line, UTF-8::
 
 Blank lines and lines starting with ``#`` are ignored; anything else is a
 parse error carrying its line number.  Serialization is canonical and
-round-trips.
+round-trips.  A hand-built graph lacking an image, a length, an involution,
+an edge or a vertex is reported by ``validate`` as values; the other
+operations raise ValueError or a subclass where they need it, never KeyError.
 """
 
 from __future__ import annotations
@@ -121,46 +123,30 @@ class LengthedQuotientGraph:
         return self.involutions[name]
 
 
-def _expand_edge_tables(
-    base_edges: list[tuple[str, str, str, int]],
-) -> tuple[dict[str, tuple[str, str]], dict[str, int]]:
-    endpoints: dict[str, tuple[str, str]] = {}
-    lengths: dict[str, int] = {}
-    for eid, src, dst, length in base_edges:
-        endpoints[eid] = (src, dst)
-        endpoints[opposite(eid)] = (dst, src)
-        lengths[eid] = length
-        lengths[opposite(eid)] = length
-    return endpoints, lengths
-
-
 def _expand_involution(
-    oriented_ids: set[str], name: str, pairs: list[tuple[str, str]]
+    oriented_ids: Mapping[str, object], name: str, pairs: list[tuple[str, str]]
 ) -> dict[str, str]:
     """Total involution from generator pairs.
 
     Each a -> b forces b -> a and the opposites ~a -> ~b, ~b -> ~a;
     unlisted edges stay fixed.  Contradictions raise ValueError.
     """
-    mapping = {e: e for e in oriented_ids}
-    assigned: set[str] = set()
+    assigned: dict[str, str] = {}
     for a, b in pairs:
         for x, y in ((a, b), (b, a), (opposite(a), opposite(b)), (opposite(b), opposite(a))):
-            if x not in mapping or y not in mapping:
+            if x not in oriented_ids or y not in oriented_ids:
                 raise ValueError(f"involution {name} mentions unknown edge {x!r}")
-            if x in assigned and mapping[x] != y:
+            if assigned.setdefault(x, y) != y:
                 raise ValueError(f"involution {name} maps {x!r} inconsistently")
-            mapping[x] = y
-            assigned.add(x)
-    return mapping
+    return {e: assigned.get(e, e) for e in oriented_ids}
 
 
 def parse_graph(text: str) -> LengthedQuotientGraph:
     """Parse the line-oriented format; raises GraphParseError with the
     offending line number."""
     vertices: dict[str, str] = {}
-    base_edges: list[tuple[str, str, str, int]] = []
-    edge_ids: set[str] = set()
+    endpoints: dict[str, tuple[str, str]] = {}
+    lengths: dict[str, int] = {}
     inv_lines: list[tuple[int, str, list[str]]] = []
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -184,7 +170,7 @@ def parse_graph(text: str) -> LengthedQuotientGraph:
             _, eid, src, dst, raw_len = tokens
             if eid.startswith("~"):
                 raise GraphParseError(lineno, "edge ids must not start with ~")
-            if eid in edge_ids:
+            if eid in endpoints:
                 raise GraphParseError(lineno, f"duplicate edge {eid!r}")
             if src not in vertices or dst not in vertices:
                 raise GraphParseError(lineno, "edge endpoints must be declared first")
@@ -194,8 +180,8 @@ def parse_graph(text: str) -> LengthedQuotientGraph:
                 raise GraphParseError(lineno, f"bad length {raw_len!r}") from None
             if length < 1:
                 raise GraphParseError(lineno, "length must be a positive integer")
-            edge_ids.add(eid)
-            base_edges.append((eid, src, dst, length))
+            endpoints[eid], endpoints[opposite(eid)] = (src, dst), (dst, src)
+            lengths[eid] = lengths[opposite(eid)] = length
         elif kind == "inv":
             if len(tokens) < 2 or tokens[1] not in INVOLUTION_NAMES:
                 raise GraphParseError(lineno, "involution line needs: inv <wp|wq|wpq> [pairs]")
@@ -205,18 +191,14 @@ def parse_graph(text: str) -> LengthedQuotientGraph:
         else:
             raise GraphParseError(lineno, f"unknown record {kind!r}")
 
-    endpoints, lengths = _expand_edge_tables(base_edges)
-    oriented_ids = set(endpoints)
-    involutions = {name: {e: e for e in oriented_ids} for name in INVOLUTION_NAMES}
+    involutions = {name: {e: e for e in endpoints} for name in INVOLUTION_NAMES}
     seen: set[str] = set()
     for lineno, name, flat in inv_lines:
         if name in seen:
             raise GraphParseError(lineno, f"involution {name} declared twice")
         seen.add(name)
         try:
-            involutions[name] = _expand_involution(
-                oriented_ids, name, list(zip(flat[0::2], flat[1::2]))
-            )
+            involutions[name] = _expand_involution(endpoints, name, list(zip(flat[0::2], flat[1::2])))
         except ValueError as exc:
             raise GraphParseError(lineno, str(exc)) from exc
 
@@ -239,7 +221,7 @@ def serialize_graph(graph: LengthedQuotientGraph) -> str:
         lines.append(f"v {vid} {graph.vertex_parity[vid]}")
     for eid in graph.base_edges():
         src, dst = graph.edge_endpoints[eid]
-        lines.append(f"e {eid} {src} {dst} {graph.edge_length[eid]}")
+        lines.append(f"e {eid} {src} {dst} {_length(graph, eid)}")
     for name in INVOLUTION_NAMES:
         w = graph.involution(name)
         parts = [f"inv {name}"]
@@ -288,6 +270,7 @@ def validate(graph: LengthedQuotientGraph, dual_graph_checks: bool = False) -> l
     """
     out: list[str] = []
     edges = graph.edge_endpoints
+    edge_set = set(edges)
 
     for vid, parity in graph.vertex_parity.items():
         if parity not in ("even", "odd"):
@@ -319,13 +302,13 @@ def validate(graph: LengthedQuotientGraph, dual_graph_checks: bool = False) -> l
 
     for name in INVOLUTION_NAMES:
         w = graph.involution(name)
-        if set(w) != set(edges) or set(w.values()) != set(edges):
+        if w.keys() != edge_set or set(w.values()) != edge_set:
             out.append(f"{name} is not a permutation of the oriented edges")
             continue
         for eid in edges:
             if w[w[eid]] != eid:
                 out.append(f"{name} is not an involution at {eid!r}")
-            if w[opposite(eid)] != opposite(w[eid]):
+            if w.get(opposite(eid)) != opposite(w[eid]):
                 out.append(f"{name} does not commute with opposition at {eid!r}")
             if graph.edge_length.get(w[eid]) != graph.edge_length.get(eid):
                 out.append(f"{name} does not preserve the length of {eid!r}")
@@ -334,7 +317,7 @@ def validate(graph: LengthedQuotientGraph, dual_graph_checks: bool = False) -> l
             out.append(f"{name} is not an automorphism: {vmap}")
 
     wp, wq, wpq = (graph.involution(n) for n in INVOLUTION_NAMES)
-    if set(wp) == set(edges) and set(wq) == set(edges) and set(wpq) == set(edges):
+    if all(w.keys() == edge_set for w in (wp, wq, wpq)):
         for eid in edges:
             if wpq[eid] != wp.get(wq[eid]):
                 out.append(f"wpq differs from wp o wq at {eid!r}")
@@ -356,24 +339,29 @@ def _image(name: str, w: Mapping[str, str], eid: str) -> str:
         raise ValueError(f"{name} has no image for edge {eid!r}") from None
 
 
-def _orbit_rep(name: str, w: Mapping[str, str], eid: str) -> str:
-    """Canonical name of the orbit of an oriented edge under the involution
-    ``name``, which is w.
+def _length(graph: LengthedQuotientGraph, eid: str) -> int:
+    """The length of eid; ValueError naming it when the graph has none."""
+    try:
+        return graph.edge_length[eid]
+    except KeyError:
+        raise ValueError(f"edge {eid!r} has no length") from None
+
+
+def quotient_edge_map(graph: LengthedQuotientGraph, name: str) -> dict[str, str]:
+    """Where each oriented edge lands in the quotient by the named
+    involution (the canonical orbit ids used by quotient_by_involution).
 
     The orbit pair {r, w(r)} and its opposite pair receive names that are
     again opposite: the smaller base id of r and w(r), which an edge shares
     with its opposite, names the orbit containing its plain orientation.
     """
-    target = _image(name, w, eid)
-    rep_base = min(_base_id(eid), _base_id(target))
-    return rep_base if rep_base in (eid, target) else "~" + rep_base
-
-
-def quotient_edge_map(graph: LengthedQuotientGraph, name: str) -> dict[str, str]:
-    """Where each oriented edge lands in the quotient by the named
-    involution (the canonical orbit ids used by quotient_by_involution)."""
     w = graph.involution(name)
-    return {eid: _orbit_rep(name, w, eid) for eid in graph.edge_endpoints}
+    edge_map: dict[str, str] = {}
+    for eid in graph.edge_endpoints:
+        target = _image(name, w, eid)
+        rep_base = min(_base_id(eid), _base_id(target))
+        edge_map[eid] = rep_base if rep_base in (eid, target) else "~" + rep_base
+    return edge_map
 
 
 def quotient_by_involution(graph: LengthedQuotientGraph, name: str) -> LengthedQuotientGraph:
@@ -397,6 +385,8 @@ def quotient_by_involution(graph: LengthedQuotientGraph, name: str) -> LengthedQ
         if w[eid] == opposite(eid):
             raise QuotientError(f"{name} reverses edge {eid!r}; quotient length undefined")
 
+    edge_orbit = quotient_edge_map(graph, name)
+    descended: dict[str, dict[str, str]] = {}
     for other in INVOLUTION_NAMES:
         if other == name:
             continue
@@ -405,19 +395,18 @@ def quotient_by_involution(graph: LengthedQuotientGraph, name: str) -> LengthedQ
             for eid in graph.edge_endpoints:
                 if u[w[eid]] != w[u[eid]]:
                     raise QuotientError(f"{other} does not commute with {name}; descent undefined")
+            descended[other] = {edge_orbit[eid]: edge_orbit[u[eid]] for eid in graph.edge_endpoints}
         except KeyError:
             # w is a total map on the edges (checked above), so u is not
             raise QuotientError(f"{other} is not a permutation of the oriented edges") from None
 
+    if vmap.keys() - graph.vertex_parity.keys():
+        raise QuotientError("an edge touches an undeclared vertex")
     vertex_orbit = {v: min(v, vmap[v]) for v in graph.vertex_parity}
-    parities = {
-        orbit: graph.vertex_parity[orbit] for orbit in set(vertex_orbit.values())
-    }
+    parities = {orbit: graph.vertex_parity[orbit] for orbit in set(vertex_orbit.values())}
     preserves_classes = all(
         graph.vertex_parity[v] == graph.vertex_parity[vmap[v]] for v in graph.vertex_parity
     )
-
-    edge_orbit = quotient_edge_map(graph, name)
 
     endpoints: dict[str, tuple[str, str]] = {}
     lengths: dict[str, int] = {}
@@ -426,19 +415,10 @@ def quotient_by_involution(graph: LengthedQuotientGraph, name: str) -> LengthedQ
         image = (vertex_orbit[src], vertex_orbit[dst])
         if endpoints.setdefault(orbit, image) != image:
             raise QuotientError(f"orbit of {eid!r} has inconsistent endpoints")
-        length = graph.edge_length[eid] * (2 if w[eid] == eid else 1)
+        length = _length(graph, eid) * (2 if w[eid] == eid else 1)
         if lengths.setdefault(orbit, length) != length:
             raise QuotientError(f"orbit of {eid!r} has inconsistent lengths")
-
-    descended: dict[str, dict[str, str]] = {}
-    for other in INVOLUTION_NAMES:
-        if other == name:
-            descended[other] = {orbit: orbit for orbit in endpoints}
-        else:
-            u = graph.involution(other)
-            descended[other] = {
-                edge_orbit[eid]: edge_orbit[u[eid]] for eid in graph.edge_endpoints
-            }
+    descended[name] = {orbit: orbit for orbit in endpoints}
 
     return LengthedQuotientGraph(
         vertex_parity=parities,
@@ -462,10 +442,7 @@ def base_change(
         raise ValueError("e and f must be positive integers")
     # instances are immutable, so the unchanged tables are shared
     scaled = replace(graph, edge_length={eid: n * e for eid, n in graph.edge_length.items()})
-    if f % 2:
-        frobenius = dict(graph.involution("wp"))
-    else:
-        frobenius = {eid: eid for eid in graph.edge_endpoints}
+    frobenius = dict(graph.involution("wp")) if f % 2 else {eid: eid for eid in graph.edge_endpoints}
     return scaled, frobenius
 
 
@@ -499,12 +476,11 @@ def lift_case_analysis(graph: LengthedQuotientGraph, s: str) -> LiftCase:
     """
     if s not in graph.edge_endpoints:
         raise ValueError(f"unknown edge {s!r}")
-    if s not in graph.edge_length:
-        raise ValueError(f"edge {s!r} has no length")
+    length = _length(graph, s)
     wp, wq, wpq = (graph.involution(n) for n in INVOLUTION_NAMES)
     wp_s, wq_s, wpq_s = (_image(n, w, s) for n, w in zip(INVOLUTION_NAMES, (wp, wq, wpq)))
     sbar = opposite(s)
-    even = graph.edge_length[s] % 2 == 0
+    even = length % 2 == 0
     if not (even or wq_s == s):
         raise ValueError("edge fails condition (1): even length or wq-fixed")
     if not (wp_s == sbar or wpq_s == sbar):

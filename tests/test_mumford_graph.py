@@ -149,6 +149,11 @@ def test_validate_reports_a_missing_length(lengths):
     assert has_local_point(g, "wp") == (True, opposite(missing))
     with pytest.raises(ValueError, match="has no length"):
         lift_case_analysis(g, missing)
+    with pytest.raises(ValueError, match=f"edge {missing!r} has no length"):
+        quotient_by_involution(g, "wq")
+    if missing == "e1":  # serialization reads the plain orientation's length
+        with pytest.raises(ValueError, match="edge 'e1' has no length"):
+            serialize_graph(g)
 
 
 def test_a_missing_involution_image_is_reported_not_raised():
@@ -164,6 +169,22 @@ def test_a_missing_involution_image_is_reported_not_raised():
     assert "wq is not a permutation of the oriented edges" in validate(g)
     with pytest.raises(QuotientError, match="wq is not a permutation of the oriented edges"):
         quotient_by_involution(g, "wp")
+
+    # wq sends ~e1 to an edge the graph no longer has
+    endpoints = {eid: ends for eid, ends in swap.edge_endpoints.items() if eid != "~e2"}
+    with pytest.raises(QuotientError, match="wq is not a permutation of the oriented edges"):
+        quotient_by_involution(replace(swap, edge_endpoints=endpoints), "wp")
+
+
+def test_a_one_sided_edge_or_an_undeclared_vertex_is_reported_not_raised():
+    identity = {name: {"e1": "e1"} for name in INVOLUTION_NAMES}
+    one_sided = LengthedQuotientGraph({"a": "even", "b": "odd"}, {"e1": ("a", "b")}, {"e1": 2}, identity)
+    assert "edge 'e1' has no opposite" in validate(one_sided)
+
+    undeclared = replace(parse_graph(TWO_EDGE), vertex_parity={"a": "even"})
+    assert "edge 'e1' touches an undeclared vertex" in validate(undeclared)
+    with pytest.raises(QuotientError, match="an edge touches an undeclared vertex"):
+        quotient_by_involution(undeclared, "wq")
 
 
 @pytest.mark.parametrize(
@@ -213,6 +234,39 @@ def test_serialize_graph_names_an_involution_without_an_image(name):
 def test_quotient_edge_map_names_an_involution_without_an_image(name):
     with pytest.raises(ValueError, match=f"^{name} has no image for edge 'e1'$"):
         quotient_edge_map(_without_image_of_e1(name), name)
+
+
+def _corruptions(g, rng):
+    """Six hand-built faults, each at a random oriented edge or involution."""
+    eid, name = rng.choice(g.oriented_edges()), rng.choice(INVOLUTION_NAMES)
+    w = g.involutions[name]
+    return [
+        replace(g, involutions={**g.involutions, name: {e: t for e, t in w.items() if e != eid}}),
+        replace(g, involutions={**g.involutions, name: {**w, eid: "nowhere"}}),
+        replace(g, edge_length={e: n for e, n in g.edge_length.items() if e != eid}),
+        replace(g, edge_length={**g.edge_length, eid: 0}),
+        replace(g, involutions={n: u for n, u in g.involutions.items() if n != name}),
+        replace(g, edge_endpoints={e: ends for e, ends in g.edge_endpoints.items() if e != eid}),
+    ]
+
+
+def test_operations_on_a_corrupted_graph_raise_only_value_errors():
+    operations = [serialize_graph, lambda g: base_change(g, 2, 1), lambda g: base_change(g, 1, 2)]
+    for name in INVOLUTION_NAMES:
+        operations += [
+            lambda g, name=name: quotient_by_involution(g, name),
+            lambda g, name=name: quotient_edge_map(g, name),
+            lambda g, name=name: has_local_point(g, name),
+        ]
+    rng = Random(15)
+    for _ in range(200):
+        for g in _corruptions(random_quotient_graph(rng), rng):
+            assert validate(g) and validate(g, dual_graph_checks=True)
+            for call in operations + [lambda g, s=s: lift_case_analysis(g, s) for s in g.edge_endpoints]:
+                try:
+                    call(g)
+                except ValueError:  # QuotientError and ImpossibleCaseError included
+                    pass
 
 
 def test_validate_dual_graph_checks():

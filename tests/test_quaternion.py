@@ -165,6 +165,48 @@ def test_eichler_class_number_matches_the_rational_formula():
                 eichler_class_number(D)
 
 
+def _supersingular_j_count(ell):
+    """Supersingular j-invariants in characteristic ell, by Deuring's
+    criterion alone (Silverman, AEC V.4.1): the distinct values of
+    j(lam) = 256 (lam^2 - lam + 1)^3 / (lam^2 (lam - 1)^2) over the roots
+    in F_{ell^2} of the Hasse polynomial sum_i C(m, i)^2 lam^i, m = (ell-1)/2.
+    F_{ell^2} = F_ell[t]/(t^2 - n) for a non-residue n; only int arithmetic."""
+    m = (ell - 1) // 2
+    n = next(a for a in range(2, ell) if pow(a, m, ell) == ell - 1)
+
+    def mul(x, y):
+        return (x[0] * y[0] + n * x[1] * y[1]) % ell, (x[0] * y[1] + x[1] * y[0]) % ell
+
+    def add(x, c0, c1=0):
+        return (x[0] + c0) % ell, (x[1] + c1) % ell
+
+    coefficients = [math.comb(m, i) ** 2 for i in range(m, -1, -1)]
+    roots = []
+    for lam in ((a, b) for a in range(ell) for b in range(ell)):
+        value = (0, 0)
+        for c in coefficients:  # Horner
+            value = add(mul(value, lam), c)
+        if value == (0, 0):
+            roots.append(lam)
+    assert len(roots) == m  # the Hasse polynomial splits into distinct roots over F_{ell^2}
+    j_values = set()
+    for lam in roots:
+        lam_sq = mul(lam, lam)
+        s = add(lam_sq, 1 - lam[0], -lam[1])
+        num = mul(mul(s, s), mul(s, (256, 0)))
+        den = mul(lam_sq, mul(add(lam, -1), add(lam, -1)))
+        norm_inv = pow(den[0] ** 2 - n * den[1] ** 2, ell - 2, ell)
+        j_values.add(mul(num, (den[0] * norm_inv, -den[1] * norm_inv)))
+    return len(j_values)
+
+
+def test_eichler_class_number_of_a_prime_counts_supersingular_j_invariants():
+    # Deuring: the maximal-order classes of the algebra ramified at {ell, oo}
+    # match the supersingular j-invariants in characteristic ell
+    for ell in [ell for ell in range(5, 62) if all(ell % d for d in range(2, ell))]:
+        assert eichler_class_number(ell) == _supersingular_j_count(ell), ell
+
+
 def test_eichler_lower_bound():
     primes = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97]
     for i, p in enumerate(primes):
