@@ -160,7 +160,8 @@ _PARSER = build_parser()
 
 
 # Desk-scale budgets, checked before any work.  ``certify`` proves p and q
-# by trial division and counts h(-4p) in O(p) steps, ~2 s at p = 10^8;
+# by trial division and counts h(-4p) from square roots mod 4a, ~0.2 s in
+# all for a fresh process at p = 10^8 (2-core Xeon, Python 3.11);
 # ``hilbert`` proves its place by trial division, ~0.1 s at 10^12.
 _MAX_CERTIFY_PRIME = 10**8
 _MAX_HILBERT_PRIME = 10**12

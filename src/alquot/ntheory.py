@@ -65,6 +65,14 @@ class Place:
         if self.prime is not None and not is_prime(self.prime):
             raise ValueError(f"{self.prime} is not prime")
 
+    @classmethod
+    def _proven(cls, n: int) -> "Place":
+        """The Place of n, which the caller has already proven prime: built
+        without proving it again."""
+        place = object.__new__(cls)
+        object.__setattr__(place, "prime", n)
+        return place
+
     def __hash__(self) -> int:
         # the generated hash builds the tuple (prime,) on every call
         return hash(self.prime)

@@ -13,10 +13,11 @@ and then calls it.
 Each invariant is computed once, at the level it belongs to.  Per
 certificate: the Places of p and q carry the algebra B = {p, q}, which
 serves the genus and every ledger entry, so no algebra is built.  Per
-prime: the Place, proven prime once per table, the Eichler-Shimura
-factors the genus multiplies, also once per table, and the class number
-h(-4p), computed once per run of pairs with equal p, so a table in (p, q)
-order needs one class number per distinct p.  A table keeps nothing per
+prime: the primality proof, run once, when the pair is admitted; the
+Place, which trusts that proof, and the Eichler-Shimura factors the
+genus multiplies, both once per table; and the class number h(-4p),
+computed once per run of pairs with equal p, so a table in (p, q) order
+needs one class number per distinct p.  A table keeps nothing per
 pair, so its memory does not grow with its length.
 
 ``enumerate_admissible`` scans a box for admissible pairs: the per-prime
@@ -143,17 +144,18 @@ def _certify_table(pairs: Iterable[AdmissiblePair]) -> Iterator[ParityCertificat
     h(-4p) is computed once per run of pairs with equal p, so pairs in
     (p, q) order, as ``enumerate_admissible`` returns them, need one class
     number per distinct p, and only the current one is held.  Each prime's
-    Place and genus factors are computed once per table.  The Places of p
-    and q carry B = {p, q} to both the genus and the ledger, so no algebra
-    is built.  Nothing is kept per pair, so the pairs may come from a
-    generator."""
+    Place and genus factors are computed once per table; an
+    ``AdmissiblePair`` holds primes its admission proved, so the Places do
+    not prove them again.  The Places of p and q carry B = {p, q} to both
+    the genus and the ledger, so no algebra is built.  Nothing is kept per
+    pair, so the pairs may come from a generator."""
     primes: dict[int, tuple[Place, tuple[int, int, int]]] = {}
     p = h = None
     for pair in pairs:
         if pair.p != p:
             p, h = pair.p, class_number(-4 * pair.p)
         (P, fp), (Q, fq) = (
-            primes.get(n) or primes.setdefault(n, (Place(n), _local_factors((n,))))
+            primes.get(n) or primes.setdefault(n, (Place._proven(n), _local_factors((n,))))
             for n in (pair.p, pair.q)
         )
         genus = _genus_quotient(pair, P, Q, h, fp, fq)

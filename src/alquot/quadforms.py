@@ -2,17 +2,20 @@
 
 The class number of discriminant D < 0 is the number of reduced primitive
 positive-definite binary quadratic forms a x^2 + b x y + c y^2 of that
-discriminant.  ``class_number`` counts them without building them, by the
-b-major divisor loop of Cohen's Algorithm 5.3.5: for each b it reads the
-forms off the divisors a of (b^2 - D)/4.  ``reduced_forms`` lists the forms
-themselves by the classical scan over (a, b) with a <= sqrt(|D|/3); it is
-the reference the count is tested against.
+discriminant.  ``class_number`` counts them without building them,
+a-major: for most a the count is the number rho(a) of square roots of D
+mod 4a, which one sieve over the primes up to sqrt(|D|/3) fills in, and
+only a narrow band of large a is scanned for its b.  A Moebius sum over
+the square factors of D keeps the primitive forms.  ``reduced_forms``
+lists the forms themselves by the classical scan over (a, b) with
+a <= sqrt(|D|/3); it is the reference the count is tested against.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 
 __all__ = ["QuadraticForm", "reduced_forms", "class_number"]
 
@@ -81,22 +84,119 @@ def reduced_forms(D: int) -> frozenset[QuadraticForm]:
 def class_number(D: int) -> int:
     """h(D) = number of reduced primitive forms of discriminant D.
 
-    Counted by Cohen's Algorithm 5.3.5 instead of enumerated: a reduced
-    form has 0 <= |b| <= a <= c with b = D mod 2 and |b| <= sqrt(|D|/3), and
-    for each such b >= 0 its (a, c) are the factorizations
-    a c = (b^2 - D)/4 with max(b, 1) <= a <= c.  A primitive (a, |b|, c)
-    stands for the two forms (a, +-b, c), except that b = 0, b = a and
-    a = c each allow only b >= 0.  ``len(reduced_forms(D))`` is the
-    reference count.
+    Counted a-major instead of enumerated (Cohen, section 5.3).  Let N(d)
+    count the reduced forms of discriminant d, primitive or not.  A form
+    of discriminant D is g times a primitive form of discriminant D/g^2,
+    so Moebius inversion gives h(D) = sum of mu(g) N(D/g^2) over the
+    squarefree g with g^2 | D and D/g^2 a discriminant.  A prime
+    l > sqrt(|D|/3) leaves |D/l^2| < 3, so only the primes up to that
+    bound, listed once per call, can divide g.  ``_reduced_form_count``
+    computes N; ``len(reduced_forms(D))`` is the reference count.
 
     For a prime p = 1 mod 4 the order Z[sqrt(-p)] is maximal, so
     class_number(-4p) is the class number of Q(sqrt(-p)).
     """
     _check_discriminant(D)
+    primes = _primes_to(math.isqrt(-D // 3))
     h = 0
-    for b in range(D % 2, math.isqrt(-D // 3) + 1, 2):
-        n = (b * b - D) // 4
-        for a in range(max(b, 1), math.isqrt(n) + 1):
-            if n % a == 0 and math.gcd(math.gcd(a, b), n // a) == 1:
-                h += 1 if b == 0 or b == a or a * a == n else 2
+    for g, mu in _squarefree_products([ell for ell in primes if D % (ell * ell) == 0]):
+        d = D // (g * g)
+        if d % 4 in (0, 1):
+            h += mu * _reduced_form_count(d, primes)
     return h
+
+
+def _primes_to(n: int) -> list[int]:
+    """The primes up to n >= 1, by the sieve of Eratosthenes."""
+    sieve = bytearray([0, 0]) + bytearray([1]) * (n - 1)
+    for i in range(2, math.isqrt(n) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = bytes(len(range(i * i, n + 1, i)))
+    return list(compress(range(n + 1), sieve))
+
+
+def _squarefree_products(primes: list[int]) -> list[tuple[int, int]]:
+    """(g, mu(g)) for each product g of distinct primes from the list."""
+    out = [(1, 1)]
+    for ell in primes:
+        out += [(g * ell, -mu) for g, mu in out]
+    return out
+
+
+def _root_count(ell: int, j: int, v: int, u: int) -> int:
+    """#{x mod l^j : x^2 = l^v u mod l^j} for a prime l not dividing u."""
+    if j <= v:  # x^2 = 0 mod l^j: x = 0 mod l^ceil(j/2)
+        return ell ** (j // 2)
+    if v % 2:
+        return 0
+    # x = l^(v/2) y with y a unit mod l^(j - v/2) and y^2 = u mod l^(j - v)
+    j -= v
+    if ell > 2:
+        units = 2 if pow(u, (ell - 1) // 2, ell) == 1 else 0  # Euler's criterion
+    elif j == 1:
+        units = 1
+    elif j == 2:
+        units = 2 if u % 4 == 1 else 0
+    else:
+        units = 4 if u % 8 == 1 else 0
+    return ell ** (v // 2) * units
+
+
+def _reduced_form_count(d: int, primes: list[int]) -> int:
+    """N(d), the number of reduced forms of discriminant d < 0, primitive
+    or not, given (at least) the primes up to A = sqrt(|d|/3).
+
+    Every a <= a0 = sqrt(|d|)/2 has 4a^2 <= |d|, so each b in (-a, a]
+    with b^2 = d mod 4a gives c >= a, and c = a only at b = 0: a
+    contributes rho(a) = #{x mod 2a : x^2 = d mod 4a}.  By the Chinese
+    remainder theorem rho is multiplicative, and one sieve over the
+    primes l <= A fills rho(1..A): an odd l prime to d has l^k-factor
+    1 + (d/l) for every k >= 1, and the other l read theirs off
+    ``_root_count``, at l = 2 as half the count mod 2^(k+2).  The band
+    a0 < a <= A scans, for the a with rho(a) > 0, the b >= 0 with c >= a.
+    """
+    top = math.isqrt(-d // 3)
+    a0 = math.isqrt(-d) // 2
+    rho = [1] * (top + 1)
+    for ell in primes:
+        if ell > top:
+            break
+        if ell > 2 and d % ell:
+            if pow(d, (ell - 1) // 2, ell) == 1:  # (d/l) = 1 by Euler's criterion
+                rho[ell::ell] = [2 * x for x in rho[ell::ell]]
+            else:
+                rho[ell::ell] = [0] * (top // ell)
+            continue
+        v, u = 0, d
+        while u % ell == 0:
+            u //= ell
+            v += 1
+        # the factor at l^k is the root count mod l^k, at l = 2 half the one
+        # mod 2^(k+2); past the exponent v + 3 Hensel's lemma keeps it fixed
+        shift = 2 if ell == 2 else 0
+        prev, k, m = 1, 1, ell
+        while m <= top and k + shift <= v + 3:
+            local = _root_count(ell, k + shift, v, u) >> (shift // 2)
+            if local == 0:
+                rho[m::m] = [0] * (top // m)
+                break
+            if local != prev:
+                # a local count that is not 0 is a multiple of the one before
+                ratio = local // prev
+                rho[m::m] = [x * ratio for x in rho[m::m]]
+            prev, k, m = local, k + 1, m * ell
+    n = sum(rho[1 : a0 + 1])
+    for a in range(a0 + 1, top + 1):
+        if rho[a]:
+            m = 4 * a
+            # the least b >= 0 with b^2 >= 4a^2 + d, so c >= a, and b = d mod 2;
+            # it is positive, as 4a^2 > |d|
+            b0 = math.isqrt(m * a + d - 1) + 1
+            b0 += (b0 - d) % 2
+            # (a, b, c) and (a, -b, c) are both reduced, unless b = a or a = c
+            n += sum(
+                1 if b == a or b * b - d == m * a else 2
+                for b in range(b0, a + 1, 2)
+                if (b * b - d) % m == 0
+            )
+    return n

@@ -275,3 +275,10 @@ inv wpq e1 ~e1
 
     elapsed = time.monotonic() - start
     _report(9, elapsed, 5, "CLI goldens and graph round-trip")
+
+
+def test_criterion_10_class_number_at_the_certify_budget():
+    start = time.monotonic()
+    # 99999989 = 5 mod 24 is the largest prime below certify's budget of 10^8
+    assert class_number(-4 * 99_999_989) == 9974
+    _report(10, time.monotonic() - start, 1, "h(-4p) = 9974 at p = 99999989, the certify budget")

@@ -60,10 +60,33 @@ def test_form_dataclass():
     assert QuadraticForm(2, 4, 6).is_primitive is False
 
 
+# f^2 d0 for fundamental d0: square parts 2^2, 2^4, 2^6, 3^2, 5^2, 7^2 and
+# products of them, whose Moebius sums have up to eight terms; d0 = -8 and
+# -24 put an odd power of 2 in D, so D/4 is no discriminant
+_SQUARE_PARTS = [f * f * d0 for f in (2, 4, 8, 3, 5, 7, 6, 12, 30, 42) for d0 in (-3, -4, -7, -8, -24, -103)]
+# D = -4k^2 puts the form (k, 0, k) at the edge a = c = sqrt(|D|)/2 of the
+# bulk, and D = -3k^2 the form (k, k, k) at the edge a = sqrt(|D|/3) of the
+# band; k = 64, 27 and 625 reach the a divisible by 2^6, 3^3 and 5^4
+_EDGES = [-4 * k * k for k in (1, 2, 3, 5, 12, 64, 97, 210)] + [-3 * k * k for k in (1, 2, 3, 4, 9, 27, 101, 625)]
+
+
 def test_class_number_counts_the_reference_forms():
-    for D in range(-5000, -2):
+    for D in [*range(-5000, -2), *_SQUARE_PARTS, *_EDGES]:
         if D % 4 in (0, 1):
             assert class_number(D) == len(reduced_forms(D)), D
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.builds(lambda k, r: r - 4 * k, st.integers(1, 200_000), st.sampled_from((0, 1))))
+def test_class_number_counts_the_reference_forms_to_800000(D):
+    assert -800_000 <= D <= -3
+    assert class_number(D) == len(reduced_forms(D))
+
+
+def test_class_number_at_a_large_prime():
+    # as Cohen's divisor loop (Algorithm 5.3.5) counts it; acceptance
+    # criterion 10 pins h(-4 * 99999989) = 9974 with its time budget
+    assert class_number(-4 * 10_000_229) == 3150
 
 
 def _prime_1_mod_4_from(n):
