@@ -33,7 +33,7 @@ import os
 import stat
 import sys
 from dataclasses import dataclass, fields
-from typing import Iterable, Iterator, TextIO
+from typing import Iterable, Iterator, Sequence, TextIO
 
 from .mumford_graph import INVOLUTION_NAMES, GraphParseError, has_local_point, parse_graph, validate
 from .ntheory import INFINITY, Place, hilbert_symbol
@@ -194,14 +194,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     records = map(OutputRecord.from_certificate, _certify_table(pairs))
     try:
         with _output(args.out) as handle:
-            if args.format == "json":
-                separator = "[\n  "  # json.dumps(table, indent=2), record by record
-                for record in records:
-                    handle.write(separator + record.to_json().replace("\n", "\n  "))
-                    separator = ",\n  "
-                handle.write("[]\n" if separator == "[\n  " else "\n]\n")
-            else:
-                _write_csv(handle, records)
+            (_write_json if args.format == "json" else _write_csv)(handle, records)
     except OSError as exc:
         print(f"error: cannot write {'stdout' if args.out is None else args.out}: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -215,27 +208,71 @@ class _Line:
     write = str
 
 
+# The record's int fields, which lead it: p, q, disc, g_VB, e_p, g_quotient.
+# The csv module writes an int as str() does, and JSON as %d does.
+_INTS = operator.attrgetter(*CSV_HEADER[:6])
+
+
 def _write_csv(handle: TextIO, records: Iterable[OutputRecord]) -> None:
     """The CSV table, byte for byte what ``csv.writer(handle,
     lineterminator="\\n")`` writes for the header and each ``csv_row()``.
 
     Every certificate cites the same assumptions, so the last cell, about
     40% of a row, is encoded once per distinct value rather than once per
-    row: the first nine cells are encoded per row, and the memoized last
-    cell, with its separator and line end, is appended.  The csv module
-    encodes every cell, so its quoting rules apply to each."""
+    row: the first nine cells are encoded per row, the ints as they are,
+    and the memoized last cell, with its separator and line end, is
+    appended.  The csv module encodes every cell, so its quoting rules
+    apply to each."""
     encode = csv.writer(_Line, lineterminator="\n").writerow
-    varying = operator.attrgetter(*CSV_HEADER[:-1])
-    constant = CSV_HEADER[-1]
     tails: dict[tuple[str, ...], str] = {}
     handle.write(encode(CSV_HEADER))
     for record in records:
-        value = getattr(record, constant)
-        key = tuple(value)
-        tail = tails.get(key)
+        assumptions = tuple(record.assumptions)
+        tail = tails.get(assumptions)
         if tail is None:  # "," + cell + "\n", as it ends a longer row
-            tail = tails[key] = encode(["", *_cells([value])])
-        handle.write(encode(_cells(varying(record)))[:-1] + tail)
+            tail = tails[assumptions] = encode(["", *_cells([record.assumptions])])
+        row = (*_INTS(record), ";".join(record.deficient_places), record.verdict, record.hyperelliptic_flag)
+        handle.write(encode(row)[:-1] + tail)
+
+
+# A string as ``json.dumps`` encodes it: ``encode`` of a str goes straight
+# to the C encoder, with none of the indent machinery, which is pure Python.
+_encode_str = json.JSONEncoder().encode
+
+
+def _write_json(handle: TextIO, records: Iterable[OutputRecord]) -> None:
+    """The JSON table, byte for byte what ``json.dumps([json.loads(r.to_json())
+    for r in records], indent=2) + "\\n"`` writes, one record at a time.
+
+    The int fields fill a fixed template, each string is encoded by
+    ``_encode_str``, and the last field, the assumptions list, is encoded
+    with the record's closing brace once per distinct value, as
+    ``_write_csv`` memoizes its last cell."""
+
+    def strings(items: Sequence[str]) -> str:  # a list field of a record
+        return "[\n      " + ",\n      ".join(map(_encode_str, items)) + "\n    ]" if items else "[]"
+
+    def member(name: str, value: str) -> str:  # a line of a record
+        return f"\n    {_encode_str(name)}: {value}"
+
+    head = "{" + "".join(member(name, "%d,") for name in CSV_HEADER[:6])
+    head += "".join(member(name, "%s,") for name in CSV_HEADER[6:-1])
+    tails: dict[tuple[str, ...], str] = {}
+    separator = "[\n  "
+    for record in records:
+        assumptions = tuple(record.assumptions)
+        tail = tails.get(assumptions)
+        if tail is None:
+            tail = tails[assumptions] = member(CSV_HEADER[-1], strings(assumptions)) + "\n  }"
+        text = head % (
+            *_INTS(record),
+            strings(record.deficient_places),
+            _encode_str(record.verdict),
+            _encode_str(record.hyperelliptic_flag),
+        )
+        handle.write(separator + text + tail)
+        separator = ",\n  "
+    handle.write("[]\n" if separator == "[\n  " else "\n]\n")
 
 
 @contextlib.contextmanager

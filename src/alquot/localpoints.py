@@ -18,6 +18,15 @@ Every remaining finite place is covered uniformly by a known fact about
 curves with good reduction there, recorded as a single symbolic entry.
 Each entry carries its source so a certificate can be audited for what
 was computed versus what was cited.
+
+Only the entry at q reads the pair, so only it is built per ledger.  The
+entry at p reads nothing but p, and a table builds it once per p
+(``_own_prime_entry``).  The entry at oo takes one of two values and the
+symbolic entry one, so both are built once, at import, and shared.  So
+are the interchanged algebra's memberships at oo, 2, p and q, which the
+exchange rule gives alike for every pair.  ``LocalStatus`` checks each
+entry when it is built, and each ledger finds its deficient places once,
+when it is built.
 """
 
 from __future__ import annotations
@@ -72,13 +81,15 @@ class LocalStatus:
 @dataclass(frozen=True)
 class DeficiencyLedger:
     """Status of V/w_p at oo, p, q, and (symbolically) everywhere else.
-    ``deficient_count`` is counted once, when the ledger is built."""
+    The deficient places, and so ``deficient_count``, are found once, when
+    the ledger is built."""
 
     at_infinity: LocalStatus
     at_p: LocalStatus
     at_q: LocalStatus
     elsewhere: LocalStatus
     deficient_count: int = field(init=False, repr=False, compare=False)
+    _deficient: tuple[Place, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.at_infinity.place != INFINITY:
@@ -87,13 +98,15 @@ class DeficiencyLedger:
             raise ValueError("the residual entry must be symbolic")
         if self.elsewhere.deficient:
             raise ValueError("the residual entry is never deficient")
-        object.__setattr__(self, "deficient_count", sum(1 for s in self.entries() if s.deficient))
+        deficient = tuple(s.place for s in self.entries() if s.deficient)
+        object.__setattr__(self, "_deficient", deficient)
+        object.__setattr__(self, "deficient_count", len(deficient))
 
     def entries(self) -> tuple[LocalStatus, ...]:
         return (self.at_infinity, self.at_p, self.at_q, self.elsewhere)
 
     def deficient_places(self) -> tuple[Place, ...]:
-        return tuple(s.place for s in self.entries() if s.deficient)
+        return self._deficient
 
 
 # the one place of the interchange criterion that B does not hold
@@ -101,6 +114,17 @@ _TWO = Place(2)
 
 # the symbolic entry, the same in every ledger
 _ELSEWHERE = LocalStatus(None, True, StatusSource.GOOD_REDUCTION_FACT)
+
+# the entry at oo, by whether Q(sqrt(p)) splits B: one of two in every ledger
+_AT_INFINITY = {real: LocalStatus(INFINITY, real, StatusSource.REAL_SPLITTING) for real in (False, True)}
+
+# Whether the interchanged algebra ramifies at oo, 2, p and q, by the
+# exchange rule at p.  It reads only which of those places are p and q, so
+# it is the same for any distinct odd primes p and q and is read once, here,
+# at (3, 5).
+_SWAPPED = tuple(
+    _exchanged(v, P) in (P, Q) for P, Q in [(Place(3), Place(5))] for v in (INFINITY, _TWO, P, Q)
+)
 
 
 def pic1_real(p: int, q: int, quotient_prime: int) -> bool:
@@ -143,31 +167,44 @@ def _pic1_at_other_prime(P: Place, Q: Place) -> bool:
     Both symbol algebras have 2ab = 2pq, so they and the interchanged
     algebra ramify only among oo, 2, p and q: agreeing at those four places
     is isomorphism.  The interchanged algebra is not built: its memberships
-    at those places are read off (P, Q) by the exchange rule.  Each comparison
-    stops at the first place of disagreement, so no ramification set is
-    built for a symbol algebra either.
+    at those places are the same for every pair, ``_SWAPPED``, which the
+    exchange rule gave once, at import.  Every Hilbert symbol compared is
+    computed for the pair, and each comparison stops at the first place of
+    disagreement, so no ramification set is built for a symbol algebra
+    either.
     """
     places = (INFINITY, _TWO, P, Q)
-    swapped = [_exchanged(v, P) in (P, Q) for v in places]
     p, q = P.prime, Q.prime
-    return any(
-        all(held == (hilbert_symbol(a, b, v) == -1) for held, v in zip(swapped, places))
-        for a, b in ((-1, -p * q), (-p, -q))
-    )
+    for a, b in ((-1, -p * q), (-p, -q)):
+        for held, v in zip(_SWAPPED, places):
+            if held != (hilbert_symbol(a, b, v) == -1):
+                break
+        else:
+            return True
+    return False
 
 
 def deficiency_ledger(pair: AdmissiblePair) -> DeficiencyLedger:
     """Full local record for V/w_p of an admissible pair."""
-    return _deficiency_ledger(*_pair_places(pair.p, pair.q))
+    P, Q = _pair_places(pair.p, pair.q)
+    return _deficiency_ledger(_own_prime_entry(P), Q)
 
 
-def _deficiency_ledger(P: Place, Q: Place) -> DeficiencyLedger:
-    """``deficiency_ledger`` at the Places P of p and Q of q, which carry
-    the algebra B = {p, q} that every entry is read from."""
+def _own_prime_entry(P: Place) -> LocalStatus:
+    """The entry of V/w_p at its own prime, the Place P of p: it reads
+    nothing else, so a table builds it once per p."""
+    return LocalStatus(P, pic1_at_own_prime(), StatusSource.OWN_PRIME_UNIFORMIZATION)
+
+
+def _deficiency_ledger(at_p: LocalStatus, Q: Place) -> DeficiencyLedger:
+    """``deficiency_ledger`` from the entry at p, ``_own_prime_entry(P)``,
+    and the Place Q of q.  P and Q carry the algebra B = {p, q} that every
+    entry is read from; the entries at oo and elsewhere are shared."""
+    P = at_p.place
     real = _quad_field_splits(P.prime, (P, Q))  # pic1_real(p, q, p)
     return DeficiencyLedger(
-        at_infinity=LocalStatus(INFINITY, real, StatusSource.REAL_SPLITTING),
-        at_p=LocalStatus(P, pic1_at_own_prime(), StatusSource.OWN_PRIME_UNIFORMIZATION),
+        at_infinity=_AT_INFINITY[real],
+        at_p=at_p,
         at_q=LocalStatus(Q, _pic1_at_other_prime(Q, P), StatusSource.INTERCHANGE_CRITERION),
         elsewhere=_ELSEWHERE,
     )

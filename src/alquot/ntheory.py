@@ -73,9 +73,15 @@ class Place:
         object.__setattr__(place, "prime", n)
         return place
 
+    # the generated hash and eq build the tuple (prime,) for each side on
+    # every call
     def __hash__(self) -> int:
-        # the generated hash builds the tuple (prime,) on every call
         return hash(self.prime)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, Place):
+            return self.prime == other.prime
+        return NotImplemented
 
     @property
     def is_finite(self) -> bool:

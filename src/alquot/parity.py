@@ -15,10 +15,10 @@ certificate: the Places of p and q carry the algebra B = {p, q}, which
 serves the genus and every ledger entry, so no algebra is built.  Per
 prime: the primality proof, run once, when the pair is admitted; the
 Place, which trusts that proof, and the Eichler-Shimura factors the
-genus multiplies, both once per table; and the class number h(-4p),
-computed once per run of pairs with equal p, so a table in (p, q) order
-needs one class number per distinct p.  A table keeps nothing per
-pair, so its memory does not grow with its length.
+genus multiplies, both once per table; and the class number h(-4p) and
+the ledger's entry at p, computed once per run of pairs with equal p, so
+a table in (p, q) order needs one of each per distinct p.  A table keeps
+nothing per pair, so its memory does not grow with its length.
 
 ``enumerate_admissible`` scans a box for admissible pairs: the per-prime
 rule of ``check_admissible`` runs once per candidate prime and the
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator
 
-from .localpoints import DeficiencyLedger, _deficiency_ledger
+from .localpoints import DeficiencyLedger, _deficiency_ledger, _own_prime_entry
 from .ntheory import Place
 from .quadforms import class_number
 from .quaternion import _eichler_formula, _local_factors
@@ -141,25 +141,29 @@ def certify(p: int, q: int) -> ParityCertificate | AdmissibilityRejection:
 
 def _certify_table(pairs: Iterable[AdmissiblePair]) -> Iterator[ParityCertificate]:
     """The certificate of each pair, in order: the one construction path.
-    h(-4p) is computed once per run of pairs with equal p, so pairs in
-    (p, q) order, as ``enumerate_admissible`` returns them, need one class
-    number per distinct p, and only the current one is held.  Each prime's
-    Place and genus factors are computed once per table; an
-    ``AdmissiblePair`` holds primes its admission proved, so the Places do
-    not prove them again.  The Places of p and q carry B = {p, q} to both
-    the genus and the ledger, so no algebra is built.  Nothing is kept per
-    pair, so the pairs may come from a generator."""
+    h(-4p) and the ledger's entry at p, which reads nothing but p, are
+    computed once per run of pairs with equal p, so pairs in (p, q) order,
+    as ``enumerate_admissible`` returns them, need one of each per distinct
+    p, and only the current ones are held.  Each prime's Place and genus
+    factors are computed once per table; an ``AdmissiblePair`` holds primes
+    its admission proved, so the Places do not prove them again.  The
+    Places of p and q carry B = {p, q} to both the genus and the ledger, so
+    no algebra is built.  Nothing is kept per pair, so the pairs may come
+    from a generator."""
     primes: dict[int, tuple[Place, tuple[int, int, int]]] = {}
-    p = h = None
+
+    def facts(n: int) -> tuple[Place, tuple[int, int, int]]:
+        return primes.get(n) or primes.setdefault(n, (Place._proven(n), _local_factors((n,))))
+
+    p = None
     for pair in pairs:
         if pair.p != p:
-            p, h = pair.p, class_number(-4 * pair.p)
-        (P, fp), (Q, fq) = (
-            primes.get(n) or primes.setdefault(n, (Place._proven(n), _local_factors((n,))))
-            for n in (pair.p, pair.q)
-        )
+            p = pair.p
+            P, fp = facts(p)
+            h, at_p = class_number(-4 * p), _own_prime_entry(P)
+        Q, fq = facts(pair.q)
         genus = _genus_quotient(pair, P, Q, h, fp, fq)
-        ledger = _deficiency_ledger(P, Q)
+        ledger = _deficiency_ledger(at_p, Q)
         yield ParityCertificate(
             pair=pair,
             genus=genus,

@@ -14,6 +14,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import alquot.cli
 import alquot.ntheory
@@ -23,7 +24,7 @@ import alquot.quaternion
 import alquot.shimura
 from alquot.cli import CSV_HEADER, OutputRecord, main
 from alquot.mumford_graph import parse_graph, serialize_graph
-from alquot.parity import STANDING_ASSUMPTIONS, enumerate_admissible
+from alquot.parity import STANDING_ASSUMPTIONS, _certify_table, enumerate_admissible
 from test_parity import _count_calls
 
 ASSUMPTION_CELL = ";".join(STANDING_ASSUMPTIONS)
@@ -293,6 +294,46 @@ def test_enumerate_csv_and_json_tables_agree(capsys):
     rows = list(csv.reader(io.StringIO(capsys.readouterr().out, newline="")))
     assert len(records) > 100
     assert rows == [CSV_HEADER] + [record.csv_row() for record in records]
+
+
+def _json_table(records) -> str:
+    """The JSON table as the json module writes it whole: the reference."""
+    return json.dumps([json.loads(record.to_json()) for record in records], indent=2) + "\n"
+
+
+@pytest.mark.parametrize("bound", [4, 30, 500])
+def test_enumerate_json_is_what_json_dumps_writes(bound, capsys):
+    # 4 gives the empty table
+    assert main(["enumerate", "--max", str(bound), "--format", "json"]) == 0
+    records = map(OutputRecord.from_certificate, _certify_table(enumerate_admissible(bound)))
+    assert capsys.readouterr().out == _json_table(records)
+
+
+TEXT = st.text()
+
+
+@settings(max_examples=300, deadline=None)
+@given(TEXT)
+@example('a "quoted" fact')
+@example("back\\slash\tand\ncontrol\x00\x1f\x7f")
+@example("p ≢ 5 mod 24")
+@example("\u2028\ud800\U0001f600")  # a lone surrogate, as json.dumps escapes it
+def test_json_string_encoder_is_json_dumps(text):
+    assert alquot.cli._encode_str(text) == json.dumps(text)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(TEXT, max_size=3), TEXT, TEXT, st.lists(st.lists(TEXT, max_size=3), min_size=1, max_size=3))
+def test_json_writer_is_json_dumps_on_arbitrary_text(places, verdict, flag, cited):
+    # the writer's string fields carry any text, and its memoized last field
+    # any number of distinct lists
+    records = [
+        OutputRecord(5, 17 + i, 85, -1, 2**70, 0, places, verdict, flag, assumptions)
+        for i, assumptions in enumerate(cited * 2)
+    ]
+    out = io.StringIO()
+    alquot.cli._write_json(out, records)
+    assert out.getvalue() == _json_table(records)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

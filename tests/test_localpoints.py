@@ -4,9 +4,13 @@ import pytest
 
 import alquot.localpoints
 from alquot.localpoints import (
+    _SWAPPED,
+    _TWO,
     DeficiencyLedger,
     LocalStatus,
     StatusSource,
+    _deficiency_ledger,
+    _own_prime_entry,
     deficiency_ledger,
     pic1_at_other_prime,
     pic1_at_own_prime,
@@ -14,7 +18,7 @@ from alquot.localpoints import (
 )
 from alquot.ntheory import INFINITY, Place, is_prime
 from alquot.parity import enumerate_admissible
-from alquot.quaternion import QuaternionAlgebra, interchange, is_isomorphic
+from alquot.quaternion import QuaternionAlgebra, _exchanged, interchange, is_isomorphic
 from alquot.shimura import AdmissiblePair
 
 
@@ -134,3 +138,49 @@ def test_ledger_guards():
     assert dataclasses.replace(ledger, at_q=dataclasses.replace(at_q, pic1_nonempty=True)).deficient_count == 0
     with pytest.raises(ValueError):
         DeficiencyLedger(at_p, ok, at_q, rest)  # first slot must be archimedean
+
+
+def test_exchange_vector_read_once_is_the_per_call_rule():
+    # the interchange criterion reads the exchange rule at (oo, 2, p, q)
+    # once, at import; per call it gave the same vector for every pair
+    pairs = [(Place(pair.p), Place(pair.q)) for pair in enumerate_admissible(500)]
+    assert len(pairs) > 100
+    for P, Q in pairs:
+        for own, other in ((P, Q), (Q, P)):  # the ledger asks with (Q, P)
+            places = (INFINITY, _TWO, own, other)
+            assert _SWAPPED == tuple(_exchanged(v, own) in (own, other) for v in places)
+
+
+def _ledger_field_by_field(p: int, q: int) -> DeficiencyLedger:
+    """The ledger of (p, q) through the public constructors, one entry each."""
+    return DeficiencyLedger(
+        at_infinity=LocalStatus(INFINITY, pic1_real(p, q, p), StatusSource.REAL_SPLITTING),
+        at_p=LocalStatus(Place(p), pic1_at_own_prime(), StatusSource.OWN_PRIME_UNIFORMIZATION),
+        at_q=LocalStatus(Place(q), pic1_at_other_prime(q, p), StatusSource.INTERCHANGE_CRITERION),
+        elsewhere=LocalStatus(None, True, StatusSource.GOOD_REDUCTION_FACT),
+    )
+
+
+def test_deficiency_ledger_equals_the_ledger_built_field_by_field():
+    # admissible pairs, and pairs of small odd primes, so that both shared
+    # entries at oo and both outcomes at q occur
+    pairs = [(pair.p, pair.q) for pair in enumerate_admissible(500)]
+    small = [p for p in range(3, 60) if is_prime(p)]
+    pairs += [(p, q) for p in small for q in small if p != q]
+    seen = set()
+    for p, q in pairs:
+        P, Q = Place(p), Place(q)
+        ledger = _deficiency_ledger(_own_prime_entry(P), Q)
+        expected = _ledger_field_by_field(p, q)
+        assert ledger == expected, (p, q)
+        # the fields that equality skips, counted when each ledger was built
+        assert ledger.deficient_places() == expected.deficient_places()
+        assert ledger.deficient_count == expected.deficient_count == len(ledger.deficient_places())
+        seen.add((ledger.at_infinity.pic1_nonempty, ledger.at_q.pic1_nonempty))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_ledger_counts_its_deficient_places_once():
+    ledger = deficiency_ledger(AdmissiblePair(5, 17))
+    assert ledger.deficient_places() is ledger.deficient_places()
+    assert [s.place for s in ledger.entries() if s.deficient] == list(ledger.deficient_places())

@@ -61,6 +61,22 @@ def test_place_hash_follows_equality():
     assert sorted(reversed(SMALL_PLACES), key=Place.sort_key) == SMALL_PLACES[1:] + [INFINITY]
 
 
+def test_place_equality_compares_primes():
+    # a proven Place equals the one that proves its prime
+    assert Place(5) == Place._proven(5) and hash(Place(5)) == hash(Place._proven(5))
+    assert INFINITY == Place(None) and hash(INFINITY) == hash(Place(None))
+    assert INFINITY != Place(2) and Place(2) != INFINITY
+    assert Place(5) != Place(7)
+    # against anything but a Place, equality defers to the other side
+    assert Place(5) != 5 and Place.__eq__(Place(5), 5) is NotImplemented
+    assert Place.__eq__(INFINITY, None) is NotImplemented
+    for v in SMALL_PLACES:
+        for w in SMALL_PLACES:
+            assert (v == w) == (v.prime == w.prime)
+            if v == w:
+                assert hash(v) == hash(w)
+
+
 def test_valuation_examples():
     assert valuation(-85, 5) == (1, -17)
     assert valuation(12, 2) == (2, 3)

@@ -155,6 +155,34 @@ def test_enumerate_computes_the_genus_factors_once_per_prime(monkeypatch, capsys
         assert g == genus_VB(p, q)
 
 
+def test_enumerate_shares_the_ledger_entries_that_do_not_read_the_pair(monkeypatch, capsys):
+    # the entry at p reads only p, the entry at oo takes one of two values
+    # and the symbolic entry one: only the entry at q is built per row, and
+    # every entry is checked by LocalStatus.__post_init__ when it is built
+    built = []
+    check = LocalStatus.__post_init__
+
+    def counted(status):
+        check(status)
+        built.append(status)
+
+    monkeypatch.setattr(LocalStatus, "__post_init__", counted)
+    assert main(["enumerate", "--max", "500"]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    ps = sorted({int(row[0]) for row in rows})
+    assert len(rows) > len(ps) > 5
+    by_source = {source: [s for s in built if s.source is source] for source in StatusSource}
+    assert sorted(s.place.prime for s in by_source[StatusSource.OWN_PRIME_UNIFORMIZATION]) == ps
+    assert len(by_source[StatusSource.REAL_SPLITTING]) <= 2
+    assert by_source[StatusSource.GOOD_REDUCTION_FACT] == []
+    assert len(by_source[StatusSource.INTERCHANGE_CRITERION]) == len(rows)
+
+    ledgers = [cert.ledger for cert in _certify_table(enumerate_admissible(500))]
+    assert len({id(ledger.at_infinity) for ledger in ledgers}) <= 2
+    assert len({id(ledger.at_p) for ledger in ledgers}) == len(ps)
+    assert len({id(ledger.elsewhere) for ledger in ledgers}) == 1
+
+
 def test_enumerate_evaluates_few_hilbert_symbols_per_row(monkeypatch, capsys):
     # the interchange criterion compares place by place and stops at the
     # first disagreement; building both symbol algebras took 8 per row
