@@ -81,14 +81,13 @@ class LocalStatus:
 @dataclass(frozen=True)
 class DeficiencyLedger:
     """Status of V/w_p at oo, p, q, and (symbolically) everywhere else.
-    The deficient places, and so ``deficient_count``, are found once, when
-    the ledger is built."""
+    The deficient places are found once, when the ledger is built, and
+    ``deficient_count`` is their number."""
 
     at_infinity: LocalStatus
     at_p: LocalStatus
     at_q: LocalStatus
     elsewhere: LocalStatus
-    deficient_count: int = field(init=False, repr=False, compare=False)
     _deficient: tuple[Place, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -98,9 +97,11 @@ class DeficiencyLedger:
             raise ValueError("the residual entry must be symbolic")
         if self.elsewhere.deficient:
             raise ValueError("the residual entry is never deficient")
-        deficient = tuple(s.place for s in self.entries() if s.deficient)
-        object.__setattr__(self, "_deficient", deficient)
-        object.__setattr__(self, "deficient_count", len(deficient))
+        object.__setattr__(self, "_deficient", tuple(s.place for s in self.entries() if s.deficient))
+
+    @property
+    def deficient_count(self) -> int:
+        return len(self._deficient)
 
     def entries(self) -> tuple[LocalStatus, ...]:
         return (self.at_infinity, self.at_p, self.at_q, self.elsewhere)
@@ -185,8 +186,9 @@ def _pic1_at_other_prime(P: Place, Q: Place) -> bool:
 
 
 def deficiency_ledger(pair: AdmissiblePair) -> DeficiencyLedger:
-    """Full local record for V/w_p of an admissible pair."""
-    P, Q = _pair_places(pair.p, pair.q)
+    """Full local record for V/w_p of an admissible pair.  The pair's
+    admission proved p and q, so their Places do not prove them again."""
+    P, Q = Place._proven(pair.p), Place._proven(pair.q)
     return _deficiency_ledger(_own_prime_entry(P), Q)
 
 

@@ -4,21 +4,24 @@ The Poonen-Stoll criterion reduces the parity of the Shafarevich-Tate
 order of a curve's jacobian to counting deficient places: places whose
 completion carries no rational divisor of degree g - 1.
 ``_certify_table`` is the one construction path: it assembles genus data
-and a deficiency ledger for each ``AdmissiblePair`` of a table and issues
-the verdict; every external fact the argument leans on is listed on the
-certificate.  ``ParityCertificate.for_pair`` is the certificate of the
-one-pair table, and ``certify`` checks admissibility of two integers once
-and then calls it.
+and a deficiency ledger for each ``AdmissiblePair`` of a table, and the
+certificate reads its verdict off the ledger; every external fact the
+argument leans on is listed on it.  ``ParityCertificate.for_pair`` is the
+certificate of the one-pair table, and ``certify`` checks admissibility
+of two integers once and then calls it.
 
-Each invariant is computed once, at the level it belongs to.  Per
-certificate: the Places of p and q carry the algebra B = {p, q}, which
-serves the genus and every ledger entry, so no algebra is built.  Per
-prime: the primality proof, run once, when the pair is admitted; the
-Place, which trusts that proof, and the Eichler-Shimura factors the
-genus multiplies, both once per table; and the class number h(-4p) and
-the ledger's entry at p, computed once per run of pairs with equal p, so
-a table in (p, q) order needs one of each per distinct p.  A table keeps
-nothing per pair, so its memory does not grow with its length.
+Each invariant is computed once, at the level it belongs to, and a value
+type derives what follows from the facts it is given: ``GenusData`` the
+quotient genus, ``ParityCertificate`` the verdict, ``SieveReport`` its
+flag and bounds.  Per certificate: the Places of p and q carry the
+algebra B = {p, q}, which serves the genus and every ledger entry, so no
+algebra is built.  Per prime: the primality proof, run once, when the
+pair is admitted; the Place, which trusts that proof, and the
+Eichler-Shimura factors the genus multiplies, both once per table; and
+the class number h(-4p) and the ledger's entry at p, computed once per
+run of pairs with equal p, so a table in (p, q) order needs one of each
+per distinct p.  A table keeps nothing per pair, so its memory does not
+grow with its length.
 
 ``enumerate_admissible`` scans a box for admissible pairs: the per-prime
 rule of ``check_admissible`` runs once per candidate prime and the
@@ -31,7 +34,7 @@ records read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Iterator
 
@@ -97,22 +100,22 @@ class ParityCertificate:
     The ledger speaks about degree g-1 divisor classes via degree 1: the
     bridge needs the quotient genus to be even (so g-1 is odd) together
     with the everywhere-existence of degree-2 classes, and the evenness is
-    asserted here, where the genus and the ledger meet.
+    asserted here, where the genus and the ledger meet.  The verdict is
+    not given: it is ``poonen_stoll_verdict(ledger)``, computed here, once.
     """
 
     pair: AdmissiblePair
     genus: GenusData
     ledger: DeficiencyLedger
-    verdict: Verdict
+    verdict: Verdict = field(init=False)
     assumptions: tuple[str, ...]
 
     def __post_init__(self) -> None:
         if self.genus.g_quotient % 2:
             raise ValueError("degree bridge needs an even quotient genus")
-        if self.verdict is not poonen_stoll_verdict(self.ledger):
-            raise ValueError("verdict contradicts the ledger parity")
         if not self.assumptions:
             raise ValueError("a certificate always cites its assumptions")
+        object.__setattr__(self, "verdict", poonen_stoll_verdict(self.ledger))
 
     @classmethod
     def for_pair(cls, pair: AdmissiblePair) -> "ParityCertificate":
@@ -162,13 +165,10 @@ def _certify_table(pairs: Iterable[AdmissiblePair]) -> Iterator[ParityCertificat
             P, fp = facts(p)
             h, at_p = class_number(-4 * p), _own_prime_entry(P)
         Q, fq = facts(pair.q)
-        genus = _genus_quotient(pair, P, Q, h, fp, fq)
-        ledger = _deficiency_ledger(at_p, Q)
         yield ParityCertificate(
             pair=pair,
-            genus=genus,
-            ledger=ledger,
-            verdict=poonen_stoll_verdict(ledger),
+            genus=_genus_quotient(pair, P, Q, h, fp, fq),
+            ledger=_deficiency_ledger(at_p, Q),
             assumptions=STANDING_ASSUMPTIONS,
         )
 
@@ -205,36 +205,30 @@ def _hyperelliptic_flag(pair: AdmissiblePair) -> HyperellipticFlag:
 class SieveReport:
     """Hyperellipticity sieve outcome with its witness numbers.
 
-    genus_product is (p-1)(q-1); definite_class_number is H(2pq), the
-    number of supersingular points of the reduction mod 2, of which at
-    least supersingular_lower_bound = ceil(H/2) survive on the quotient,
-    to be compared against F4_POINT_CAP.  refined_not_hyperelliptic
-    reports the coarser bound ceil((p-1)(q-1)/24) > F4_POINT_CAP.
+    Given the pair and definite_class_number = H(2pq), the number of
+    supersingular points of the reduction mod 2, it computes the rest:
+    flag, by ``_hyperelliptic_flag``; genus_product = (p-1)(q-1); the
+    supersingular_lower_bound = ceil(H/2) of them that survive on the
+    quotient, to be compared against F4_POINT_CAP; and
+    refined_not_hyperelliptic, ceil((p-1)(q-1)/24) > F4_POINT_CAP.
     """
 
     pair: AdmissiblePair
-    flag: HyperellipticFlag
-    genus_product: int
+    flag: HyperellipticFlag = field(init=False)
+    genus_product: int = field(init=False)
     definite_class_number: int
-    supersingular_lower_bound: int
-    refined_not_hyperelliptic: bool
+    supersingular_lower_bound: int = field(init=False)
+    refined_not_hyperelliptic: bool = field(init=False)
+
+    def __post_init__(self) -> None:
+        product = (self.pair.p - 1) * (self.pair.q - 1)
+        object.__setattr__(self, "flag", _hyperelliptic_flag(self.pair))
+        object.__setattr__(self, "genus_product", product)
+        object.__setattr__(self, "supersingular_lower_bound", (self.definite_class_number + 1) // 2)
+        object.__setattr__(self, "refined_not_hyperelliptic", -(-product // 24) > F4_POINT_CAP)
 
 
 def hyperelliptic_sieve(pairs: list[AdmissiblePair]) -> list[SieveReport]:
     """Flag each pair by ``_hyperelliptic_flag``, with the witness numbers."""
-    reports = []
-    for pair in pairs:
-        product = (pair.p - 1) * (pair.q - 1)
-        # admissible p, q are distinct odd primes: 2pq factors as (2, p, q)
-        h = _eichler_formula((2, pair.p, pair.q))
-        reports.append(
-            SieveReport(
-                pair=pair,
-                flag=_hyperelliptic_flag(pair),
-                genus_product=product,
-                definite_class_number=h,
-                supersingular_lower_bound=(h + 1) // 2,
-                refined_not_hyperelliptic=-(-product // 24) > F4_POINT_CAP,
-            )
-        )
-    return reports
+    # admissible p, q are distinct odd primes: 2pq factors as (2, p, q)
+    return [SieveReport(pair, _eichler_formula((2, pair.p, pair.q))) for pair in pairs]

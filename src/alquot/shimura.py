@@ -24,20 +24,22 @@ The int entry points here and in ``localpoints`` take p and q through
 ``_pair_places``, which owns the hypothesis that p and q are distinct odd
 primes and proves them prime as it builds their Places; a table builds
 each prime's Place once instead, trusting the proof that admitted the
-pair.  The algebra B of discriminant pq is its ramification set {p, q},
-so those two Places carry it: no algebra is built.  The entry points
-delegate to private cores that take what a certificate already holds:
-the Places P and Q, and the facts that belong to one prime and so are
-computed once per prime when a table shares them:
-h(-4p) and the Eichler-Shimura factors ``_local_factors((l,))`` of l = p
-and q, whose products the genus formula reads.  ``_genus_quotient(pair,
-P, Q, h, fp, fq)`` is the core every certificate runs; it and
-``_genus_VB`` hold the integrity checks.
+pair, as ``genus_quotient`` does.  The algebra B of discriminant pq is
+its ramification set {p, q}, so those two Places carry it: no algebra is
+built.  The entry points delegate to private cores that take what a
+certificate already holds: the Places P and Q, and the facts that belong
+to one prime and so are computed once per prime when a table shares
+them: h(-4p) and the Eichler-Shimura factors ``_local_factors((l,))`` of
+l = p and q, whose products the genus formula reads.
+``_genus_quotient(pair, P, Q, h, fp, fq)`` is the core every certificate
+runs.  ``_genus_VB`` holds the integrity check of g_VB, and
+``GenusData``, which derives the quotient genus, holds those of
+Riemann-Hurwitz.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import mul
 
 from .ntheory import Place, is_prime, kronecker
@@ -137,16 +139,31 @@ def check_admissible(p: int, q: int) -> AdmissiblePair | AdmissibilityRejection:
 
 @dataclass(frozen=True)
 class GenusData:
-    """Genus of the covering curve, fixed points, and quotient genus.
+    """Genus g_VB of the covering curve and the number e_p of fixed points
+    of w_p, from which Riemann-Hurwitz derives, here and only here,
 
-    mass_half is (g_VB + 1)/2, the term the quotient genus subtracts
-    e_p/4 from.
+        g_quotient = mass_half - e_p/4,  mass_half = (g_VB + 1)/2 .
+
+    g_VB odd, 4 | e_p and g_quotient >= 0 follow from admissibility; a
+    violation raises instead of rounding.
     """
 
     g_VB: int
     e_p: int
-    g_quotient: int
-    mass_half: int
+    g_quotient: int = field(init=False)
+    mass_half: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        if self.g_VB % 2 == 0:
+            raise ValueError(f"(g_VB + 1)/2 is not integral for g_VB = {self.g_VB}")
+        if self.e_p % 4:
+            raise ValueError(f"e(p) = {self.e_p} is not divisible by 4")
+        mass_half = (self.g_VB + 1) // 2
+        g_quotient = mass_half - self.e_p // 4
+        if g_quotient < 0:
+            raise ValueError(f"negative quotient genus for g_VB = {self.g_VB}, e(p) = {self.e_p}")
+        object.__setattr__(self, "g_quotient", g_quotient)
+        object.__setattr__(self, "mass_half", mass_half)
 
 
 def _pair_places(p: int, q: int) -> tuple[Place, Place]:
@@ -205,11 +222,12 @@ def genus_quotient(pair: AdmissiblePair) -> GenusData:
 
         g_quotient = (g_VB + 1)/2 - e_p/4 .
 
-    Requires g_VB odd and 4 | e_p, both consequences of admissibility;
-    violations raise instead of rounding.
+    ``GenusData`` checks g_VB odd and 4 | e_p, both consequences of
+    admissibility.  The pair's admission proved p and q, so their Places
+    do not prove them again.
     """
     p, q = pair.p, pair.q
-    P, Q = _pair_places(p, q)
+    P, Q = Place._proven(p), Place._proven(q)
     return _genus_quotient(pair, P, Q, class_number(-4 * p), _local_factors((p,)), _local_factors((q,)))
 
 
@@ -223,15 +241,6 @@ def _genus_quotient(
 ) -> GenusData:
     """``genus_quotient`` for the pair's Places P and Q, h = h(-4p) and the
     factors ``_local_factors`` gives p and q, which the caller computes
-    once and shares.  Every certificate runs the integrity checks here."""
-    g = _genus_VB(pair.p, pair.q, fp, fq)
-    e = _fixed_points_e(P, Q, h)
-    if (g + 1) % 2:
-        raise ValueError(f"(g_VB + 1)/2 is not integral for {pair}")
-    if e % 4:
-        raise ValueError(f"e(p) = {e} is not divisible by 4 for {pair}")
-    mass_half = (g + 1) // 2
-    g_quot = mass_half - e // 4
-    if g_quot < 0:
-        raise ValueError(f"negative quotient genus for {pair}")
-    return GenusData(g_VB=g, e_p=e, g_quotient=g_quot, mass_half=mass_half)
+    once and shares.  Every certificate runs the integrity checks of
+    ``_genus_VB`` and ``GenusData`` here."""
+    return GenusData(_genus_VB(pair.p, pair.q, fp, fq), _fixed_points_e(P, Q, h))

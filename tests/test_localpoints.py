@@ -184,3 +184,10 @@ def test_ledger_counts_its_deficient_places_once():
     ledger = deficiency_ledger(AdmissiblePair(5, 17))
     assert ledger.deficient_places() is ledger.deficient_places()
     assert [s.place for s in ledger.entries() if s.deficient] == list(ledger.deficient_places())
+
+
+def test_ledger_reads_its_count_off_its_deficient_places():
+    # the places are stored once; the count is not stored beside them
+    ledger = deficiency_ledger(AdmissiblePair(5, 17))
+    assert "deficient_count" not in {f.name for f in dataclasses.fields(DeficiencyLedger)}
+    assert ledger.deficient_count == len(ledger.deficient_places()) == 1

@@ -20,6 +20,7 @@ from alquot.ntheory import INFINITY, Place, legendre, valuation
 from alquot.parity import (
     HyperellipticFlag,
     ParityCertificate,
+    SieveReport,
     Verdict,
     _certify_table,
     certify,
@@ -80,16 +81,27 @@ def test_certify_examples():
 def test_certificate_consistency_guard():
     cert = certify(5, 17)
     with pytest.raises(ValueError):
-        ParityCertificate(cert.pair, cert.genus, cert.ledger, Verdict.EVEN, cert.assumptions)
-    with pytest.raises(ValueError):
-        ParityCertificate(cert.pair, cert.genus, cert.ledger, Verdict.ODD, ())
+        ParityCertificate(cert.pair, cert.genus, cert.ledger, ())
 
 
 def test_certificate_requires_even_quotient_genus():
     cert = certify(5, 17)
-    odd_genus = dataclasses.replace(cert.genus, g_quotient=3)
+    odd_genus = dataclasses.replace(cert.genus, e_p=0)
+    assert odd_genus.g_quotient == 3
     with pytest.raises(ValueError, match="even quotient genus"):
-        ParityCertificate(cert.pair, odd_genus, cert.ledger, cert.verdict, cert.assumptions)
+        ParityCertificate(cert.pair, odd_genus, cert.ledger, cert.assumptions)
+
+
+def test_certificate_computes_its_verdict_from_its_ledger():
+    cert = certify(5, 17)
+    assert cert.verdict is Verdict.ODD
+    with pytest.raises(TypeError):
+        ParityCertificate(cert.pair, cert.genus, cert.ledger, verdict=Verdict.EVEN, assumptions=cert.assumptions)
+    # 17 is the one deficient place: making it non-deficient flips the parity
+    at_q = dataclasses.replace(cert.ledger.at_q, pic1_nonempty=True)
+    even = dataclasses.replace(cert, ledger=dataclasses.replace(cert.ledger, at_q=at_q))
+    assert even.ledger.deficient_count == 0
+    assert even.verdict is Verdict.EVEN
 
 
 def _count_calls(monkeypatch, function) -> list:
@@ -193,6 +205,27 @@ def test_enumerate_evaluates_few_hilbert_symbols_per_row(monkeypatch, capsys):
     assert len(symbols) < 8 * len(rows)
 
 
+def test_enumerate_computes_each_verdict_once(monkeypatch, capsys):
+    verdicts = _count_calls(monkeypatch, poonen_stoll_verdict)
+    assert main(["enumerate", "--max", "500"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert len(rows) > 100
+    assert len(verdicts) == len(rows)
+
+
+def test_sieve_report_computes_its_flag_and_bounds():
+    pair = check_admissible(100109, 41)
+    report = SieveReport(pair, 1)
+    assert report.flag is HyperellipticFlag.NOT_HYPERELLIPTIC
+    assert report.genus_product == 100108 * 40
+    assert report.supersingular_lower_bound == 1
+    assert report.refined_not_hyperelliptic
+    assert SieveReport(AdmissiblePair(5, 17), 2).flag is HyperellipticFlag.POSSIBLY_HYPERELLIPTIC
+    for witness in ("flag", "genus_product", "supersingular_lower_bound", "refined_not_hyperelliptic"):
+        with pytest.raises(TypeError):
+            SieveReport(pair, 1, **{witness: None})
+
+
 def test_certify_and_sieve_reuse_the_known_primes(monkeypatch):
     # 100109 = 5 mod 24 is prime and (100109/41) = -1
     factorizations = _count_calls(monkeypatch, alquot.ntheory.prime_factors)
@@ -211,6 +244,15 @@ def test_certify_proves_each_prime_a_bounded_number_of_times(monkeypatch):
     assert isinstance(cert, ParityCertificate)
     assert sorted(primality) == [(41,), (100109,)]
     assert squarefree == []
+
+
+def test_genus_and_ledger_of_a_pair_trust_its_admission(monkeypatch):
+    # check_admissible proved 100109 and 41 prime: no trial division again
+    pair = check_admissible(100109, 41)
+    divisions = _count_calls(monkeypatch, alquot.ntheory._least_prime_factor)
+    genus, ledger = genus_quotient(pair), deficiency_ledger(pair)
+    assert divisions == []
+    assert (genus.g_quotient % 2, ledger.deficient_places()) == (0, (Place(41),))
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,7 @@ from alquot.ntheory import is_prime, kronecker
 from alquot.shimura import (
     AdmissibilityRejection,
     AdmissiblePair,
+    GenusData,
     check_admissible,
     fixed_points_e,
     genus_VB,
@@ -149,3 +150,21 @@ def test_congruences_on_small_admissible_pairs():
         assert data.mass_half % 2 == 1
         assert data.g_quotient % 2 == 0
         assert data.mass_half == 1 + ((p - 1) * (q - 1) - 16) // 24
+
+
+def test_genus_data_derives_the_quotient_genus():
+    data = GenusData(3, 4)
+    assert (data.g_VB, data.e_p, data.g_quotient, data.mass_half) == (3, 4, 1, 2)
+    assert GenusData(37, 12) == genus_quotient(AdmissiblePair(29, 17))
+    for derived in ("g_quotient", "mass_half"):
+        with pytest.raises(TypeError):
+            GenusData(3, 4, **{derived: 1})
+
+
+@pytest.mark.parametrize(
+    "g_VB, e_p, message",
+    [(2, 0, "not integral"), (3, 2, "not divisible by 4"), (1, 8, "negative quotient genus")],
+)
+def test_genus_data_holds_the_riemann_hurwitz_checks(g_VB, e_p, message):
+    with pytest.raises(ValueError, match=message):
+        GenusData(g_VB, e_p)
