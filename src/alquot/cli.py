@@ -37,8 +37,8 @@ from typing import Iterable, Iterator, Sequence, TextIO
 
 from .mumford_graph import INVOLUTION_NAMES, GraphParseError, has_local_point, parse_graph, validate
 from .ntheory import INFINITY, Place, hilbert_symbol
-from .parity import ParityCertificate, _admissible_pairs, _certify_table, _hyperelliptic_flag, certify
-from .shimura import AdmissibilityRejection
+from .parity import ParityCertificate, _certify_table, _hyperelliptic_flag, certify
+from .shimura import AdmissibilityRejection, _admissible_pairs
 
 __all__ = ["OutputRecord", "build_parser", "main", "entrypoint"]
 

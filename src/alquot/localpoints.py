@@ -22,11 +22,12 @@ was computed versus what was cited.
 Only the entry at q reads the pair, so only it is built per ledger.  The
 entry at p reads nothing but p, and a table builds it once per p
 (``_own_prime_entry``).  The entry at oo takes one of two values and the
-symbolic entry one, so both are built once, at import, and shared.  So
+symbolic entry one, so both are built once, at import, and shared, as
 are the interchanged algebra's memberships at oo, 2, p and q, which the
-exchange rule gives alike for every pair.  ``LocalStatus`` checks each
-entry when it is built, and each ledger finds its deficient places once,
-when it is built.
+exchange rule gives alike for every pair.  The symbolic entry is a fixed
+field of ``DeficiencyLedger``, not an argument.  ``LocalStatus`` checks
+each entry when it is built, and each ledger finds its deficient places
+once, when it is built.
 """
 
 from __future__ import annotations
@@ -78,25 +79,26 @@ class LocalStatus:
         return not self.pic1_nonempty
 
 
+# the symbolic entry, the same in every ledger
+_ELSEWHERE = LocalStatus(None, True, StatusSource.GOOD_REDUCTION_FACT)
+
+
 @dataclass(frozen=True)
 class DeficiencyLedger:
-    """Status of V/w_p at oo, p, q, and (symbolically) everywhere else.
+    """Status of V/w_p at oo, p and q, and symbolically everywhere else:
+    ``elsewhere`` is not an argument but the fixed, shared ``_ELSEWHERE``.
     The deficient places are found once, when the ledger is built, and
     ``deficient_count`` is their number."""
 
     at_infinity: LocalStatus
     at_p: LocalStatus
     at_q: LocalStatus
-    elsewhere: LocalStatus
+    elsewhere: LocalStatus = field(init=False, default=_ELSEWHERE)
     _deficient: tuple[Place, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.at_infinity.place != INFINITY:
             raise ValueError("first entry must sit at the archimedean place")
-        if self.elsewhere.place is not None:
-            raise ValueError("the residual entry must be symbolic")
-        if self.elsewhere.deficient:
-            raise ValueError("the residual entry is never deficient")
         object.__setattr__(self, "_deficient", tuple(s.place for s in self.entries() if s.deficient))
 
     @property
@@ -112,9 +114,6 @@ class DeficiencyLedger:
 
 # the one place of the interchange criterion that B does not hold
 _TWO = Place(2)
-
-# the symbolic entry, the same in every ledger
-_ELSEWHERE = LocalStatus(None, True, StatusSource.GOOD_REDUCTION_FACT)
 
 # the entry at oo, by whether Q(sqrt(p)) splits B: one of two in every ledger
 _AT_INFINITY = {real: LocalStatus(INFINITY, real, StatusSource.REAL_SPLITTING) for real in (False, True)}
@@ -208,5 +207,4 @@ def _deficiency_ledger(at_p: LocalStatus, Q: Place) -> DeficiencyLedger:
         at_infinity=_AT_INFINITY[real],
         at_p=at_p,
         at_q=LocalStatus(Q, _pic1_at_other_prime(Q, P), StatusSource.INTERCHANGE_CRITERION),
-        elsewhere=_ELSEWHERE,
     )

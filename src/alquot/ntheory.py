@@ -198,7 +198,7 @@ def hilbert_symbol(a: int, b: int, v: Place) -> int:
     """
     if a == 0 or b == 0:
         raise ValueError("hilbert symbol needs nonzero arguments")
-    if not v.is_finite:
+    if v.prime is None:
         return -1 if (a < 0 and b < 0) else 1
     p = v.prime  # proven prime when the Place was built
     alpha, u = _valuation(a, p)
@@ -259,7 +259,7 @@ def hilbert_symbol_oracle(a: int, b: int, v: Place) -> int:
     """
     if a == 0 or b == 0:
         raise ValueError("hilbert symbol needs nonzero arguments")
-    if not v.is_finite:
+    if v.prime is None:
         return -1 if (a < 0 and b < 0) else 1
     p = v.prime
     m = max(valuation(a, p)[0], valuation(b, p)[0])

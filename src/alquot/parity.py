@@ -23,9 +23,9 @@ run of pairs with equal p, so a table in (p, q) order needs one of each
 per distinct p.  A table keeps nothing per pair, so its memory does not
 grow with its length.
 
-``enumerate_admissible`` scans a box for admissible pairs: the per-prime
-rule of ``check_admissible`` runs once per candidate prime and the
-per-pair rule once per candidate pair.  ``hyperelliptic_sieve`` reports,
+``enumerate_admissible`` lists the admissible pairs of a box, scanned by
+``shimura._admissible_pairs``, which owns the rules of admissibility:
+this module states no congruence.  ``hyperelliptic_sieve`` reports,
 with its witness numbers, the point-count bound that rules out
 hyperellipticity of the quotient for all but finitely many pairs.  The
 flag alone is ``_hyperelliptic_flag``, which both the sieve and the CLI
@@ -46,9 +46,8 @@ from .shimura import (
     AdmissibilityRejection,
     AdmissiblePair,
     GenusData,
+    _admissible_pairs,
     _genus_quotient,
-    _pair_failure,
-    _prime_failure,
     check_admissible,
 )
 
@@ -85,12 +84,12 @@ STANDING_ASSUMPTIONS: tuple[str, ...] = (
     "the quotient curve acquires a degree-1 rational divisor class over Q_p at its own prime via p-adic uniformization",
 )
 
-# A hyperelliptic quotient forces (p-1)(q-1) <= 240.
-HYPERELLIPTIC_PRODUCT_BOUND = 240
-
 # A hyperelliptic curve with good reduction at 2 has at most 2 * #P^1(F_4)
 # points over F_4.
 F4_POINT_CAP = 10
+
+# A hyperelliptic quotient forces (p-1)(q-1) <= 24 * F4_POINT_CAP = 240.
+HYPERELLIPTIC_PRODUCT_BOUND = 24 * F4_POINT_CAP
 
 
 @dataclass(frozen=True)
@@ -176,21 +175,6 @@ def _certify_table(pairs: Iterable[AdmissiblePair]) -> Iterator[ParityCertificat
 def enumerate_admissible(bound: int) -> list[AdmissiblePair]:
     """All admissible (p, q) with p <= bound and q <= bound, sorted."""
     return list(_admissible_pairs(bound))
-
-
-def _admissible_pairs(bound: int) -> Iterator[AdmissiblePair]:
-    """``enumerate_admissible`` as a generator: the bound and each
-    candidate prime are checked now, and each pair by the per-pair rule
-    alone when it is drawn."""
-    if not 0 < bound < 2**15:
-        raise ValueError("bound must be a positive integer below 2^15")
-    # The rules of check_admissible, split by what they read: the per-prime
-    # rule builds the lists, once per candidate, and the per-pair rule
-    # decides each candidate pair, so no prime is proven per pair.  The
-    # ascending loops emit pairs in (p, q) order.
-    ps = [p for p in range(5, bound + 1, 24) if _prime_failure("p", p) is None]
-    qs = [q for q in range(5, bound + 1, 12) if _prime_failure("q", q) is None]
-    return (AdmissiblePair._admitted(p, q) for p in ps for q in qs if _pair_failure(p, q) is None)
 
 
 def _hyperelliptic_flag(pair: AdmissiblePair) -> HyperellipticFlag:

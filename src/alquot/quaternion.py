@@ -80,19 +80,12 @@ class QuaternionAlgebra:
     def is_definite(self) -> bool:
         return INFINITY in self.ram_set
 
-    def sorted_places(self) -> list[Place]:
-        return sorted(self.ram_set, key=Place.sort_key)
-
-    def __str__(self) -> str:
-        inside = ", ".join(str(v) for v in self.sorted_places())
-        return "{" + inside + "}"
-
 
 def reduced_discriminant(B: QuaternionAlgebra) -> int:
     """Product of the finite ramified primes."""
     d = 1
     for v in B.ram_set:
-        if v.is_finite:
+        if v.prime is not None:
             d *= v.prime
     return d
 
@@ -148,7 +141,7 @@ def _quad_field_splits(d: int, ram: Iterable[Place]) -> bool:
     Places (P, Q) that carry B = {p, q}, so no algebra is built."""
     disc = d if d % 4 == 1 else 4 * d
     for v in ram:
-        if v.is_finite:
+        if v.prime is not None:
             if kronecker(disc, v.prime) == 1:
                 return False
         elif d > 0:

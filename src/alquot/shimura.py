@@ -11,10 +11,10 @@ Riemann-Hurwitz, together with the admissibility test
 under which the parity pipeline operates.  The test is two rules: a
 per-prime rule (p and q prime, each in its class) and a per-pair rule
 (distinct, (p/q) = -1).  ``check_admissible`` and ``AdmissiblePair`` run
-both, in that order; a table of candidates runs the per-prime rule once
-per candidate prime and the per-pair rule once per candidate pair, and
-builds the pairs it admits through ``AdmissiblePair._admitted``, which
-does not run the rules again.
+both, in that order.  ``_admissible_pairs``, the scan behind
+``enumerate``, runs the per-prime rule once per candidate prime and the
+per-pair rule once per candidate pair, and builds the pairs it admits
+through ``AdmissiblePair._admitted``, which does not run the rules again.
 
 Genus formulas are evaluated exactly, as 12 times their value in
 integers, with mandatory integrality checks, so a congruence-hypothesis
@@ -41,6 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import mul
+from typing import Iterator
 
 from .ntheory import Place, is_prime, kronecker
 from .quadforms import class_number
@@ -135,6 +136,20 @@ def check_admissible(p: int, q: int) -> AdmissiblePair | AdmissibilityRejection:
     if failure is not None:
         return AdmissibilityRejection(p, q, failure)
     return AdmissiblePair._admitted(p, q)
+
+
+def _admissible_pairs(bound: int) -> Iterator[AdmissiblePair]:
+    """All admissible (p, q) with p <= bound and q <= bound, sorted, as a
+    generator: the bound and each candidate prime are checked now, and
+    each pair by the per-pair rule alone when it is drawn."""
+    if not 0 < bound < 2**15:
+        raise ValueError("bound must be a positive integer below 2^15")
+    # The per-prime rule builds the lists, once per candidate of each class,
+    # and the per-pair rule decides each candidate pair, so no prime is
+    # proven per pair.  The ascending loops emit pairs in (p, q) order.
+    ps = [p for p in range(5, bound + 1, _MODULUS["p"]) if _prime_failure("p", p) is None]
+    qs = [q for q in range(5, bound + 1, _MODULUS["q"]) if _prime_failure("q", q) is None]
+    return (AdmissiblePair._admitted(p, q) for p in ps for q in qs if _pair_failure(p, q) is None)
 
 
 @dataclass(frozen=True)

@@ -98,6 +98,12 @@ def test_certify_rejection_exit_2(capsys):
     assert "p ≢ 5 mod 24" in capsys.readouterr().out
 
 
+def test_certify_json_rejection_exit_2(capsys):
+    assert main(["certify", "7", "17", "--format", "json"]) == 2
+    rejected = {"p": 7, "q": 17, "rejected": alquot.shimura.check_admissible(7, 17).reason}
+    assert capsys.readouterr().out == json.dumps(rejected, indent=2) + "\n"
+
+
 def test_certify_parse_error_exit_1(capsys):
     assert main(["certify", "5", "x"]) == 1
     assert "usage error" in capsys.readouterr().err

@@ -4,6 +4,7 @@ import pytest
 
 import alquot.localpoints
 from alquot.localpoints import (
+    _ELSEWHERE,
     _SWAPPED,
     _TWO,
     DeficiencyLedger,
@@ -130,14 +131,30 @@ def test_ledger_guards():
     ok = LocalStatus(INFINITY, True, StatusSource.REAL_SPLITTING)
     at_p = LocalStatus(Place(5), True, StatusSource.OWN_PRIME_UNIFORMIZATION)
     at_q = LocalStatus(Place(17), False, StatusSource.INTERCHANGE_CRITERION)
-    rest = LocalStatus(None, True, StatusSource.GOOD_REDUCTION_FACT)
-    ledger = DeficiencyLedger(ok, at_p, at_q, rest)
+    ledger = DeficiencyLedger(ok, at_p, at_q)
     assert ledger.deficient_count == 1
     # the count is taken when a ledger is built, so a replaced entry recounts
     assert dataclasses.replace(ledger, at_infinity=dataclasses.replace(ok, pic1_nonempty=False)).deficient_count == 2
     assert dataclasses.replace(ledger, at_q=dataclasses.replace(at_q, pic1_nonempty=True)).deficient_count == 0
     with pytest.raises(ValueError):
-        DeficiencyLedger(at_p, ok, at_q, rest)  # first slot must be archimedean
+        DeficiencyLedger(at_p, ok, at_q)  # first slot must be archimedean
+
+
+def test_ledger_holds_the_one_symbolic_entry_and_takes_three_entries():
+    ok = LocalStatus(INFINITY, True, StatusSource.REAL_SPLITTING)
+    at_p = LocalStatus(Place(5), True, StatusSource.OWN_PRIME_UNIFORMIZATION)
+    at_q = LocalStatus(Place(17), False, StatusSource.INTERCHANGE_CRITERION)
+    rest = LocalStatus(None, True, StatusSource.GOOD_REDUCTION_FACT)
+    with pytest.raises(TypeError):
+        DeficiencyLedger(ok, at_p, at_q, rest)
+    with pytest.raises(TypeError):
+        DeficiencyLedger(ok, at_p, at_q, elsewhere=rest)
+    ledgers = [DeficiencyLedger(ok, at_p, at_q), deficiency_ledger(AdmissiblePair(5, 17))]
+    ledgers += [_deficiency_ledger(_own_prime_entry(Place(p)), Place(q)) for p, q in [(29, 17), (3, 7)]]
+    for ledger in ledgers:
+        assert ledger.elsewhere is _ELSEWHERE
+        assert ledger.entries()[-1] is _ELSEWHERE
+    assert _ELSEWHERE == rest
 
 
 def test_exchange_vector_read_once_is_the_per_call_rule():
@@ -157,7 +174,6 @@ def _ledger_field_by_field(p: int, q: int) -> DeficiencyLedger:
         at_infinity=LocalStatus(INFINITY, pic1_real(p, q, p), StatusSource.REAL_SPLITTING),
         at_p=LocalStatus(Place(p), pic1_at_own_prime(), StatusSource.OWN_PRIME_UNIFORMIZATION),
         at_q=LocalStatus(Place(q), pic1_at_other_prime(q, p), StatusSource.INTERCHANGE_CRITERION),
-        elsewhere=LocalStatus(None, True, StatusSource.GOOD_REDUCTION_FACT),
     )
 
 

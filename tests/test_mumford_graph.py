@@ -39,6 +39,26 @@ inv wq e1 e2
 inv wpq e1 e2
 """
 
+TRIANGLE = """v a even
+v b odd
+v c odd
+e e1 a b 1
+e e2 b c 1
+e e3 c a 1
+inv wp
+inv wq
+inv wpq
+"""
+
+
+def _with_three_cycle(g):
+    """g with wp replaced by the edge cycle e1 -> e2 -> e3 -> e1, which the
+    file format cannot state."""
+    cycle = {}
+    for src, dst in (("e1", "e2"), ("e2", "e3"), ("e3", "e1")):
+        cycle[src], cycle[opposite(src)] = dst, opposite(dst)
+    return replace(g, involutions={**g.involutions, "wp": cycle})
+
 
 def test_opposite():
     assert opposite("e1") == "~e1"
@@ -75,6 +95,10 @@ def test_parse_accepts_comments_and_blanks():
         ("v a even\nv b odd\ne e1 a b 1\ninv wp e1\n", 4),
         ("v a even\nv b odd\ne e1 a b 1\ninv wp e1 e9\n", 4),
         ("v a even\nv b odd\ne e1 a b 1\ninv wp\ninv wp\n", 5),
+        ("v a\n", 1),
+        ("v a even\nv b odd\ne e1 a b\n", 3),
+        ("v a even\nv b odd\ne e1 a b two\n", 3),
+        ("v a even\nv b odd\ne e1 a b 1\ninv wp e1 e1 e1 ~e1\n", 4),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, line):
@@ -92,6 +116,16 @@ def test_validate_flags_length_mismatch_and_bad_opposites():
         involutions=g.involutions,
     )
     assert any("differ in length" in v for v in validate(broken))
+
+
+def test_validate_flags_a_bad_parity_an_unreversed_opposite_and_a_non_involution():
+    two_edge = parse_graph(TWO_EDGE)
+    unreversed = replace(two_edge, edge_endpoints={**two_edge.edge_endpoints, "~e1": ("a", "b")})
+    assert "opposite of 'e1' does not reverse its endpoints" in validate(unreversed)
+    g = parse_graph(TRIANGLE)
+    purple = replace(g, vertex_parity={**g.vertex_parity, "c": "purple"})
+    assert "vertex 'c' has parity 'purple'" in validate(purple)
+    assert "wp is not an involution at 'e1'" in validate(_with_three_cycle(g))
 
 
 def test_validate_flags_noncrossing_edge():
@@ -328,6 +362,17 @@ inv wpq e1 ~e1
         quotient_by_involution(parse_graph(text), "wq")
 
 
+def test_quotient_rejects_an_orbit_with_inconsistent_endpoints():
+    # wp cycles the triangle's edges: an automorphism, but no involution
+    with pytest.raises(QuotientError, match="orbit of 'e3' has inconsistent endpoints"):
+        quotient_by_involution(_with_three_cycle(parse_graph(TRIANGLE)), "wp")
+
+
+def test_an_unknown_involution_name_raises():
+    with pytest.raises(ValueError, match="unknown involution 'wz'"):
+        parse_graph(TWO_EDGE).involution("wz")
+
+
 def test_quotient_rejects_noncommuting_descent():
     text = """v a even
 v b odd
@@ -402,6 +447,15 @@ inv wpq
     )
     with pytest.raises(ValueError):
         lift_case_analysis(no_precondition, "e1")
+
+
+def test_lift_case_analysis_rejects_an_unknown_edge_and_inconsistent_involutions():
+    with pytest.raises(ValueError, match="unknown edge 'e9'"):
+        lift_case_analysis(parse_graph(TWO_EDGE), "e9")
+    # wq-fixed and wpq-reversed but wp-fixed: wpq is not wp o wq
+    inconsistent = parse_graph(TWO_EDGE.replace("inv wp e1 ~e1", "inv wp"))
+    with pytest.raises(ValueError, match="inconsistent involutions"):
+        lift_case_analysis(inconsistent, "e1")
 
 
 def test_lift_case_wq_fixed_wpq_reversed_implies_wp_reversed():

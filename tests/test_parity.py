@@ -18,6 +18,8 @@ from alquot.localpoints import (
 )
 from alquot.ntheory import INFINITY, Place, legendre, valuation
 from alquot.parity import (
+    F4_POINT_CAP,
+    HYPERELLIPTIC_PRODUCT_BOUND,
     HyperellipticFlag,
     ParityCertificate,
     SieveReport,
@@ -44,7 +46,6 @@ def _ledger(inf_ok: bool, p_ok: bool, q_ok: bool) -> DeficiencyLedger:
         LocalStatus(INFINITY, inf_ok, StatusSource.REAL_SPLITTING),
         LocalStatus(Place(5), p_ok, StatusSource.OWN_PRIME_UNIFORMIZATION),
         LocalStatus(Place(17), q_ok, StatusSource.INTERCHANGE_CRITERION),
-        LocalStatus(None, True, StatusSource.GOOD_REDUCTION_FACT),
     )
 
 
@@ -388,6 +389,13 @@ def test_sieve_bounds_are_exact_beyond_float_precision():
     assert report.definite_class_number == 96076812451666248
     assert report.supersingular_lower_bound == 48038406225833124
     assert report.refined_not_hyperelliptic is True
+
+
+def test_the_product_bound_is_the_f4_point_cap():
+    # ceil((p-1)(q-1)/24) > F4_POINT_CAP exactly when (p-1)(q-1) > 240
+    assert HYPERELLIPTIC_PRODUCT_BOUND == 24 * F4_POINT_CAP == 240
+    for report in hyperelliptic_sieve(enumerate_admissible(300)):
+        assert report.refined_not_hyperelliptic is (report.flag is HyperellipticFlag.NOT_HYPERELLIPTIC)
 
 
 def test_sieve_flag_matches_product_rule():

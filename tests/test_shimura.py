@@ -168,3 +168,21 @@ def test_genus_data_derives_the_quotient_genus():
 def test_genus_data_holds_the_riemann_hurwitz_checks(g_VB, e_p, message):
     with pytest.raises(ValueError, match=message):
         GenusData(g_VB, e_p)
+
+
+# bogus per-prime factors (mass, e2, e3): 12 g_VB comes out as 6, then -12
+@pytest.mark.parametrize("fp", [(1, 1, 1), (0, 0, 6)])
+def test_genus_VB_refuses_a_non_integral_or_negative_genus(fp):
+    with pytest.raises(ValueError, match="non-integral value"):
+        alquot.shimura._genus_VB(5, 17, fp, (1, 1, 1))
+
+
+def test_the_admissible_pair_scan_reads_the_classes_of_the_rules(monkeypatch):
+    # the scan draws its candidates from _MODULUS, the classes that the
+    # per-prime rule tests, so widening a class widens both alike
+    monkeypatch.setitem(alquot.shimura._MODULUS, "q", 6)
+    box = range(1, 201)
+    candidates = (check_admissible(p, q) for p in box for q in box)
+    expected = [pair for pair in candidates if isinstance(pair, AdmissiblePair)]
+    assert any(pair.q % 12 == 11 for pair in expected)
+    assert list(alquot.shimura._admissible_pairs(200)) == expected
