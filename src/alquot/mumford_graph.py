@@ -34,6 +34,7 @@ operations raise ValueError or a subclass where they need it, never KeyError.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Mapping
@@ -85,10 +86,6 @@ def opposite(edge_id: str) -> str:
     return edge_id[1:] if edge_id.startswith("~") else "~" + edge_id
 
 
-def _base_id(edge_id: str) -> str:
-    return edge_id[1:] if edge_id.startswith("~") else edge_id
-
-
 @dataclass(frozen=True, eq=True)
 class LengthedQuotientGraph:
     """Parity-classed graph with lengthed opposite edge pairs and the
@@ -129,16 +126,23 @@ def _expand_involution(
     """Total involution from generator pairs.
 
     Each a -> b forces b -> a and the opposites ~a -> ~b, ~b -> ~a;
-    unlisted edges stay fixed.  Contradictions raise ValueError.
+    unlisted edges stay fixed.  The ids come in opposite pairs, so only a
+    and b need looking up, and the assignments map ~x to ~y whenever x to
+    y, so only a and b can clash.  Contradictions raise ValueError.
     """
     assigned: dict[str, str] = {}
     for a, b in pairs:
-        for x, y in ((a, b), (b, a), (opposite(a), opposite(b)), (opposite(b), opposite(a))):
-            if x not in oriented_ids or y not in oriented_ids:
+        for x in (a, b):
+            if x not in oriented_ids:
                 raise ValueError(f"involution {name} mentions unknown edge {x!r}")
-            if assigned.setdefault(x, y) != y:
-                raise ValueError(f"involution {name} maps {x!r} inconsistently")
-    return {e: assigned.get(e, e) for e in oriented_ids}
+        if assigned.setdefault(a, b) != b or assigned.setdefault(b, a) != a:
+            clash = a if assigned[a] != b else b
+            raise ValueError(f"involution {name} maps {clash!r} inconsistently")
+        opp_a, opp_b = opposite(a), opposite(b)
+        assigned[opp_a], assigned[opp_b] = opp_b, opp_a
+    involution = dict(zip(oriented_ids, oriented_ids))
+    involution.update(assigned)
+    return involution
 
 
 def parse_graph(text: str) -> LengthedQuotientGraph:
@@ -180,8 +184,9 @@ def parse_graph(text: str) -> LengthedQuotientGraph:
                 raise GraphParseError(lineno, f"bad length {raw_len!r}") from None
             if length < 1:
                 raise GraphParseError(lineno, "length must be a positive integer")
-            endpoints[eid], endpoints[opposite(eid)] = (src, dst), (dst, src)
-            lengths[eid] = lengths[opposite(eid)] = length
+            opp = "~" + eid  # eid itself does not start with ~
+            endpoints[eid], endpoints[opp] = (src, dst), (dst, src)
+            lengths[eid] = lengths[opp] = length
         elif kind == "inv":
             if len(tokens) < 2 or tokens[1] not in INVOLUTION_NAMES:
                 raise GraphParseError(lineno, "involution line needs: inv <wp|wq|wpq> [pairs]")
@@ -191,23 +196,17 @@ def parse_graph(text: str) -> LengthedQuotientGraph:
         else:
             raise GraphParseError(lineno, f"unknown record {kind!r}")
 
-    involutions = {name: {e: e for e in endpoints} for name in INVOLUTION_NAMES}
-    seen: set[str] = set()
+    declared: dict[str, dict[str, str]] = {}
     for lineno, name, flat in inv_lines:
-        if name in seen:
+        if name in declared:
             raise GraphParseError(lineno, f"involution {name} declared twice")
-        seen.add(name)
         try:
-            involutions[name] = _expand_involution(endpoints, name, list(zip(flat[0::2], flat[1::2])))
+            declared[name] = _expand_involution(endpoints, name, list(zip(flat[0::2], flat[1::2])))
         except ValueError as exc:
             raise GraphParseError(lineno, str(exc)) from exc
-
-    return LengthedQuotientGraph(
-        vertex_parity=vertices,
-        edge_endpoints=endpoints,
-        edge_length=lengths,
-        involutions=involutions,
-    )
+    # an involution the file leaves out is the identity
+    involutions = {n: declared.get(n) or dict(zip(endpoints, endpoints)) for n in INVOLUTION_NAMES}
+    return LengthedQuotientGraph(vertices, endpoints, lengths, involutions)
 
 
 def serialize_graph(graph: LengthedQuotientGraph) -> str:
@@ -216,28 +215,25 @@ def serialize_graph(graph: LengthedQuotientGraph) -> str:
     The format has no record for the bipartite flag (parsed graphs always
     declare it), so only flagged graphs round-trip to equal values.
     """
-    lines = []
-    for vid in sorted(graph.vertex_parity):
-        lines.append(f"v {vid} {graph.vertex_parity[vid]}")
-    for eid in graph.base_edges():
+    lines = [f"v {vid} {graph.vertex_parity[vid]}" for vid in sorted(graph.vertex_parity)]
+    base_edges = graph.base_edges()
+    for eid in base_edges:
         src, dst = graph.edge_endpoints[eid]
         lines.append(f"e {eid} {src} {dst} {_length(graph, eid)}")
     for name in INVOLUTION_NAMES:
         w = graph.involution(name)
         parts = [f"inv {name}"]
-        for eid in graph.base_edges():
+        for eid in base_edges:
             target = _image(name, w, eid)
             # a moved edge is listed from the smaller base id; a reversal
             # e -> ~e has the same base id on both sides
-            if target != eid and _base_id(target) >= eid:
+            if target != eid and (target[1:] if target.startswith("~") else target) >= eid:
                 parts.extend([eid, target])
         lines.append(" ".join(parts))
     return "\n".join(lines) + "\n"
 
 
-def _reversed_with_even_length(
-    graph: LengthedQuotientGraph, w: Mapping[str, str], eid: str
-) -> bool:
+def _reversed_with_even_length(graph: LengthedQuotientGraph, w: Mapping[str, str], eid: str) -> bool:
     """Whether w sends the oriented edge eid to its opposite and eid has
     even length.  An edge with no length or no image under w does not
     meet the criterion."""
@@ -247,15 +243,17 @@ def _reversed_with_even_length(
 def _derived_vertex_map(graph: LengthedQuotientGraph, w: Mapping[str, str]) -> dict[str, str] | str:
     """Vertex action forced by an edge permutation, or an error message
     when the images of a shared endpoint disagree."""
+    edges = graph.edge_endpoints
     vmap: dict[str, str] = {}
-    for eid, (src, dst) in graph.edge_endpoints.items():
-        target = w.get(eid)
-        if target is None or target not in graph.edge_endpoints:
+    for eid, (src, dst) in edges.items():
+        image = edges.get(w.get(eid))
+        if image is None:
             return f"image of {eid!r} is not an edge"
-        tsrc, tdst = graph.edge_endpoints[target]
-        for vertex, image in ((src, tsrc), (dst, tdst)):
-            if vmap.setdefault(vertex, image) != image:
-                return f"vertex {vertex!r} has conflicting images"
+        tsrc, tdst = image
+        if vmap.setdefault(src, tsrc) != tsrc:
+            return f"vertex {src!r} has conflicting images"
+        if vmap.setdefault(dst, tdst) != tdst:
+            return f"vertex {dst!r} has conflicting images"
     for vertex in graph.vertex_parity:
         vmap.setdefault(vertex, vertex)  # isolated vertices stay put
     return vmap
@@ -269,32 +267,29 @@ def validate(graph: LengthedQuotientGraph, dual_graph_checks: bool = False) -> l
     quaternionic Mumford curve with two odd ramified primes.
     """
     out: list[str] = []
-    edges = graph.edge_endpoints
+    edges, lengths, classes = graph.edge_endpoints, graph.edge_length, graph.vertex_parity
     edge_set = set(edges)
+    opposites: dict[str, str] = {}
 
-    for vid, parity in graph.vertex_parity.items():
+    for vid, parity in classes.items():
         if parity not in ("even", "odd"):
             out.append(f"vertex {vid!r} has parity {parity!r}")
 
     for eid, (src, dst) in edges.items():
-        opp = opposite(eid)
+        opp = opposites[eid] = opposite(eid)
         if opp not in edges:
             out.append(f"edge {eid!r} has no opposite")
             continue
         if edges[opp] != (dst, src):
             out.append(f"opposite of {eid!r} does not reverse its endpoints")
-        if graph.edge_length.get(eid) != graph.edge_length.get(opp):
+        if lengths.get(eid) != lengths.get(opp):
             out.append(f"edge {eid!r} and its opposite differ in length")
-        if graph.edge_length.get(eid, 0) < 1:
+        if lengths.get(eid, 0) < 1:
             out.append(f"edge {eid!r} has nonpositive length")
-        if src not in graph.vertex_parity or dst not in graph.vertex_parity:
+        if src not in classes or dst not in classes:
             out.append(f"edge {eid!r} touches an undeclared vertex")
-        elif (
-            graph.bipartite
-            and not eid.startswith("~")
-            and graph.vertex_parity[src] == graph.vertex_parity[dst]
-        ):
-            out.append(f"edge {eid!r} joins two {graph.vertex_parity[src]} vertices")
+        elif graph.bipartite and not eid.startswith("~") and classes[src] == classes[dst]:
+            out.append(f"edge {eid!r} joins two {classes[src]} vertices")
 
     if set(graph.involutions) != set(INVOLUTION_NAMES):
         out.append("involutions must be exactly wp, wq, wpq")
@@ -305,12 +300,13 @@ def validate(graph: LengthedQuotientGraph, dual_graph_checks: bool = False) -> l
         if w.keys() != edge_set or set(w.values()) != edge_set:
             out.append(f"{name} is not a permutation of the oriented edges")
             continue
-        for eid in edges:
-            if w[w[eid]] != eid:
+        for eid, opp in opposites.items():
+            target = w[eid]  # an edge, so opposites has its opposite
+            if w[target] != eid:
                 out.append(f"{name} is not an involution at {eid!r}")
-            if w.get(opposite(eid)) != opposite(w[eid]):
+            if w.get(opp) != opposites[target]:
                 out.append(f"{name} does not commute with opposition at {eid!r}")
-            if graph.edge_length.get(w[eid]) != graph.edge_length.get(eid):
+            if lengths.get(target) != lengths.get(eid):
                 out.append(f"{name} does not preserve the length of {eid!r}")
         vmap = _derived_vertex_map(graph, w)
         if isinstance(vmap, str):
@@ -354,13 +350,19 @@ def quotient_edge_map(graph: LengthedQuotientGraph, name: str) -> dict[str, str]
     The orbit pair {r, w(r)} and its opposite pair receive names that are
     again opposite: the smaller base id of r and w(r), which an edge shares
     with its opposite, names the orbit containing its plain orientation.
+    So r lands on whichever of r, w(r) has that base id (r on a tie),
+    made plain when the other one is that plain id.
     """
     w = graph.involution(name)
     edge_map: dict[str, str] = {}
     for eid in graph.edge_endpoints:
         target = _image(name, w, eid)
-        rep_base = min(_base_id(eid), _base_id(target))
-        edge_map[eid] = rep_base if rep_base in (eid, target) else "~" + rep_base
+        base = eid[1:] if eid.startswith("~") else eid
+        target_base = target[1:] if target.startswith("~") else target
+        if base <= target_base:
+            edge_map[eid] = base if target == base else eid
+        else:
+            edge_map[eid] = target_base if eid == target_base else target
     return edge_map
 
 
@@ -380,7 +382,6 @@ def quotient_by_involution(graph: LengthedQuotientGraph, name: str) -> LengthedQ
     vmap = _derived_vertex_map(graph, w)
     if isinstance(vmap, str):
         raise QuotientError(f"{name} is not an automorphism: {vmap}")
-
     for eid in graph.edge_endpoints:
         if w[eid] == opposite(eid):
             raise QuotientError(f"{name} reverses edge {eid!r}; quotient length undefined")
@@ -390,21 +391,28 @@ def quotient_by_involution(graph: LengthedQuotientGraph, name: str) -> LengthedQ
     for other in INVOLUTION_NAMES:
         if other == name:
             continue
-        u = graph.involution(other)
+        u, moved = graph.involution(other), {}
+        noncommuting = f"{other} does not commute with {name}; descent undefined"
         try:
             for eid in graph.edge_endpoints:
-                if u[w[eid]] != w[u[eid]]:
-                    raise QuotientError(f"{other} does not commute with {name}; descent undefined")
-            descended[other] = {edge_orbit[eid]: edge_orbit[u[eid]] for eid in graph.edge_endpoints}
+                target = u[eid]
+                if u[w[eid]] != w[target]:
+                    raise QuotientError(noncommuting)
+                moved[edge_orbit[eid]] = edge_orbit[target]
         except KeyError:
-            # w is a total map on the edges (checked above), so u is not
+            # w is total on the edges (checked above), so u is not; when u
+            # maps an edge onto a non-edge key of w, the check runs on first
+            with suppress(KeyError):
+                if any(u[w[e]] != w[u[e]] for e in graph.edge_endpoints):
+                    raise QuotientError(noncommuting) from None
             raise QuotientError(f"{other} is not a permutation of the oriented edges") from None
+        descended[other] = moved
 
     if vmap.keys() - graph.vertex_parity.keys():
         raise QuotientError("an edge touches an undeclared vertex")
     vertex_orbit = {v: min(v, vmap[v]) for v in graph.vertex_parity}
     parities = {orbit: graph.vertex_parity[orbit] for orbit in set(vertex_orbit.values())}
-    preserves_classes = all(
+    bipartite = graph.bipartite and all(
         graph.vertex_parity[v] == graph.vertex_parity[vmap[v]] for v in graph.vertex_parity
     )
 
@@ -420,13 +428,7 @@ def quotient_by_involution(graph: LengthedQuotientGraph, name: str) -> LengthedQ
             raise QuotientError(f"orbit of {eid!r} has inconsistent lengths")
     descended[name] = {orbit: orbit for orbit in endpoints}
 
-    return LengthedQuotientGraph(
-        vertex_parity=parities,
-        edge_endpoints=endpoints,
-        edge_length=lengths,
-        involutions=descended,
-        bipartite=graph.bipartite and preserves_classes,
-    )
+    return LengthedQuotientGraph(parities, endpoints, lengths, descended, bipartite)
 
 
 def base_change(
@@ -457,10 +459,8 @@ def has_local_point(
     the first witness edge in sorted order, if any.
     """
     frob = graph.involution(frobenius) if isinstance(frobenius, str) else frobenius
-    for eid in graph.oriented_edges():
-        if _reversed_with_even_length(graph, frob, eid):
-            return True, eid
-    return False, None
+    witnesses = [eid for eid in graph.edge_endpoints if _reversed_with_even_length(graph, frob, eid)]
+    return (True, min(witnesses)) if witnesses else (False, None)
 
 
 def lift_case_analysis(graph: LengthedQuotientGraph, s: str) -> LiftCase:

@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 from random import Random
 
@@ -105,6 +106,15 @@ def test_parse_errors_carry_line_numbers(text, line):
     with pytest.raises(GraphParseError) as info:
         parse_graph(text)
     assert info.value.line == line
+
+
+@pytest.mark.parametrize(
+    "pair, unknown", [("e1 zz", "zz"), ("zz e1", "zz"), ("~e1 zz", "zz"), ("e1 ~zz", "~zz")]
+)
+def test_an_unknown_edge_in_an_involution_is_the_one_named(pair, unknown):
+    with pytest.raises(GraphParseError) as info:
+        parse_graph(f"v a even\nv b odd\ne e1 a b 1\ninv wp {pair}\n")
+    assert str(info.value) == f"line 4: involution wp mentions unknown edge {unknown!r}"
 
 
 def test_validate_flags_length_mismatch_and_bad_opposites():
@@ -387,6 +397,22 @@ inv wpq
         quotient_by_involution(parse_graph(text), "wq")
 
 
+def test_descent_reports_a_noncommuting_edge_after_one_sent_off_the_graph():
+    # wp sends e1 to "x", which is no edge but a key of wq; the check passes
+    # at e1 (wp(wq(e1)) = e2 = wq(x)) and fails at e2, and that failure is
+    # the one reported
+    swap = parse_graph(TWO_CYCLE_SWAP)
+    wp, wq = swap.involutions["wp"], swap.involutions["wq"]
+    g = replace(swap, involutions={**swap.involutions, "wp": {**wp, "e1": "x"}, "wq": {**wq, "x": "e2"}})
+    with pytest.raises(QuotientError, match="^wp does not commute with wq; descent undefined$"):
+        quotient_by_involution(g, "wq")
+    # when every edge commutes, the edge sent off the graph is reported
+    wp, wq = {**wp, "e1": "x", "e2": "z"}, {**wq, "x": "z", "z": "x"}
+    g = replace(swap, involutions={**swap.involutions, "wp": wp, "wq": wq})
+    with pytest.raises(QuotientError, match="^wp is not a permutation of the oriented edges$"):
+        quotient_by_involution(g, "wq")
+
+
 def test_base_change():
     g = parse_graph(TWO_EDGE)
     same, frob = base_change(g, 1, 1)
@@ -496,3 +522,73 @@ def test_random_quotients_match_direct_orbit_scan():
             for s in g.edge_endpoints
         )
         assert got == expected
+
+
+def _single_faults(g, rng):
+    """Six copies of g, each with one fault at a random oriented edge."""
+    edges = g.oriented_edges()
+    eid, other = rng.choice(edges), rng.choice(edges)
+    opp, name = opposite(eid), rng.choice(INVOLUTION_NAMES)
+    w, wp, wq = g.involutions[name], g.involutions["wp"], g.involutions["wq"]
+    src, dst = g.edge_endpoints[eid]
+    # conjugating wq by the swap of eid and other keeps an involution but
+    # not, in general, one that commutes with wp
+    swap = {eid: other, other: eid, opp: opposite(other), opposite(other): opp}
+    conjugate = {swap.get(e, e): swap.get(t, t) for e, t in wq.items()}
+    return [
+        replace(g, involutions={**g.involutions, name: {e: t for e, t in w.items() if e != eid}}),
+        replace(g, edge_endpoints={**g.edge_endpoints, opp: (src, dst)}),
+        replace(g, edge_length={**g.edge_length, opp: g.edge_length[opp] + 1}),
+        # still a permutation, but eid's source has two images unless w
+        # moves eid and other alike
+        replace(g, involutions={**g.involutions, name: {**w, eid: w[other], other: w[eid]}}),
+        replace(g, involutions={**g.involutions, "wq": conjugate}),
+        replace(
+            g,
+            edge_length={**g.edge_length, eid: 2, opp: 2},
+            involutions={**g.involutions, "wp": {**wp, eid: opp, opp: eid}},
+        ),
+    ]
+
+
+def _outcome(call):
+    try:
+        return call()
+    except ValueError as exc:  # GraphParseError and QuotientError included
+        return type(exc).__name__, str(exc)
+
+
+def _quotient_text(g, name):
+    q = quotient_by_involution(g, name)
+    return q.bipartite, serialize_graph(q)
+
+
+def _observed(g):
+    """Everything the public operations report on g, in a fixed order."""
+    seen = [validate(g), validate(g, dual_graph_checks=True)]
+    for name in INVOLUTION_NAMES:
+        seen.append(_outcome(lambda: list(quotient_edge_map(g, name).items())))
+        seen.append(_outcome(lambda: _quotient_text(g, name)))
+        seen.append(_outcome(lambda: has_local_point(g, name)))
+    text = _outcome(lambda: serialize_graph(g))
+    seen.append(text)
+    if isinstance(text, str):
+        seen.append(_outcome(lambda: serialize_graph(parse_graph(text))))
+    return seen
+
+
+# sha256 of the observations below, recorded before mumford_graph's
+# per-edge loops were rewritten for speed; any change in a violation
+# list, its order, an exception message or a serialized quotient moves it
+OBSERVED_SHA256 = "85341ab4d41c943e3796cb003d9f4348bed773720f118f1582b602604eff1d21"
+
+
+def test_generated_graphs_and_their_single_faults_are_observed_unchanged():
+    rng = Random(20)
+    observed = []
+    for _ in range(48):
+        flips = rng.choice([(), ("wp",), ("wq",), ("wp", "wq")])
+        g = random_quotient_graph(rng, max_extra_seed_vertices=4, max_extra_seed_edges=8, parity_flips=flips)
+        for h in [g, *_single_faults(g, rng)]:
+            observed.append(_observed(h))
+    assert hashlib.sha256(repr(observed).encode()).hexdigest() == OBSERVED_SHA256

@@ -111,6 +111,10 @@ def test_kronecker_examples():
     assert kronecker(-3, 17) == -1
 
 
+def test_kronecker_at_zero_is_one_only_for_units():
+    assert [kronecker(a, 0) for a in (1, -1, 0, 2, -3)] == [1, 1, 0, 0, 0]
+
+
 def test_kronecker_at_two():
     for a in range(-40, 41):
         expected = 0 if a % 2 == 0 else (1 if a % 8 in (1, 7) else -1)
@@ -158,6 +162,12 @@ def test_hilbert_symbol_trusts_its_place(monkeypatch):
 def test_oracle_square_tables_are_bounded():
     maxsize = alquot.ntheory._square_tables.cache_info().maxsize
     assert maxsize is not None and maxsize <= 64
+
+
+@pytest.mark.parametrize(("a", "b"), [(0, 3), (3, 0), (0, 0)])
+def test_oracle_rejects_a_zero_argument(a, b):
+    with pytest.raises(ValueError, match="nonzero arguments"):
+        hilbert_symbol_oracle(a, b, Place(5))
 
 
 def test_oracle_rejects_oversized_search():

@@ -60,6 +60,12 @@ def test_form_dataclass():
     assert QuadraticForm(2, 4, 6).is_primitive is False
 
 
+@pytest.mark.parametrize("abc", [(2, 3, 4), (2, -3, 4), (3, 1, 2)])
+def test_form_outside_the_reduction_bounds_is_not_reduced(abc):
+    # |b| <= a <= c fails: |b| > a in the first two, a > c in the last
+    assert QuadraticForm(*abc).is_reduced is False
+
+
 # f^2 d0 for fundamental d0: square parts 2^2, 2^4, 2^6, 3^2, 5^2, 7^2 and
 # products of them, whose Moebius sums have up to eight terms; d0 = -8 and
 # -24 put an odd power of 2 in D, so D/4 is no discriminant

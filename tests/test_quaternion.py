@@ -120,6 +120,11 @@ def test_quad_field_splits_examples():
         quad_field_splits(1, B)
 
 
+def test_is_definite_reads_the_real_place():
+    assert QuaternionAlgebra(_places(17, None)).is_definite is True
+    assert QuaternionAlgebra(_places(5, 17)).is_definite is False
+
+
 def test_definite_algebra_never_split_by_real_field():
     B = QuaternionAlgebra(_places(17, None))
     assert not quad_field_splits(3, B)  # positive d fails at the ramified real place
