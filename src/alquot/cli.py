@@ -11,7 +11,9 @@ batch scripts can tell malformed input from out-of-regime input.
                                          the local-point criterion
 
 JSON and CSV speak the fixed record schema below; the CSV column order is
-frozen and list-valued cells join their items with semicolons.
+frozen and list-valued cells join their items with semicolons.  ``certify``
+prints a record's JSON as the ``enumerate`` table holds it, but two spaces
+shallower.
 ``enumerate`` streams its table in (p, q) order, one row per admissible
 pair, so memory does not grow with the table.  An integrity check failing
 mid-table raises after stdout may hold a prefix, but leaves no partial
@@ -27,6 +29,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import json
 import operator
 import os
@@ -78,7 +81,8 @@ class OutputRecord:
         )
 
     def to_json(self) -> str:
-        return json.dumps({name: getattr(self, name) for name in CSV_HEADER}, indent=2)
+        # the table's text, two spaces shallower: a JSON string has no raw newline
+        return _json_member(self).replace("\n  ", "\n")
 
     @classmethod
     def from_json(cls, text: str) -> "OutputRecord":
@@ -240,37 +244,44 @@ def _write_csv(handle: TextIO, records: Iterable[OutputRecord]) -> None:
 _encode_str = json.JSONEncoder().encode
 
 
+def _json_strings(items: Sequence[str]) -> str:  # a list field of a record
+    return "[\n      " + ",\n      ".join(map(_encode_str, items)) + "\n    ]" if items else "[]"
+
+
+def _json_line(name: str, value: str) -> str:  # a line of a record
+    return f"\n    {_encode_str(name)}: {value}"
+
+
+# the record up to its last field: the int fields fill %d, the others %s
+_JSON_HEAD = "{" + "".join(_json_line(name, "%d,") for name in CSV_HEADER[:6])
+_JSON_HEAD += "".join(_json_line(name, "%s,") for name in CSV_HEADER[6:-1])
+
+
+@functools.lru_cache(maxsize=16)  # a few values, so its memory is bounded
+def _json_tail(assumptions: tuple[str, ...]) -> str:
+    """The last field with the record's closing brace: every certificate
+    cites the same assumptions, so it is encoded once per distinct value."""
+    return _json_line(CSV_HEADER[-1], _json_strings(assumptions)) + "\n  }"
+
+
+def _json_member(record: OutputRecord) -> str:
+    """The one JSON encoder of a record: the record as a member of the
+    table, byte for byte what ``json.dumps(..., indent=2)`` writes for it
+    one level deep, without the json module's pure-Python indenter."""
+    return _JSON_HEAD % (
+        *_INTS(record),
+        _json_strings(record.deficient_places),
+        _encode_str(record.verdict),
+        _encode_str(record.hyperelliptic_flag),
+    ) + _json_tail(tuple(record.assumptions))
+
+
 def _write_json(handle: TextIO, records: Iterable[OutputRecord]) -> None:
-    """The JSON table, byte for byte what ``json.dumps([json.loads(r.to_json())
-    for r in records], indent=2) + "\\n"`` writes, one record at a time.
-
-    The int fields fill a fixed template, each string is encoded by
-    ``_encode_str``, and the last field, the assumptions list, is encoded
-    with the record's closing brace once per distinct value, as
-    ``_write_csv`` memoizes its last cell."""
-
-    def strings(items: Sequence[str]) -> str:  # a list field of a record
-        return "[\n      " + ",\n      ".join(map(_encode_str, items)) + "\n    ]" if items else "[]"
-
-    def member(name: str, value: str) -> str:  # a line of a record
-        return f"\n    {_encode_str(name)}: {value}"
-
-    head = "{" + "".join(member(name, "%d,") for name in CSV_HEADER[:6])
-    head += "".join(member(name, "%s,") for name in CSV_HEADER[6:-1])
-    tails: dict[tuple[str, ...], str] = {}
+    """The JSON table, byte for byte ``json.dumps`` of the list of the
+    records' fields with ``indent=2``, and a line end."""
     separator = "[\n  "
     for record in records:
-        assumptions = tuple(record.assumptions)
-        tail = tails.get(assumptions)
-        if tail is None:
-            tail = tails[assumptions] = member(CSV_HEADER[-1], strings(assumptions)) + "\n  }"
-        text = head % (
-            *_INTS(record),
-            strings(record.deficient_places),
-            _encode_str(record.verdict),
-            _encode_str(record.hyperelliptic_flag),
-        )
-        handle.write(separator + text + tail)
+        handle.write(separator + _json_member(record))
         separator = ",\n  "
     handle.write("[]\n" if separator == "[\n  " else "\n]\n")
 

@@ -87,10 +87,6 @@ class Place:
     def is_finite(self) -> bool:
         return self.prime is not None
 
-    def sort_key(self) -> tuple[bool, int]:
-        # finite primes ascending, the archimedean place last
-        return (self.prime is None, self.prime or 0)
-
     def __str__(self) -> str:
         return "inf" if self.prime is None else str(self.prime)
 

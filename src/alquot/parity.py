@@ -194,7 +194,7 @@ class SieveReport:
     flag, by ``_hyperelliptic_flag``; genus_product = (p-1)(q-1); the
     supersingular_lower_bound = ceil(H/2) of them that survive on the
     quotient, to be compared against F4_POINT_CAP; and
-    refined_not_hyperelliptic, ceil((p-1)(q-1)/24) > F4_POINT_CAP.
+    refined_not_hyperelliptic, ceil((p-1)(q-1)/24) > F4_POINT_CAP: the flag.
     """
 
     pair: AdmissiblePair
@@ -205,11 +205,11 @@ class SieveReport:
     refined_not_hyperelliptic: bool = field(init=False)
 
     def __post_init__(self) -> None:
-        product = (self.pair.p - 1) * (self.pair.q - 1)
-        object.__setattr__(self, "flag", _hyperelliptic_flag(self.pair))
-        object.__setattr__(self, "genus_product", product)
+        flag = _hyperelliptic_flag(self.pair)
+        object.__setattr__(self, "flag", flag)
+        object.__setattr__(self, "genus_product", (self.pair.p - 1) * (self.pair.q - 1))
         object.__setattr__(self, "supersingular_lower_bound", (self.definite_class_number + 1) // 2)
-        object.__setattr__(self, "refined_not_hyperelliptic", -(-product // 24) > F4_POINT_CAP)
+        object.__setattr__(self, "refined_not_hyperelliptic", flag is HyperellipticFlag.NOT_HYPERELLIPTIC)
 
 
 def hyperelliptic_sieve(pairs: list[AdmissiblePair]) -> list[SieveReport]:

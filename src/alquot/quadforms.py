@@ -37,6 +37,7 @@ class QuadraticForm:
 
     @property
     def is_reduced(self) -> bool:
+        """|b| <= a <= c, with b >= 0 whenever |b| = a or a = c."""
         a, b, c = self.a, self.b, self.c
         if not (abs(b) <= a <= c):
             return False
@@ -57,28 +58,18 @@ def _check_discriminant(D: int) -> None:
 
 
 def reduced_forms(D: int) -> frozenset[QuadraticForm]:
-    """All reduced primitive positive-definite forms of discriminant D < 0.
-
-    Reduced means |b| <= a <= c with b >= 0 whenever |b| = a or a = c; each
-    proper equivalence class contains exactly one such form.
+    """All reduced primitive positive-definite forms of discriminant D < 0,
+    as ``QuadraticForm.is_reduced`` and ``is_primitive`` decide; each proper
+    equivalence class contains exactly one reduced form.
     """
     _check_discriminant(D)
-    forms = []
-    for a in range(1, math.isqrt(-D // 3) + 1):
-        for b in range(-a, a + 1):
-            if (b - D) % 2:
-                continue
-            num = b * b - D
-            if num % (4 * a):
-                continue
-            c = num // (4 * a)
-            if c < a:
-                continue
-            if (abs(b) == a or a == c) and b < 0:
-                continue
-            if math.gcd(math.gcd(a, b), c) == 1:
-                forms.append(QuadraticForm(a, b, c))
-    return frozenset(forms)
+    forms = (
+        QuadraticForm(a, b, (b * b - D) // (4 * a))
+        for a in range(1, math.isqrt(-D // 3) + 1)
+        for b in range(-a, a + 1)
+        if (b * b - D) % (4 * a) == 0
+    )
+    return frozenset(f for f in forms if f.is_reduced and f.is_primitive)
 
 
 def class_number(D: int) -> int:

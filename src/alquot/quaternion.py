@@ -46,11 +46,11 @@ def ramified_places(a: int, b: int) -> frozenset[Place]:
     """Set of places v with (a,b)_v = -1.
 
     Only the archimedean place and the primes dividing 2ab can ramify, so
-    the scan over those places is complete.
+    the scan over those places is complete; the factors are proven prime.
     """
     if a == 0 or b == 0:
         raise ValueError("symbol entries must be nonzero")
-    places = [INFINITY, *map(Place, prime_factors(2 * a * b))]
+    places = [INFINITY, *map(Place._proven, prime_factors(2 * a * b))]
     return frozenset(v for v in places if hilbert_symbol(a, b, v) == -1)
 
 

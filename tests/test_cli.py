@@ -82,7 +82,7 @@ def test_certify_json_roundtrip(capsys):
     assert main(["certify", "29", "17", "--format", "json"]) == 0
     out = capsys.readouterr().out
     record = OutputRecord.from_json(out)
-    assert record.to_json() == out.rstrip("\n")
+    assert out == json.dumps(_fields(record), indent=2) + "\n"
     assert record.g_quotient == 16
 
 
@@ -302,9 +302,41 @@ def test_enumerate_csv_and_json_tables_agree(capsys):
     assert rows == [CSV_HEADER] + [record.csv_row() for record in records]
 
 
+def _fields(record: OutputRecord) -> dict:
+    return {n: getattr(record, n) for n in CSV_HEADER}
+
+
 def _json_table(records) -> str:
-    """The JSON table as the json module writes it whole: the reference."""
-    return json.dumps([json.loads(record.to_json()) for record in records], indent=2) + "\n"
+    """The JSON table as the json module writes it whole, from the fields:
+    the reference."""
+    return json.dumps([_fields(r) for r in records], indent=2) + "\n"
+
+
+def _deeper(text: str) -> str:
+    """A certify output as a member of the JSON table: two spaces deeper."""
+    return "  " + text[:-1].replace("\n", "\n  ")
+
+
+def test_certify_prints_its_record_as_the_table_holds_it(capsys):
+    # certify prints json.dumps of the record's fields, and the table is the
+    # certify outputs two spaces deeper, for every pair of the table
+    assert main(["enumerate", "--max", "200", "--format", "json"]) == 0
+    table = capsys.readouterr().out
+    outputs = []
+    for fields in json.loads(table):
+        assert main(["certify", str(fields["p"]), str(fields["q"]), "--format", "json"]) == 0
+        outputs.append(capsys.readouterr().out)
+        assert outputs[-1] == json.dumps(fields, indent=2) + "\n"
+    assert len(outputs) > 10
+    assert table == "[\n" + ",\n".join(map(_deeper, outputs)) + "\n]\n"
+    # and for a pair beyond the tables of the tests
+    assert main(["certify", "10000229", "29", "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    record = OutputRecord.from_json(out)
+    assert out == json.dumps(_fields(record), indent=2) + "\n"
+    table = io.StringIO()
+    alquot.cli._write_json(table, [record])
+    assert table.getvalue() == "[\n" + _deeper(out) + "\n]\n"
 
 
 @pytest.mark.parametrize("bound", [4, 30, 500])
@@ -340,6 +372,7 @@ def test_json_writer_is_json_dumps_on_arbitrary_text(places, verdict, flag, cite
     out = io.StringIO()
     alquot.cli._write_json(out, records)
     assert out.getvalue() == _json_table(records)
+    assert [record.to_json() for record in records] == [json.dumps(_fields(r), indent=2) for r in records]
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

@@ -58,7 +58,6 @@ def test_place_hash_follows_equality():
     assert 5 not in {Place(5)} and Place(5) not in frozenset({5, None})
     assert len({Place(5), 5, INFINITY, None}) == 4
     assert Place(11) not in frozenset(SMALL_PLACES)
-    assert sorted(reversed(SMALL_PLACES), key=Place.sort_key) == SMALL_PLACES[1:] + [INFINITY]
 
 
 def test_place_equality_compares_primes():

@@ -392,10 +392,12 @@ def test_sieve_bounds_are_exact_beyond_float_precision():
 
 
 def test_the_product_bound_is_the_f4_point_cap():
-    # ceil((p-1)(q-1)/24) > F4_POINT_CAP exactly when (p-1)(q-1) > 240
+    # ceil((p-1)(q-1)/24) > F4_POINT_CAP exactly when (p-1)(q-1) > 240, so
+    # the refined bound is the flag's
     assert HYPERELLIPTIC_PRODUCT_BOUND == 24 * F4_POINT_CAP == 240
     for report in hyperelliptic_sieve(enumerate_admissible(300)):
-        assert report.refined_not_hyperelliptic is (report.flag is HyperellipticFlag.NOT_HYPERELLIPTIC)
+        refined = -(-report.genus_product // 24) > F4_POINT_CAP
+        assert report.refined_not_hyperelliptic is refined is (report.flag is HyperellipticFlag.NOT_HYPERELLIPTIC)
 
 
 def test_sieve_flag_matches_product_rule():

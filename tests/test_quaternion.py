@@ -29,6 +29,17 @@ def test_ramified_places_examples():
         ramified_places(0, 3)
 
 
+@pytest.mark.parametrize(("a", "b"), [(-5, -17), (-85, 1000003), (2 * 29, -10000229)])
+def test_ramified_places_proves_each_prime_once(a, b, monkeypatch):
+    # the factors prime_factors proves are not proven again by their Places
+    divisions = _count_calls(monkeypatch, alquot.ntheory._least_prime_factor)
+    prime_factors(2 * a * b)
+    alone = len(divisions)
+    divisions.clear()
+    ramified_places(a, b)
+    assert len(divisions) == alone
+
+
 def test_ramification_parity_small_box():
     for a in range(-25, 26):
         for b in range(-25, 26):
