@@ -94,8 +94,8 @@ class OutputRecord:
 
 
 def _cells(values: Iterable[object]) -> list[str]:
-    """Field values as CSV cells: list items joined by semicolons."""
-    return [";".join(v) if isinstance(v, list) else str(v) for v in values]
+    """Field values as CSV cells: list (or tuple) items joined by semicolons."""
+    return [";".join(v) if isinstance(v, (list, tuple)) else str(v) for v in values]
 
 
 CSV_HEADER = [f.name for f in fields(OutputRecord)]
@@ -217,26 +217,25 @@ class _Line:
 _INTS = operator.attrgetter(*CSV_HEADER[:6])
 
 
+@functools.lru_cache(maxsize=16)  # a few values, so its memory is bounded
+def _csv_tail(assumptions: tuple[str, ...]) -> str:
+    """The last cell with its separator and line end, as it ends a longer
+    row: every certificate cites the same assumptions, so it is encoded
+    once per distinct value, by an encoder only a miss builds."""
+    return csv.writer(_Line, lineterminator="\n").writerow(["", ";".join(assumptions)])
+
+
 def _write_csv(handle: TextIO, records: Iterable[OutputRecord]) -> None:
     """The CSV table, byte for byte what ``csv.writer(handle,
     lineterminator="\\n")`` writes for the header and each ``csv_row()``.
-
-    Every certificate cites the same assumptions, so the last cell, about
-    40% of a row, is encoded once per distinct value rather than once per
-    row: the first nine cells are encoded per row, the ints as they are,
-    and the memoized last cell, with its separator and line end, is
-    appended.  The csv module encodes every cell, so its quoting rules
-    apply to each."""
+    The first nine cells are encoded per row, the ints as they are, and
+    the last, about 40% of a row, is ``_csv_tail``.  The csv module
+    encodes every cell, so its quoting rules apply to each."""
     encode = csv.writer(_Line, lineterminator="\n").writerow
-    tails: dict[tuple[str, ...], str] = {}
     handle.write(encode(CSV_HEADER))
     for record in records:
-        assumptions = tuple(record.assumptions)
-        tail = tails.get(assumptions)
-        if tail is None:  # "," + cell + "\n", as it ends a longer row
-            tail = tails[assumptions] = encode(["", *_cells([record.assumptions])])
         row = (*_INTS(record), ";".join(record.deficient_places), record.verdict, record.hyperelliptic_flag)
-        handle.write(encode(row)[:-1] + tail)
+        handle.write(encode(row)[:-1] + _csv_tail(tuple(record.assumptions)))
 
 
 # A string as ``json.dumps`` encodes it: ``encode`` of a str goes straight

@@ -19,15 +19,13 @@ curves with good reduction there, recorded as a single symbolic entry.
 Each entry carries its source so a certificate can be audited for what
 was computed versus what was cited.
 
-Only the entry at q reads the pair, so only it is built per ledger.  The
-entry at p reads nothing but p, and a table builds it once per p
-(``_own_prime_entry``).  The entry at oo takes one of two values and the
-symbolic entry one, so both are built once, at import, and shared, as
-are the interchanged algebra's memberships at oo, 2, p and q, which the
-exchange rule gives alike for every pair.  The symbolic entry is a fixed
-field of ``DeficiencyLedger``, not an argument.  ``LocalStatus`` checks
-each entry when it is built, and each ledger finds its deficient places
-once, when it is built.
+The entry at p reads nothing but p (``_own_prime_entry``).  The entry
+at oo takes one of two values and the symbolic entry one, so both are
+built once, at import, and shared, as are the interchanged algebra's
+memberships at oo, 2, p and q, which ``interchange`` gives alike for
+every pair.  The symbolic entry is a fixed field of ``DeficiencyLedger``,
+not an argument.  ``LocalStatus`` checks each entry when it is built,
+and each ledger finds its deficient places once, when it is built.
 """
 
 from __future__ import annotations
@@ -36,7 +34,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .ntheory import INFINITY, Place, hilbert_symbol
-from .quaternion import _exchanged, _quad_field_splits
+from .quaternion import QuaternionAlgebra, _quad_field_splits, interchange
 from .shimura import AdmissiblePair, _pair_places
 
 __all__ = [
@@ -118,12 +116,13 @@ _TWO = Place(2)
 # the entry at oo, by whether Q(sqrt(p)) splits B: one of two in every ledger
 _AT_INFINITY = {real: LocalStatus(INFINITY, real, StatusSource.REAL_SPLITTING) for real in (False, True)}
 
-# Whether the interchanged algebra ramifies at oo, 2, p and q, by the
-# exchange rule at p.  It reads only which of those places are p and q, so
-# it is the same for any distinct odd primes p and q and is read once, here,
-# at (3, 5).
+# Whether the algebra B = {p, q} interchanged at p ramifies at oo, 2, p and
+# q.  The exchange rule reads only which of those places are p and q, so
+# this is the same for any distinct odd primes p and q and is read once,
+# here, at (3, 5).
 _SWAPPED = tuple(
-    _exchanged(v, P) in (P, Q) for P, Q in [(Place(3), Place(5))] for v in (INFINITY, _TWO, P, Q)
+    v in interchange(QuaternionAlgebra(frozenset({Place(3), Place(5)})), 3).ram_set
+    for v in (INFINITY, _TWO, Place(3), Place(5))
 )
 
 
@@ -166,12 +165,12 @@ def _pic1_at_other_prime(P: Place, Q: Place) -> bool:
 
     Both symbol algebras have 2ab = 2pq, so they and the interchanged
     algebra ramify only among oo, 2, p and q: agreeing at those four places
-    is isomorphism.  The interchanged algebra is not built: its memberships
-    at those places are the same for every pair, ``_SWAPPED``, which the
-    exchange rule gave once, at import.  Every Hilbert symbol compared is
-    computed for the pair, and each comparison stops at the first place of
-    disagreement, so no ramification set is built for a symbol algebra
-    either.
+    is isomorphism.  The interchanged algebra is not built per pair: its
+    memberships at those places are the same for every pair, ``_SWAPPED``,
+    which ``interchange`` gave once, at import.  Every Hilbert symbol
+    compared is computed for the pair, and each comparison stops at the
+    first place of disagreement, so no ramification set is built for a
+    symbol algebra either.
     """
     places = (INFINITY, _TWO, P, Q)
     p, q = P.prime, Q.prime

@@ -5,23 +5,16 @@ order of a curve's jacobian to counting deficient places: places whose
 completion carries no rational divisor of degree g - 1.
 ``_certify_table`` is the one construction path: it assembles genus data
 and a deficiency ledger for each ``AdmissiblePair`` of a table, and the
-certificate reads its verdict off the ledger; every external fact the
-argument leans on is listed on it.  ``ParityCertificate.for_pair`` is the
-certificate of the one-pair table, and ``certify`` checks admissibility
-of two integers once and then calls it.
+certificate reads its verdict off the ledger; every certificate cites the
+one list ``STANDING_ASSUMPTIONS`` of the external facts the argument
+leans on.  ``ParityCertificate.for_pair`` is the certificate of the
+one-pair table, and ``certify`` checks admissibility of two integers once
+and then calls it.  What the table computes once per prime, and why it
+holds nothing per pair, is stated on ``_certify_table``.
 
-Each invariant is computed once, at the level it belongs to, and a value
-type derives what follows from the facts it is given: ``GenusData`` the
-quotient genus, ``ParityCertificate`` the verdict, ``SieveReport`` its
-flag and bounds.  Per certificate: the Places of p and q carry the
-algebra B = {p, q}, which serves the genus and every ledger entry, so no
-algebra is built.  Per prime: the primality proof, run once, when the
-pair is admitted; the Place, which trusts that proof, and the
-Eichler-Shimura factors the genus multiplies, both once per table; and
-the class number h(-4p) and the ledger's entry at p, computed once per
-run of pairs with equal p, so a table in (p, q) order needs one of each
-per distinct p.  A table keeps nothing per pair, so its memory does not
-grow with its length.
+A value type derives what follows from the facts it is given:
+``GenusData`` the quotient genus, ``ParityCertificate`` the verdict,
+``SieveReport`` its flag and bounds.
 
 ``enumerate_admissible`` lists the admissible pairs of a box, scanned by
 ``shimura._admissible_pairs``, which owns the rules of admissibility:
@@ -101,19 +94,19 @@ class ParityCertificate:
     with the everywhere-existence of degree-2 classes, and the evenness is
     asserted here, where the genus and the ledger meet.  The verdict is
     not given: it is ``poonen_stoll_verdict(ledger)``, computed here, once.
+    Nor are the assumptions: every certificate cites the fixed
+    ``STANDING_ASSUMPTIONS``.
     """
 
     pair: AdmissiblePair
     genus: GenusData
     ledger: DeficiencyLedger
     verdict: Verdict = field(init=False)
-    assumptions: tuple[str, ...]
+    assumptions: tuple[str, ...] = field(init=False, default=STANDING_ASSUMPTIONS)
 
     def __post_init__(self) -> None:
         if self.genus.g_quotient % 2:
             raise ValueError("degree bridge needs an even quotient genus")
-        if not self.assumptions:
-            raise ValueError("a certificate always cites its assumptions")
         object.__setattr__(self, "verdict", poonen_stoll_verdict(self.ledger))
 
     @classmethod
@@ -142,16 +135,24 @@ def certify(p: int, q: int) -> ParityCertificate | AdmissibilityRejection:
 
 
 def _certify_table(pairs: Iterable[AdmissiblePair]) -> Iterator[ParityCertificate]:
-    """The certificate of each pair, in order: the one construction path.
-    h(-4p) and the ledger's entry at p, which reads nothing but p, are
-    computed once per run of pairs with equal p, so pairs in (p, q) order,
-    as ``enumerate_admissible`` returns them, need one of each per distinct
-    p, and only the current ones are held.  Each prime's Place and genus
-    factors are computed once per table; an ``AdmissiblePair`` holds primes
-    its admission proved, so the Places do not prove them again.  The
-    Places of p and q carry B = {p, q} to both the genus and the ledger, so
-    no algebra is built.  Nothing is kept per pair, so the pairs may come
-    from a generator."""
+    """The certificate of each pair, in order: the one construction path,
+    and the one statement of what a table computes how often.
+
+    * Per prime: the primality proof runs once, when a pair is admitted,
+      and the Place trusts it; the Place and the Eichler-Shimura factors
+      the genus multiplies are computed once per table.
+    * Per run of pairs with equal p: h(-4p) and the ledger's entry at p,
+      which reads nothing but p, so pairs in (p, q) order, as
+      ``enumerate_admissible`` returns them, need one of each per distinct
+      p, and only the current ones are held.
+    * Per pair: the genus and the ledger's entry at q.  The Places of p
+      and q carry B = {p, q} to both, so no algebra is built.
+    * Once, at import: the ledger's entries at oo and elsewhere, and the
+      interchanged algebra's memberships at oo, 2, p and q
+      (``localpoints``).
+
+    Nothing is kept per pair, so the pairs may come from a generator and
+    a table's memory does not grow with its length."""
     primes: dict[int, tuple[Place, tuple[int, int, int]]] = {}
 
     def facts(n: int) -> tuple[Place, tuple[int, int, int]]:
@@ -168,7 +169,6 @@ def _certify_table(pairs: Iterable[AdmissiblePair]) -> Iterator[ParityCertificat
             pair=pair,
             genus=_genus_quotient(pair, P, Q, h, fp, fq),
             ledger=_deficiency_ledger(at_p, Q),
-            assumptions=STANDING_ASSUMPTIONS,
         )
 
 
@@ -193,8 +193,9 @@ class SieveReport:
     supersingular points of the reduction mod 2, it computes the rest:
     flag, by ``_hyperelliptic_flag``; genus_product = (p-1)(q-1); the
     supersingular_lower_bound = ceil(H/2) of them that survive on the
-    quotient, to be compared against F4_POINT_CAP; and
-    refined_not_hyperelliptic, ceil((p-1)(q-1)/24) > F4_POINT_CAP: the flag.
+    quotient, to be compared against F4_POINT_CAP.  The refined bound
+    ceil((p-1)(q-1)/24) > F4_POINT_CAP holds exactly when (p-1)(q-1) > 240,
+    so it is the flag, not a field.
     """
 
     pair: AdmissiblePair
@@ -202,14 +203,11 @@ class SieveReport:
     genus_product: int = field(init=False)
     definite_class_number: int
     supersingular_lower_bound: int = field(init=False)
-    refined_not_hyperelliptic: bool = field(init=False)
 
     def __post_init__(self) -> None:
-        flag = _hyperelliptic_flag(self.pair)
-        object.__setattr__(self, "flag", flag)
+        object.__setattr__(self, "flag", _hyperelliptic_flag(self.pair))
         object.__setattr__(self, "genus_product", (self.pair.p - 1) * (self.pair.q - 1))
         object.__setattr__(self, "supersingular_lower_bound", (self.definite_class_number + 1) // 2)
-        object.__setattr__(self, "refined_not_hyperelliptic", flag is HyperellipticFlag.NOT_HYPERELLIPTIC)
 
 
 def hyperelliptic_sieve(pairs: list[AdmissiblePair]) -> list[SieveReport]:

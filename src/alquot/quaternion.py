@@ -6,11 +6,11 @@ of places where it ramifies, which always has even cardinality.  This
 module computes that set from a symbol pair, tests isomorphism as set
 equality, exchanges the local invariants at a prime and infinity,
 decides whether a quadratic field splits an algebra, and evaluates
-Eichler's class number formula for the definite case.  Two private rules
-are shared: ``_exchanged``, the exchange rule, which the interchange
-criterion of ``localpoints`` reads without building the exchanged
-algebra, and ``_local_factors``, the local factors of Eichler's formula,
-which the genus formula of ``shimura`` reads too.
+Eichler's class number formula for the definite case.  The exchange rule
+is stated once, in ``interchange``, which the interchange criterion of
+``localpoints`` reads once, at import.  ``_local_factors``, the local
+factors of Eichler's formula, is shared with the genus formula of
+``shimura``.
 
 Maximal orders, ideal classes and unit groups are deliberately absent:
 the ramification set carries everything the rest of the package needs.
@@ -107,18 +107,9 @@ def interchange(B: QuaternionAlgebra, p: int) -> QuaternionAlgebra:
         raise ValueError("interchange is defined at an odd prime")
     held = [v for v in B.ram_set if v.prime == p]
     fin = held[0] if held else Place(p)  # Place(p) proves p
-    return QuaternionAlgebra(frozenset(_exchanged(v, fin) for v in B.ram_set))
-
-
-def _exchanged(v: Place, fin: Place) -> Place:
-    """The exchange rule of ``interchange`` at the odd prime of the Place
-    fin: the interchanged algebra ramifies at v exactly when B ramifies at
-    the place returned, which is oo for fin, fin for oo, and v elsewhere.
-    The rule is an involution, so it also maps B's ramified places onto
-    those of the interchanged algebra."""
-    if v.prime == fin.prime:
-        return INFINITY
-    return fin if v.prime is None else v
+    return QuaternionAlgebra(frozenset(
+        INFINITY if v.prime == p else fin if v.prime is None else v for v in B.ram_set
+    ))
 
 
 def quad_field_splits(d: int, B: QuaternionAlgebra) -> bool:

@@ -22,14 +22,11 @@ violation surfaces as an error instead of a wrong number.
 
 The int entry points here and in ``localpoints`` take p and q through
 ``_pair_places``, which owns the hypothesis that p and q are distinct odd
-primes and proves them prime as it builds their Places; a table builds
-each prime's Place once instead, trusting the proof that admitted the
-pair, as ``genus_quotient`` does.  The algebra B of discriminant pq is
-its ramification set {p, q}, so those two Places carry it: no algebra is
-built.  The entry points delegate to private cores that take what a
-certificate already holds: the Places P and Q, and the facts that belong
-to one prime and so are computed once per prime when a table shares
-them: h(-4p) and the Eichler-Shimura factors ``_local_factors((l,))`` of
+primes and proves them prime as it builds their Places.  The algebra B
+of discriminant pq is its ramification set {p, q}, so those two Places
+carry it: no algebra is built.  The entry points delegate to private
+cores that take what a certificate already holds: the Places P and Q,
+h(-4p), and the Eichler-Shimura factors ``_local_factors((l,))`` of
 l = p and q, whose products the genus formula reads.
 ``_genus_quotient(pair, P, Q, h, fp, fq)`` is the core every certificate
 runs.  ``_genus_VB`` holds the integrity check of g_VB, and

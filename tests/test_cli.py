@@ -5,6 +5,7 @@ import dataclasses
 import errno
 import hashlib
 import io
+import itertools
 import json
 import os
 import stat
@@ -272,25 +273,44 @@ def test_enumerate_2500_golden(fmt, capsys):
 
 
 def test_enumerate_csv_encodes_each_assumptions_value_once(monkeypatch, capsys):
-    # certificates citing two assumption lists in turn, one of which the csv
+    # records citing two assumption lists in turn, one of which the csv
     # module must quote: a writer that reuses the first row's cell fails
-    certify_table = alquot.parity._certify_table
-    cited = [STANDING_ASSUMPTIONS, ('a "quoted", fact', "over\ntwo lines")]
+    cited = [list(STANDING_ASSUMPTIONS), ['a "quoted", fact', "over\ntwo lines"]]
+    from_certificate = OutputRecord.from_certificate
+    turn = itertools.count()
 
-    def alternating(pairs):
-        for i, cert in enumerate(certify_table(pairs)):
-            yield dataclasses.replace(cert, assumptions=cited[i % 2])
+    def alternating(cert):
+        return dataclasses.replace(from_certificate(cert), assumptions=cited[next(turn) % 2])
 
-    monkeypatch.setattr(alquot.cli, "_certify_table", alternating)
+    monkeypatch.setattr(OutputRecord, "from_certificate", alternating)
     assert main(["enumerate", "--max", "200"]) == 0
     out = capsys.readouterr().out
     expected = io.StringIO()
     writer = csv.writer(expected, lineterminator="\n")
     writer.writerow(CSV_HEADER)
-    records = map(OutputRecord.from_certificate, alternating(enumerate_admissible(200)))
+    certificates = _certify_table(enumerate_admissible(200))
+    records = (dataclasses.replace(from_certificate(c), assumptions=cited[i % 2]) for i, c in enumerate(certificates))
     writer.writerows(record.csv_row() for record in records)
     assert out == expected.getvalue()
     assert min(out.count(',"a ""quoted"", fact;over\ntwo lines"\n'), out.count(f",{ASSUMPTION_CELL}\n")) > 2
+
+
+def test_csv_writer_memo_is_bounded_and_exact():
+    # twenty distinct tuples, more than the memo holds, some of which the
+    # csv module must quote: every row is what csv.writer writes for it
+    cited = [(f"fact {i}", 'a "quoted", fact' if i % 3 else "plain", "two\nlines" * (i % 2)) for i in range(20)]
+    records = [
+        OutputRecord(5, 17 + i, 85, 5, 4, 2, ("17",), "odd", "possibly_hyperelliptic", assumptions)
+        for i, assumptions in enumerate(cited * 2)
+    ]
+    out = io.StringIO()
+    alquot.cli._write_csv(out, records)
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(CSV_HEADER)
+    writer.writerows(record.csv_row() for record in records)
+    assert out.getvalue() == expected.getvalue()
+    assert alquot.cli._csv_tail.cache_info().currsize <= 16
 
 
 def test_enumerate_csv_and_json_tables_agree(capsys):

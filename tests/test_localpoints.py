@@ -1,8 +1,11 @@
+import ast
 import dataclasses
+from pathlib import Path
 
 import pytest
 
 import alquot.localpoints
+import alquot.quaternion
 from alquot.localpoints import (
     _ELSEWHERE,
     _SWAPPED,
@@ -19,7 +22,7 @@ from alquot.localpoints import (
 )
 from alquot.ntheory import INFINITY, Place, is_prime
 from alquot.parity import enumerate_admissible
-from alquot.quaternion import QuaternionAlgebra, _exchanged, interchange, is_isomorphic
+from alquot.quaternion import QuaternionAlgebra, interchange, is_isomorphic
 from alquot.shimura import AdmissiblePair
 
 
@@ -158,14 +161,29 @@ def test_ledger_holds_the_one_symbolic_entry_and_takes_three_entries():
 
 
 def test_exchange_vector_read_once_is_the_per_call_rule():
-    # the interchange criterion reads the exchange rule at (oo, 2, p, q)
-    # once, at import; per call it gave the same vector for every pair
+    # the interchange criterion reads interchange's memberships at
+    # (oo, 2, p, q) once, at import; per call it gives the same vector for
+    # every pair
     pairs = [(Place(pair.p), Place(pair.q)) for pair in enumerate_admissible(500)]
     assert len(pairs) > 100
     for P, Q in pairs:
         for own, other in ((P, Q), (Q, P)):  # the ledger asks with (Q, P)
-            places = (INFINITY, _TWO, own, other)
-            assert _SWAPPED == tuple(_exchanged(v, own) in (own, other) for v in places)
+            swapped = interchange(QuaternionAlgebra(frozenset({own, other})), own.prime)
+            assert _SWAPPED == tuple(v in swapped.ram_set for v in (INFINITY, _TWO, own, other))
+
+
+def test_the_exchange_rule_is_stated_once():
+    # localpoints reads the rule through the public interchange alone
+    assert not hasattr(alquot.quaternion, "_exchanged")
+    tree = ast.parse(Path(alquot.localpoints.__file__).read_text(encoding="utf-8"))
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "quaternion"
+        for alias in node.names
+    }
+    assert "interchange" in imported
+    assert {name for name in imported if name.startswith("_")} == {"_quad_field_splits"}
 
 
 def _ledger_field_by_field(p: int, q: int) -> DeficiencyLedger:

@@ -20,6 +20,7 @@ from alquot.ntheory import INFINITY, Place, legendre, valuation
 from alquot.parity import (
     F4_POINT_CAP,
     HYPERELLIPTIC_PRODUCT_BOUND,
+    STANDING_ASSUMPTIONS,
     HyperellipticFlag,
     ParityCertificate,
     SieveReport,
@@ -81,8 +82,26 @@ def test_certify_examples():
 
 def test_certificate_consistency_guard():
     cert = certify(5, 17)
-    with pytest.raises(ValueError):
-        ParityCertificate(cert.pair, cert.genus, cert.ledger, ())
+    with pytest.raises(TypeError):
+        ParityCertificate(cert.pair, cert.genus, cert.ledger, assumptions=())
+
+
+def test_certificate_cites_the_fixed_assumptions():
+    # (pair, genus, ledger) is the whole constructor: the citations are a
+    # fixed field, shared by every certificate
+    cert = certify(5, 17)
+    rebuilt = ParityCertificate(cert.pair, cert.genus, cert.ledger)
+    assert rebuilt == cert
+    with pytest.raises(TypeError):
+        ParityCertificate(cert.pair, cert.genus, cert.ledger, STANDING_ASSUMPTIONS)
+    certificates = [rebuilt, *_certify_table(enumerate_admissible(500))]
+    assert len(certificates) > 100
+    for c in certificates:
+        assert c.assumptions is STANDING_ASSUMPTIONS
+    assert [f.name for f in dataclasses.fields(ParityCertificate)] == [
+        "pair", "genus", "ledger", "verdict", "assumptions"
+    ]
+    assert [f.name for f in dataclasses.fields(ParityCertificate) if f.init] == ["pair", "genus", "ledger"]
 
 
 def test_certificate_requires_even_quotient_genus():
@@ -90,14 +109,14 @@ def test_certificate_requires_even_quotient_genus():
     odd_genus = dataclasses.replace(cert.genus, e_p=0)
     assert odd_genus.g_quotient == 3
     with pytest.raises(ValueError, match="even quotient genus"):
-        ParityCertificate(cert.pair, odd_genus, cert.ledger, cert.assumptions)
+        ParityCertificate(cert.pair, odd_genus, cert.ledger)
 
 
 def test_certificate_computes_its_verdict_from_its_ledger():
     cert = certify(5, 17)
     assert cert.verdict is Verdict.ODD
     with pytest.raises(TypeError):
-        ParityCertificate(cert.pair, cert.genus, cert.ledger, verdict=Verdict.EVEN, assumptions=cert.assumptions)
+        ParityCertificate(cert.pair, cert.genus, cert.ledger, verdict=Verdict.EVEN)
     # 17 is the one deficient place: making it non-deficient flips the parity
     at_q = dataclasses.replace(cert.ledger.at_q, pic1_nonempty=True)
     even = dataclasses.replace(cert, ledger=dataclasses.replace(cert.ledger, at_q=at_q))
@@ -220,9 +239,8 @@ def test_sieve_report_computes_its_flag_and_bounds():
     assert report.flag is HyperellipticFlag.NOT_HYPERELLIPTIC
     assert report.genus_product == 100108 * 40
     assert report.supersingular_lower_bound == 1
-    assert report.refined_not_hyperelliptic
     assert SieveReport(AdmissiblePair(5, 17), 2).flag is HyperellipticFlag.POSSIBLY_HYPERELLIPTIC
-    for witness in ("flag", "genus_product", "supersingular_lower_bound", "refined_not_hyperelliptic"):
+    for witness in ("flag", "genus_product", "supersingular_lower_bound"):
         with pytest.raises(TypeError):
             SieveReport(pair, 1, **{witness: None})
 
@@ -376,10 +394,8 @@ def test_sieve_examples():
     assert first.genus_product == 64
     assert first.definite_class_number == 8
     assert first.supersingular_lower_bound == 4
-    assert first.refined_not_hyperelliptic is False
     assert second.flag is HyperellipticFlag.NOT_HYPERELLIPTIC
     assert second.genus_product == 448
-    assert second.refined_not_hyperelliptic is True
 
 
 def test_sieve_bounds_are_exact_beyond_float_precision():
@@ -388,7 +404,7 @@ def test_sieve_bounds_are_exact_beyond_float_precision():
     report = hyperelliptic_sieve([pair])[0]
     assert report.definite_class_number == 96076812451666248
     assert report.supersingular_lower_bound == 48038406225833124
-    assert report.refined_not_hyperelliptic is True
+    assert report.flag is HyperellipticFlag.NOT_HYPERELLIPTIC
 
 
 def test_the_product_bound_is_the_f4_point_cap():
@@ -397,7 +413,14 @@ def test_the_product_bound_is_the_f4_point_cap():
     assert HYPERELLIPTIC_PRODUCT_BOUND == 24 * F4_POINT_CAP == 240
     for report in hyperelliptic_sieve(enumerate_admissible(300)):
         refined = -(-report.genus_product // 24) > F4_POINT_CAP
-        assert report.refined_not_hyperelliptic is refined is (report.flag is HyperellipticFlag.NOT_HYPERELLIPTIC)
+        assert refined is (report.flag is HyperellipticFlag.NOT_HYPERELLIPTIC)
+
+
+def test_sieve_report_stores_no_copy_of_its_flag():
+    # the refined bound is the flag, so the report has five fields
+    names = [f.name for f in dataclasses.fields(SieveReport)]
+    assert "refined_not_hyperelliptic" not in names
+    assert names == ["pair", "flag", "genus_product", "definite_class_number", "supersingular_lower_bound"]
 
 
 def test_sieve_flag_matches_product_rule():
