@@ -25,11 +25,13 @@ File format, one record per line, UTF-8::
     inv <wp|wq|wpq> [<a> <b>]... involution as id -> id pairs; edges not
                                  mentioned are fixed; ~ selects opposites
 
-Blank lines and lines starting with ``#`` are ignored; anything else is a
-parse error carrying its line number.  Serialization is canonical and
-round-trips.  A hand-built graph lacking an image, a length, an involution,
-an edge or a vertex is reported by ``validate`` as values; the other
-operations raise ValueError or a subclass where they need it, never KeyError.
+Tokens are separated by any whitespace.  Blank lines and comments, whole
+lines whose first non-blank character is ``#``, are ignored; anything else
+(a ``#`` after a record too) is a parse error carrying its line number.
+Serialization is canonical and round-trips.  A hand-built graph lacking an
+image, a length, an involution, an edge or a vertex is reported by
+``validate`` as values; the other operations raise ValueError or a
+subclass where they need it, never KeyError.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from __future__ import annotations
 from contextlib import suppress
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Mapping
+from typing import Iterable, Mapping
 
 __all__ = [
     "LengthedQuotientGraph",
@@ -121,28 +123,26 @@ class LengthedQuotientGraph:
 
 
 def _expand_involution(
-    oriented_ids: Mapping[str, object], name: str, pairs: list[tuple[str, str]]
+    opposites: Mapping[str, str], name: str, pairs: list[tuple[str, str]]
 ) -> dict[str, str]:
-    """Total involution from generator pairs.
+    """The edges an involution's generator pairs move, with their images,
+    over the oriented ids that ``opposites`` maps each to its opposite.
 
-    Each a -> b forces b -> a and the opposites ~a -> ~b, ~b -> ~a;
-    unlisted edges stay fixed.  The ids come in opposite pairs, so only a
-    and b need looking up, and the assignments map ~x to ~y whenever x to
+    Each a -> b forces b -> a and the opposites ~a -> ~b, ~b -> ~a; the
+    edges left out stay fixed.  One lookup each proves a and b known and
+    gives their opposites, and the assignments map ~x to ~y whenever x to
     y, so only a and b can clash.  Contradictions raise ValueError.
     """
     assigned: dict[str, str] = {}
     for a, b in pairs:
-        for x in (a, b):
-            if x not in oriented_ids:
-                raise ValueError(f"involution {name} mentions unknown edge {x!r}")
+        opp_a, opp_b = opposites.get(a), opposites.get(b)
+        if opp_a is None or opp_b is None:
+            raise ValueError(f"involution {name} mentions unknown edge {a if opp_a is None else b!r}")
         if assigned.setdefault(a, b) != b or assigned.setdefault(b, a) != a:
             clash = a if assigned[a] != b else b
             raise ValueError(f"involution {name} maps {clash!r} inconsistently")
-        opp_a, opp_b = opposite(a), opposite(b)
         assigned[opp_a], assigned[opp_b] = opp_b, opp_a
-    involution = dict(zip(oriented_ids, oriented_ids))
-    involution.update(assigned)
-    return involution
+    return assigned
 
 
 def parse_graph(text: str) -> LengthedQuotientGraph:
@@ -151,13 +151,13 @@ def parse_graph(text: str) -> LengthedQuotientGraph:
     vertices: dict[str, str] = {}
     endpoints: dict[str, tuple[str, str]] = {}
     lengths: dict[str, int] = {}
+    opposites: dict[str, str] = {}
     inv_lines: list[tuple[int, str, list[str]]] = []
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        tokens = raw.split()
+        if not tokens:
             continue
-        tokens = line.split()
         kind = tokens[0]
         if kind == "v":
             if len(tokens) != 3:
@@ -187,25 +187,28 @@ def parse_graph(text: str) -> LengthedQuotientGraph:
             opp = "~" + eid  # eid itself does not start with ~
             endpoints[eid], endpoints[opp] = (src, dst), (dst, src)
             lengths[eid] = lengths[opp] = length
+            opposites[eid], opposites[opp] = opp, eid
         elif kind == "inv":
             if len(tokens) < 2 or tokens[1] not in INVOLUTION_NAMES:
                 raise GraphParseError(lineno, "involution line needs: inv <wp|wq|wpq> [pairs]")
             if len(tokens) % 2:
                 raise GraphParseError(lineno, "involution pairs come in twos")
             inv_lines.append((lineno, tokens[1], tokens[2:]))
-        else:
+        elif not kind.startswith("#"):  # a comment is a whole line
             raise GraphParseError(lineno, f"unknown record {kind!r}")
 
+    identity = dict(zip(endpoints, endpoints))
     declared: dict[str, dict[str, str]] = {}
     for lineno, name, flat in inv_lines:
         if name in declared:
             raise GraphParseError(lineno, f"involution {name} declared twice")
         try:
-            declared[name] = _expand_involution(endpoints, name, list(zip(flat[0::2], flat[1::2])))
+            moved = _expand_involution(opposites, name, list(zip(flat[0::2], flat[1::2])))
         except ValueError as exc:
             raise GraphParseError(lineno, str(exc)) from exc
+        declared[name] = identity | moved
     # an involution the file leaves out is the identity
-    involutions = {n: declared.get(n) or dict(zip(endpoints, endpoints)) for n in INVOLUTION_NAMES}
+    involutions = {n: declared.get(n) or identity.copy() for n in INVOLUTION_NAMES}
     return LengthedQuotientGraph(vertices, endpoints, lengths, involutions)
 
 
@@ -233,50 +236,40 @@ def serialize_graph(graph: LengthedQuotientGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _reversed_with_even_length(graph: LengthedQuotientGraph, w: Mapping[str, str], eid: str) -> bool:
-    """Whether w sends the oriented edge eid to its opposite and eid has
-    even length.  An edge with no length or no image under w does not
-    meet the criterion."""
-    return graph.edge_length.get(eid, 1) % 2 == 0 and w.get(eid) == opposite(eid)
-
-
-def _derived_vertex_map(graph: LengthedQuotientGraph, w: Mapping[str, str]) -> dict[str, str] | str:
-    """Vertex action forced by an edge permutation, or an error message
-    when the images of a shared endpoint disagree."""
-    edges = graph.edge_endpoints
-    vmap: dict[str, str] = {}
-    for eid, (src, dst) in edges.items():
-        image = edges.get(w.get(eid))
-        if image is None:
-            return f"image of {eid!r} is not an edge"
-        tsrc, tdst = image
-        if vmap.setdefault(src, tsrc) != tsrc:
-            return f"vertex {src!r} has conflicting images"
-        if vmap.setdefault(dst, tdst) != tdst:
-            return f"vertex {dst!r} has conflicting images"
-    for vertex in graph.vertex_parity:
-        vmap.setdefault(vertex, vertex)  # isolated vertices stay put
-    return vmap
+def _reversed_with_even_length(
+    graph: LengthedQuotientGraph, w: Mapping[str, str], eids: Iterable[str]
+) -> list[str]:
+    """The oriented edges among eids that w sends to their opposite and
+    that have even length.  An edge with no length or no image under w
+    does not meet the criterion."""
+    lengths = graph.edge_length
+    return [eid for eid in eids if lengths.get(eid, 1) % 2 == 0 and w.get(eid) == opposite(eid)]
 
 
 def validate(graph: LengthedQuotientGraph, dual_graph_checks: bool = False) -> list[str]:
     """All invariant violations, as strings; empty means valid.
 
-    With ``dual_graph_checks`` the list also flags any edge of even length
-    reversed by wp, a combination that cannot occur on the dual graph of a
-    quaternionic Mumford curve with two odd ramified primes.
+    The vertex action each involution forces is derived in the loop that
+    checks the involution edge by edge; the first vertex given two images
+    is reported.  With ``dual_graph_checks`` the list also flags any edge
+    of even length reversed by wp, a combination that cannot occur on the
+    dual graph of a quaternionic Mumford curve with two odd ramified
+    primes.
     """
     out: list[str] = []
     edges, lengths, classes = graph.edge_endpoints, graph.edge_length, graph.vertex_parity
     edge_set = set(edges)
     opposites: dict[str, str] = {}
+    rows: list[tuple[str, str, str, str, int | None]] = []  # what the involution checks read per edge
 
     for vid, parity in classes.items():
         if parity not in ("even", "odd"):
             out.append(f"vertex {vid!r} has parity {parity!r}")
 
     for eid, (src, dst) in edges.items():
-        opp = opposites[eid] = opposite(eid)
+        plain = not eid.startswith("~")
+        opp = opposites[eid] = "~" + eid if plain else eid[1:]  # opposite(eid), without the call
+        rows.append((eid, opp, src, dst, lengths.get(eid)))
         if opp not in edges:
             out.append(f"edge {eid!r} has no opposite")
             continue
@@ -288,7 +281,7 @@ def validate(graph: LengthedQuotientGraph, dual_graph_checks: bool = False) -> l
             out.append(f"edge {eid!r} has nonpositive length")
         if src not in classes or dst not in classes:
             out.append(f"edge {eid!r} touches an undeclared vertex")
-        elif graph.bipartite and not eid.startswith("~") and classes[src] == classes[dst]:
+        elif graph.bipartite and plain and classes[src] == classes[dst]:
             out.append(f"edge {eid!r} joins two {classes[src]} vertices")
 
     if set(graph.involutions) != set(INVOLUTION_NAMES):
@@ -300,17 +293,22 @@ def validate(graph: LengthedQuotientGraph, dual_graph_checks: bool = False) -> l
         if w.keys() != edge_set or set(w.values()) != edge_set:
             out.append(f"{name} is not a permutation of the oriented edges")
             continue
-        for eid, opp in opposites.items():
+        vmap: dict[str, str] = {}
+        conflict = None
+        for eid, opp, src, dst, length in rows:
             target = w[eid]  # an edge, so opposites has its opposite
             if w[target] != eid:
                 out.append(f"{name} is not an involution at {eid!r}")
             if w.get(opp) != opposites[target]:
                 out.append(f"{name} does not commute with opposition at {eid!r}")
-            if lengths.get(target) != lengths.get(eid):
+            if lengths.get(target) != length:
                 out.append(f"{name} does not preserve the length of {eid!r}")
-        vmap = _derived_vertex_map(graph, w)
-        if isinstance(vmap, str):
-            out.append(f"{name} is not an automorphism: {vmap}")
+            if conflict is None:
+                tsrc, tdst = edges[target]
+                if vmap.setdefault(src, tsrc) != tsrc or vmap.setdefault(dst, tdst) != tdst:
+                    conflict = src if vmap[src] != tsrc else dst
+        if conflict is not None:
+            out.append(f"{name} is not an automorphism: vertex {conflict!r} has conflicting images")
 
     wp, wq, wpq = (graph.involution(n) for n in INVOLUTION_NAMES)
     if all(w.keys() == edge_set for w in (wp, wq, wpq)):
@@ -319,9 +317,8 @@ def validate(graph: LengthedQuotientGraph, dual_graph_checks: bool = False) -> l
                 out.append(f"wpq differs from wp o wq at {eid!r}")
 
     if dual_graph_checks:
-        for eid in graph.base_edges():
-            if _reversed_with_even_length(graph, wp, eid):
-                out.append(f"edge {eid!r} has even length and is reversed by wp")
+        for eid in _reversed_with_even_length(graph, wp, graph.base_edges()):
+            out.append(f"edge {eid!r} has even length and is reversed by wp")
 
     return out
 
@@ -353,17 +350,53 @@ def quotient_edge_map(graph: LengthedQuotientGraph, name: str) -> dict[str, str]
     So r lands on whichever of r, w(r) has that base id (r on a tie),
     made plain when the other one is that plain id.
     """
-    w = graph.involution(name)
-    edge_map: dict[str, str] = {}
-    for eid in graph.edge_endpoints:
-        target = _image(name, w, eid)
-        base = eid[1:] if eid.startswith("~") else eid
+    return _orbit_pass(graph, name, graph.involution(name), None)
+
+
+def _orbit_pass(
+    graph: LengthedQuotientGraph, name: str, w: Mapping[str, str], vmap: dict[str, str] | None
+) -> dict[str, str]:
+    """The orbit ids of quotient_edge_map under w, the named involution,
+    from one pass over the oriented edges.
+
+    Without ``vmap``, an edge w has no image for raises ValueError naming
+    it.  Given a dict ``vmap``, the pass is the quotient's: it fills vmap
+    with the vertex action w forces and raises QuotientError at the first
+    edge whose image is no edge or sends a shared endpoint two ways, or
+    else, once that action is complete, at the first edge w reverses.
+    """
+    edges = graph.edge_endpoints
+    orbits: dict[str, str] = {}
+    reversed_edge = None
+    for eid, (src, dst) in edges.items():
+        if vmap is None:
+            target = _image(name, w, eid)
+        else:
+            target = w.get(eid)
+            image = edges.get(target)
+            if image is None:
+                raise QuotientError(f"{name} is not an automorphism: image of {eid!r} is not an edge")
+            tsrc, tdst = image
+            if vmap.setdefault(src, tsrc) != tsrc or vmap.setdefault(dst, tdst) != tdst:
+                clash = src if vmap[src] != tsrc else dst
+                raise QuotientError(f"{name} is not an automorphism: vertex {clash!r} has conflicting images")
+            if reversed_edge is not None:
+                continue  # reported once the whole vertex action is known
+        if eid.startswith("~"):  # opp is opposite(eid), without the call
+            base = opp = eid[1:]
+        else:
+            base, opp = eid, "~" + eid
+        if target == opp and vmap is not None:
+            reversed_edge = eid
+            continue
         target_base = target[1:] if target.startswith("~") else target
         if base <= target_base:
-            edge_map[eid] = base if target == base else eid
+            orbits[eid] = base if target == base else eid
         else:
-            edge_map[eid] = target_base if eid == target_base else target
-    return edge_map
+            orbits[eid] = target_base if eid == target_base else target
+    if reversed_edge is not None:
+        raise QuotientError(f"{name} reverses edge {reversed_edge!r}; quotient length undefined")
+    return orbits
 
 
 def quotient_by_involution(graph: LengthedQuotientGraph, name: str) -> LengthedQuotientGraph:
@@ -377,16 +410,16 @@ def quotient_by_involution(graph: LengthedQuotientGraph, name: str) -> LengthedQ
     remaining involution that fails to commute with the quotiented one.
     The quotiented involution descends to the identity; the bipartite
     flag survives only when the involution preserves the parity classes.
+    The vertex action, the orbit ids and the first reversed edge come from
+    one pass (``_orbit_pass``), and a failing vertex action anywhere is
+    reported before a reversed edge.
     """
     w = graph.involution(name)
-    vmap = _derived_vertex_map(graph, w)
-    if isinstance(vmap, str):
-        raise QuotientError(f"{name} is not an automorphism: {vmap}")
-    for eid in graph.edge_endpoints:
-        if w[eid] == opposite(eid):
-            raise QuotientError(f"{name} reverses edge {eid!r}; quotient length undefined")
+    vmap: dict[str, str] = {}
+    edge_orbit = _orbit_pass(graph, name, w, vmap)
+    for vertex in graph.vertex_parity:
+        vmap.setdefault(vertex, vertex)  # isolated vertices stay put
 
-    edge_orbit = quotient_edge_map(graph, name)
     descended: dict[str, dict[str, str]] = {}
     for other in INVOLUTION_NAMES:
         if other == name:
@@ -459,7 +492,7 @@ def has_local_point(
     the first witness edge in sorted order, if any.
     """
     frob = graph.involution(frobenius) if isinstance(frobenius, str) else frobenius
-    witnesses = [eid for eid in graph.edge_endpoints if _reversed_with_even_length(graph, frob, eid)]
+    witnesses = _reversed_with_even_length(graph, frob, graph.edge_endpoints)
     return (True, min(witnesses)) if witnesses else (False, None)
 
 
@@ -488,7 +521,7 @@ def lift_case_analysis(graph: LengthedQuotientGraph, s: str) -> LiftCase:
 
     if wq_s == s and wpq_s == sbar and wp_s != sbar:
         raise ValueError("inconsistent involutions: wq-fixed and wpq-reversed forces wp-reversal")
-    if _reversed_with_even_length(graph, wp, s):
+    if _reversed_with_even_length(graph, wp, [s]):
         raise ImpossibleCaseError(
             f"edge {s!r} has even length and is reversed by wp; "
             "impossible on a quaternionic dual graph"

@@ -78,34 +78,53 @@ def test_parse_and_roundtrip():
 
 
 def test_parse_accepts_comments_and_blanks():
-    g = parse_graph("# a comment\n\n" + TWO_EDGE)
-    assert validate(g) == []
+    # comments, indented or not, empty lines and lines of spaces and tabs,
+    # tab-separated tokens, trailing blanks and CRLF line ends all read as
+    # TWO_EDGE does
+    text = (
+        "# a comment\n"
+        "\n"
+        " \t# an indented comment\n"
+        " \t \n"
+        "v\ta\teven  \n"
+        "v b odd\t\n"
+        "e e1\ta b 2\n"
+        "inv wp e1 ~e1\ninv wq\ninv wpq e1 ~e1\n"
+    )
+    assert parse_graph(text.replace("\n", "\r\n")) == parse_graph(text) == parse_graph(TWO_EDGE)
 
 
 @pytest.mark.parametrize(
-    "text, line",
+    "text, line, message",
     [
-        ("v a even\nv b odd\nz boom\n", 3),
-        ("v a purple\n", 1),
-        ("v a even\nv a odd\n", 2),
-        ("v a even\nv b odd\ne e1 a b 0\n", 3),
-        ("v a even\nv b odd\ne e1 a c 1\n", 3),
-        ("v a even\nv b odd\ne e1 a b 1\ne e1 b a 1\n", 4),
-        ("v a even\nv b odd\ne ~e1 a b 1\n", 3),
-        ("v a even\nv b odd\ne e1 a b 1\ninv wz e1 e1\n", 4),
-        ("v a even\nv b odd\ne e1 a b 1\ninv wp e1\n", 4),
-        ("v a even\nv b odd\ne e1 a b 1\ninv wp e1 e9\n", 4),
-        ("v a even\nv b odd\ne e1 a b 1\ninv wp\ninv wp\n", 5),
-        ("v a\n", 1),
-        ("v a even\nv b odd\ne e1 a b\n", 3),
-        ("v a even\nv b odd\ne e1 a b two\n", 3),
-        ("v a even\nv b odd\ne e1 a b 1\ninv wp e1 e1 e1 ~e1\n", 4),
+        ("v a even\nv b odd\nz boom\n", 3, "unknown record 'z'"),
+        ("v a purple\n", 1, "parity must be even or odd, got 'purple'"),
+        ("v a even\nv a odd\n", 2, "duplicate vertex 'a'"),
+        ("v a even\nv b odd\ne e1 a b 0\n", 3, "length must be a positive integer"),
+        ("v a even\nv b odd\ne e1 a c 1\n", 3, "edge endpoints must be declared first"),
+        ("v a even\nv b odd\ne e1 a b 1\ne e1 b a 1\n", 4, "duplicate edge 'e1'"),
+        ("v a even\nv b odd\ne ~e1 a b 1\n", 3, "edge ids must not start with ~"),
+        (
+            "v a even\nv b odd\ne e1 a b 1\ninv wz e1 e1\n",
+            4,
+            "involution line needs: inv <wp|wq|wpq> [pairs]",
+        ),
+        ("v a even\nv b odd\ne e1 a b 1\ninv wp e1\n", 4, "involution pairs come in twos"),
+        ("v a even\nv b odd\ne e1 a b 1\ninv wp e1 e9\n", 4, "involution wp mentions unknown edge 'e9'"),
+        ("v a even\nv b odd\ne e1 a b 1\ninv wp\ninv wp\n", 5, "involution wp declared twice"),
+        ("v a\n", 1, "vertex line needs: v <id> <even|odd>"),
+        # a comment is a whole line, so a # after a record is more tokens
+        ("v a even # x\n", 1, "vertex line needs: v <id> <even|odd>"),
+        ("v a even\nv b odd\ne e1 a b\n", 3, "edge line needs: e <id> <from> <to> <length>"),
+        ("v a even\nv b odd\ne e1 a b two\n", 3, "bad length 'two'"),
+        ("v a even\nv b odd\ne e1 a b 1\ninv wp e1 e1 e1 ~e1\n", 4, "involution wp maps 'e1' inconsistently"),
     ],
 )
-def test_parse_errors_carry_line_numbers(text, line):
+def test_parse_errors_carry_line_numbers(text, line, message):
     with pytest.raises(GraphParseError) as info:
         parse_graph(text)
     assert info.value.line == line
+    assert str(info.value) == f"line {line}: {message}"
 
 
 @pytest.mark.parametrize(
@@ -368,7 +387,22 @@ inv wp
 inv wq e1 ~e1
 inv wpq e1 ~e1
 """
-    with pytest.raises(QuotientError):
+    with pytest.raises(QuotientError, match="^wq reverses edge 'e1'; quotient length undefined$"):
+        quotient_by_involution(parse_graph(text), "wq")
+
+
+def test_quotient_reports_a_broken_vertex_action_before_an_earlier_reversal():
+    # wq reverses e1, so a <-> b, and then fixes the parallel edge e2,
+    # so a -> a: the vertex action fails at a later edge than the reversal
+    text = """v a even
+v b odd
+e e1 a b 1
+e e2 a b 1
+inv wp
+inv wq e1 ~e1
+inv wpq e1 ~e1
+"""
+    with pytest.raises(QuotientError, match="^wq is not an automorphism: vertex 'a' has conflicting images$"):
         quotient_by_involution(parse_graph(text), "wq")
 
 
@@ -393,7 +427,7 @@ inv wp e2 e3
 inv wq e1 e2
 inv wpq
 """
-    with pytest.raises(QuotientError):
+    with pytest.raises(QuotientError, match="^wp does not commute with wq; descent undefined$"):
         quotient_by_involution(parse_graph(text), "wq")
 
 
