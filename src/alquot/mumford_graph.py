@@ -14,7 +14,9 @@ combinatorics on them: validation of all structural invariants, quotient
 by an involution (with the stabilizer-doubling length rule), base change,
 the even-length reversed-edge criterion for local points, and the
 two-case reduction used when lifting an edge of a quotient graph.  These
-three share one predicate for the criterion, ``_reversed_with_even_length``.
+three share one predicate for the criterion, ``_reversed_with_even_length``;
+the quotient, its edge map and serialization share one orbit-naming rule,
+``_orbit_id``.
 
 File format, one record per line, UTF-8::
 
@@ -36,7 +38,6 @@ subclass where they need it, never KeyError.
 
 from __future__ import annotations
 
-from contextlib import suppress
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterable, Mapping
@@ -85,7 +86,7 @@ class LiftCase(Enum):
 
 def opposite(edge_id: str) -> str:
     """The oppositely oriented edge: e1 <-> ~e1."""
-    return edge_id[1:] if edge_id.startswith("~") else "~" + edge_id
+    return edge_id[1:] if edge_id[:1] == "~" else "~" + edge_id
 
 
 @dataclass(frozen=True, eq=True)
@@ -108,7 +109,7 @@ class LengthedQuotientGraph:
     bipartite: bool = True
 
     def base_edges(self) -> list[str]:
-        return sorted(e for e in self.edge_endpoints if not e.startswith("~"))
+        return sorted(e for e in self.edge_endpoints if e[:1] != "~")
 
     def oriented_edges(self) -> list[str]:
         return sorted(self.edge_endpoints)
@@ -172,7 +173,7 @@ def parse_graph(text: str) -> LengthedQuotientGraph:
             if len(tokens) != 5:
                 raise GraphParseError(lineno, "edge line needs: e <id> <from> <to> <length>")
             _, eid, src, dst, raw_len = tokens
-            if eid.startswith("~"):
+            if eid[:1] == "~":
                 raise GraphParseError(lineno, "edge ids must not start with ~")
             if eid in endpoints:
                 raise GraphParseError(lineno, f"duplicate edge {eid!r}")
@@ -228,9 +229,8 @@ def serialize_graph(graph: LengthedQuotientGraph) -> str:
         parts = [f"inv {name}"]
         for eid in base_edges:
             target = _image(name, w, eid)
-            # a moved edge is listed from the smaller base id; a reversal
-            # e -> ~e has the same base id on both sides
-            if target != eid and (target[1:] if target.startswith("~") else target) >= eid:
+            # a moved edge is listed by the edge that names its orbit
+            if target != eid and _orbit_id(eid, target) == eid:
                 parts.extend([eid, target])
         lines.append(" ".join(parts))
     return "\n".join(lines) + "\n"
@@ -267,7 +267,7 @@ def validate(graph: LengthedQuotientGraph, dual_graph_checks: bool = False) -> l
             out.append(f"vertex {vid!r} has parity {parity!r}")
 
     for eid, (src, dst) in edges.items():
-        plain = not eid.startswith("~")
+        plain = eid[:1] != "~"
         opp = opposites[eid] = "~" + eid if plain else eid[1:]  # opposite(eid), without the call
         rows.append((eid, opp, src, dst, lengths.get(eid)))
         if opp not in edges:
@@ -340,9 +340,9 @@ def _length(graph: LengthedQuotientGraph, eid: str) -> int:
         raise ValueError(f"edge {eid!r} has no length") from None
 
 
-def quotient_edge_map(graph: LengthedQuotientGraph, name: str) -> dict[str, str]:
-    """Where each oriented edge lands in the quotient by the named
-    involution (the canonical orbit ids used by quotient_by_involution).
+def _orbit_id(eid: str, target: str) -> str:
+    """The quotient's name for the orbit of eid, an oriented edge that its
+    involution sends to target.
 
     The orbit pair {r, w(r)} and its opposite pair receive names that are
     again opposite: the smaller base id of r and w(r), which an edge shares
@@ -350,53 +350,18 @@ def quotient_edge_map(graph: LengthedQuotientGraph, name: str) -> dict[str, str]
     So r lands on whichever of r, w(r) has that base id (r on a tie),
     made plain when the other one is that plain id.
     """
-    return _orbit_pass(graph, name, graph.involution(name), None)
+    base = eid[1:] if eid[:1] == "~" else eid
+    if base <= (target[1:] if target[:1] == "~" else target):
+        return base if target == base else eid
+    return target
 
 
-def _orbit_pass(
-    graph: LengthedQuotientGraph, name: str, w: Mapping[str, str], vmap: dict[str, str] | None
-) -> dict[str, str]:
-    """The orbit ids of quotient_edge_map under w, the named involution,
-    from one pass over the oriented edges.
-
-    Without ``vmap``, an edge w has no image for raises ValueError naming
-    it.  Given a dict ``vmap``, the pass is the quotient's: it fills vmap
-    with the vertex action w forces and raises QuotientError at the first
-    edge whose image is no edge or sends a shared endpoint two ways, or
-    else, once that action is complete, at the first edge w reverses.
-    """
-    edges = graph.edge_endpoints
-    orbits: dict[str, str] = {}
-    reversed_edge = None
-    for eid, (src, dst) in edges.items():
-        if vmap is None:
-            target = _image(name, w, eid)
-        else:
-            target = w.get(eid)
-            image = edges.get(target)
-            if image is None:
-                raise QuotientError(f"{name} is not an automorphism: image of {eid!r} is not an edge")
-            tsrc, tdst = image
-            if vmap.setdefault(src, tsrc) != tsrc or vmap.setdefault(dst, tdst) != tdst:
-                clash = src if vmap[src] != tsrc else dst
-                raise QuotientError(f"{name} is not an automorphism: vertex {clash!r} has conflicting images")
-            if reversed_edge is not None:
-                continue  # reported once the whole vertex action is known
-        if eid.startswith("~"):  # opp is opposite(eid), without the call
-            base = opp = eid[1:]
-        else:
-            base, opp = eid, "~" + eid
-        if target == opp and vmap is not None:
-            reversed_edge = eid
-            continue
-        target_base = target[1:] if target.startswith("~") else target
-        if base <= target_base:
-            orbits[eid] = base if target == base else eid
-        else:
-            orbits[eid] = target_base if eid == target_base else target
-    if reversed_edge is not None:
-        raise QuotientError(f"{name} reverses edge {reversed_edge!r}; quotient length undefined")
-    return orbits
+def quotient_edge_map(graph: LengthedQuotientGraph, name: str) -> dict[str, str]:
+    """Where each oriented edge lands in the quotient by the named
+    involution: the orbit ids ``_orbit_id`` gives quotient_by_involution.
+    An edge the involution has no image for raises ValueError naming it."""
+    w = graph.involution(name)
+    return {eid: _orbit_id(eid, _image(name, w, eid)) for eid in graph.edge_endpoints}
 
 
 def quotient_by_involution(graph: LengthedQuotientGraph, name: str) -> LengthedQuotientGraph:
@@ -410,49 +375,71 @@ def quotient_by_involution(graph: LengthedQuotientGraph, name: str) -> LengthedQ
     remaining involution that fails to commute with the quotiented one.
     The quotiented involution descends to the identity; the bipartite
     flag survives only when the involution preserves the parity classes.
-    The vertex action, the orbit ids and the first reversed edge come from
-    one pass (``_orbit_pass``), and a failing vertex action anywhere is
-    reported before a reversed edge.
+    The vertex action, the orbit ids (``_orbit_id``) and the first
+    reversed edge, found by id rather than by endpoints, come from one
+    pass, and a failing vertex action anywhere is reported before a
+    reversed edge.
     """
     w = graph.involution(name)
+    edges = graph.edge_endpoints
     vmap: dict[str, str] = {}
-    edge_orbit = _orbit_pass(graph, name, w, vmap)
-    for vertex in graph.vertex_parity:
-        vmap.setdefault(vertex, vertex)  # isolated vertices stay put
+    edge_orbit: dict[str, str] = {}
+    reversed_edge = None
+    for eid, (src, dst) in edges.items():
+        target = w.get(eid)
+        image = edges.get(target)
+        if image is None:
+            raise QuotientError(f"{name} is not an automorphism: image of {eid!r} is not an edge")
+        tsrc, tdst = image
+        if vmap.setdefault(src, tsrc) != tsrc or vmap.setdefault(dst, tdst) != tdst:
+            clash = src if vmap[src] != tsrc else dst
+            raise QuotientError(f"{name} is not an automorphism: vertex {clash!r} has conflicting images")
+        if reversed_edge is not None:
+            continue  # reported once the whole vertex action is known
+        if target == (eid[1:] if eid[:1] == "~" else "~" + eid):  # opposite(eid), without the call
+            reversed_edge = eid
+        else:
+            edge_orbit[eid] = _orbit_id(eid, target)
+    if reversed_edge is not None:
+        raise QuotientError(f"{name} reverses edge {reversed_edge!r}; quotient length undefined")
 
     descended: dict[str, dict[str, str]] = {}
     for other in INVOLUTION_NAMES:
         if other == name:
             continue
         u, moved = graph.involution(other), {}
-        noncommuting = f"{other} does not commute with {name}; descent undefined"
+        # w sends each edge to an edge (checked above); u need not.  An
+        # image that is no edge is reported once every edge commutes, and
+        # a missing image ends the scan
+        not_permutation = False
         try:
-            for eid in graph.edge_endpoints:
+            for eid in edges:
                 target = u[eid]
                 if u[w[eid]] != w[target]:
-                    raise QuotientError(noncommuting)
-                moved[edge_orbit[eid]] = edge_orbit[target]
+                    raise QuotientError(f"{other} does not commute with {name}; descent undefined")
+                if target in edge_orbit:
+                    moved[edge_orbit[eid]] = edge_orbit[target]
+                else:
+                    not_permutation = True
         except KeyError:
-            # w is total on the edges (checked above), so u is not; when u
-            # maps an edge onto a non-edge key of w, the check runs on first
-            with suppress(KeyError):
-                if any(u[w[e]] != w[u[e]] for e in graph.edge_endpoints):
-                    raise QuotientError(noncommuting) from None
-            raise QuotientError(f"{other} is not a permutation of the oriented edges") from None
+            not_permutation = True
+        if not_permutation:
+            raise QuotientError(f"{other} is not a permutation of the oriented edges")
         descended[other] = moved
 
     if vmap.keys() - graph.vertex_parity.keys():
         raise QuotientError("an edge touches an undeclared vertex")
-    vertex_orbit = {v: min(v, vmap[v]) for v in graph.vertex_parity}
+    # vmap misses only isolated vertices, which stay put
+    vertex_orbit = {v: min(v, vmap.get(v, v)) for v in graph.vertex_parity}
     parities = {orbit: graph.vertex_parity[orbit] for orbit in set(vertex_orbit.values())}
     bipartite = graph.bipartite and all(
-        graph.vertex_parity[v] == graph.vertex_parity[vmap[v]] for v in graph.vertex_parity
+        graph.vertex_parity[v] == graph.vertex_parity[vmap.get(v, v)] for v in graph.vertex_parity
     )
 
     endpoints: dict[str, tuple[str, str]] = {}
     lengths: dict[str, int] = {}
     for eid, orbit in edge_orbit.items():
-        src, dst = graph.edge_endpoints[eid]
+        src, dst = edges[eid]
         image = (vertex_orbit[src], vertex_orbit[dst])
         if endpoints.setdefault(orbit, image) != image:
             raise QuotientError(f"orbit of {eid!r} has inconsistent endpoints")
@@ -473,7 +460,7 @@ def base_change(
     itself for odd f and the identity for even f.  Returns the new graph
     together with the Frobenius edge permutation.
     """
-    if e < 1 or f < 1:
+    if not (isinstance(e, int) and isinstance(f, int)) or e < 1 or f < 1:
         raise ValueError("e and f must be positive integers")
     # instances are immutable, so the unchanged tables are shared
     scaled = replace(graph, edge_length={eid: n * e for eid, n in graph.edge_length.items()})

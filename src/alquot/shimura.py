@@ -156,8 +156,8 @@ class GenusData:
 
         g_quotient = mass_half - e_p/4,  mass_half = (g_VB + 1)/2 .
 
-    g_VB odd, 4 | e_p and g_quotient >= 0 follow from admissibility; a
-    violation raises instead of rounding.
+    g_VB and e_p nonnegative, g_VB odd, 4 | e_p and g_quotient >= 0 follow
+    from admissibility; a violation raises instead of rounding.
     """
 
     g_VB: int
@@ -166,6 +166,8 @@ class GenusData:
     mass_half: int = field(init=False)
 
     def __post_init__(self) -> None:
+        if self.g_VB < 0 or self.e_p < 0:
+            raise ValueError(f"g_VB = {self.g_VB} and e(p) = {self.e_p} must be nonnegative")
         if self.g_VB % 2 == 0:
             raise ValueError(f"(g_VB + 1)/2 is not integral for g_VB = {self.g_VB}")
         if self.e_p % 4:

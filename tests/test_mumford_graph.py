@@ -391,6 +391,22 @@ inv wpq e1 ~e1
         quotient_by_involution(parse_graph(text), "wq")
 
 
+def test_quotient_finds_a_reversal_by_id_not_by_endpoints():
+    # ~e1 keeps e1's endpoints, so wq reversing e1 fixes both vertices: only
+    # the ids show that wq sends e1 to its opposite
+    text = """v a even
+v b odd
+e e1 a b 1
+inv wp
+inv wq e1 ~e1
+inv wpq e1 ~e1
+"""
+    g = parse_graph(text)
+    g = replace(g, edge_endpoints={**g.edge_endpoints, "~e1": ("a", "b")})
+    with pytest.raises(QuotientError, match="^wq reverses edge 'e1'; quotient length undefined$"):
+        quotient_by_involution(g, "wq")
+
+
 def test_quotient_reports_a_broken_vertex_action_before_an_earlier_reversal():
     # wq reverses e1, so a <-> b, and then fixes the parallel edge e2,
     # so a -> a: the vertex action fails at a later edge than the reversal
@@ -458,6 +474,14 @@ def test_base_change():
     assert ident == {e: e for e in g.edge_endpoints}
     with pytest.raises(ValueError):
         base_change(g, 0, 1)
+
+
+@pytest.mark.parametrize("e, f", [(1.5, 1), (2, 1.0)])
+def test_base_change_refuses_factors_that_are_not_integers(e, f):
+    # a length of 3.0 would serialize to a file parse_graph rejects, and
+    # f = 1.0 would pick wp for an odd degree it is not
+    with pytest.raises(ValueError, match="^e and f must be positive integers$"):
+        base_change(parse_graph(TWO_EDGE), e, f)
 
 
 def test_has_local_point_examples():
@@ -626,3 +650,41 @@ def test_generated_graphs_and_their_single_faults_are_observed_unchanged():
         for h in [g, *_single_faults(g, rng)]:
             observed.append(_observed(h))
     assert hashlib.sha256(repr(observed).encode()).hexdigest() == OBSERVED_SHA256
+
+
+def _digest_graphs():
+    """The graphs the digest above observes, from the same seed and draws:
+    each generated graph, then its single faults."""
+    rng = Random(20)
+    for _ in range(48):
+        flips = rng.choice([(), ("wp",), ("wq",), ("wp", "wq")])
+        g = random_quotient_graph(rng, max_extra_seed_vertices=4, max_extra_seed_edges=8, parity_flips=flips)
+        yield g
+        yield from _single_faults(g, rng)
+
+
+def test_quotient_edge_map_and_serialization_name_orbits_as_the_quotient_does():
+    quotients = listings = 0
+    for g in _digest_graphs():
+        serialized = _outcome(lambda: serialize_graph(g))
+        listed = {}
+        if isinstance(serialized, str):
+            for line in serialized.splitlines():
+                if line.startswith("inv "):
+                    tokens = line.split()
+                    listed[tokens[1]] = set(tokens[2::2])
+        for name in INVOLUTION_NAMES:
+            orbit = _outcome(lambda: quotient_edge_map(g, name))
+            if not isinstance(orbit, dict):
+                continue
+            q = _outcome(lambda: quotient_by_involution(g, name))
+            if isinstance(q, LengthedQuotientGraph):
+                assert set(q.edge_endpoints) == set(orbit.values())
+                quotients += 1
+            if name in listed:
+                w = g.involutions[name]
+                assert listed[name] == {e for e in g.base_edges() if w[e] != e and orbit[e] == e}
+                listings += 1
+    # 153 quotients exist among the 1008 tries (most involutions reverse
+    # an edge), and 912 involutions serialize
+    assert (quotients, listings) == (153, 912)

@@ -163,7 +163,14 @@ def test_genus_data_derives_the_quotient_genus():
 
 @pytest.mark.parametrize(
     "g_VB, e_p, message",
-    [(2, 0, "not integral"), (3, 2, "not divisible by 4"), (1, 8, "negative quotient genus")],
+    [
+        (2, 0, "not integral"),
+        (3, 2, "not divisible by 4"),
+        (1, 8, "negative quotient genus"),
+        # each has g_VB odd and 4 | e_p, so only the sign check refuses it
+        (-3, -8, "must be nonnegative"),
+        (5, -4, "must be nonnegative"),
+    ],
 )
 def test_genus_data_holds_the_riemann_hurwitz_checks(g_VB, e_p, message):
     with pytest.raises(ValueError, match=message):
