@@ -410,17 +410,16 @@ def quotient_by_involution(graph: LengthedQuotientGraph, name: str) -> LengthedQ
         u, moved = graph.involution(other), {}
         # w sends each edge to an edge (checked above); u need not.  An
         # image that is no edge is reported once every edge commutes, and
-        # a missing image ends the scan
+        # a missing image ends the scan.  No edge reverses (that raised
+        # above), so edge_orbit holds every edge, in edge order
         not_permutation = False
         try:
-            for eid in edges:
+            for eid, orbit in edge_orbit.items():
                 target = u[eid]
                 if u[w[eid]] != w[target]:
                     raise QuotientError(f"{other} does not commute with {name}; descent undefined")
-                if target in edge_orbit:
-                    moved[edge_orbit[eid]] = edge_orbit[target]
-                else:
-                    not_permutation = True
+                moved[orbit] = image = edge_orbit.get(target)
+                not_permutation |= image is None
         except KeyError:
             not_permutation = True
         if not_permutation:
@@ -443,7 +442,8 @@ def quotient_by_involution(graph: LengthedQuotientGraph, name: str) -> LengthedQ
         image = (vertex_orbit[src], vertex_orbit[dst])
         if endpoints.setdefault(orbit, image) != image:
             raise QuotientError(f"orbit of {eid!r} has inconsistent endpoints")
-        length = _length(graph, eid) * (2 if w[eid] == eid else 1)
+        # _length only on a miss, to name the edge; on a stored 0 it returns that 0
+        length = (graph.edge_length.get(eid) or _length(graph, eid)) * (2 if w[eid] == eid else 1)
         if lengths.setdefault(orbit, length) != length:
             raise QuotientError(f"orbit of {eid!r} has inconsistent lengths")
     descended[name] = {orbit: orbit for orbit in endpoints}

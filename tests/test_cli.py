@@ -1,3 +1,4 @@
+import argparse
 import ast
 import contextlib
 import csv
@@ -18,6 +19,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import alquot.cli
+import alquot.mumford_graph
 import alquot.ntheory
 import alquot.parity
 import alquot.quadforms
@@ -489,6 +491,62 @@ def test_cli_import_does_not_load_numpy():
     done = _python("-c", "import sys, alquot.cli; print('numpy' in sys.modules)")
     assert done.returncode == 0, done.stderr
     assert done.stdout == "False\n"
+
+
+def test_only_graph_check_loads_the_graph_layer(tmp_path, capsys):
+    graph = tmp_path / "g.graph"
+    graph.write_text(GRAPH_OK, encoding="utf-8")
+    commands = [
+        ["certify", "5", "17"],
+        ["hilbert", "-1", "-85", "5"],
+        ["enumerate", "--max", "50", "--out", str(tmp_path / "table.csv")],
+        ["graph-check", str(graph)],
+    ]
+    expected = ""
+    for argv in commands:
+        assert main(argv) == 0
+        expected += capsys.readouterr().out
+    assert expected.endswith("\n+1\nviolations: none\nlocal point: yes, witness e1\n")
+    script = (
+        "import sys, alquot.cli\n"
+        "loaded = ['alquot.mumford_graph' in sys.modules]\n"
+        f"for argv in {commands!r}:\n"
+        "    assert alquot.cli.main(argv) == 0\n"
+        "    loaded.append('alquot.mumford_graph' in sys.modules)\n"
+        "print(loaded)\n"
+    )
+    done = _python("-c", script)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == expected + "[False, False, False, False, True]\n"
+
+
+def test_first_package_all_in_a_fresh_process_is_the_modules_lists():
+    modules = ("ntheory", "quadforms", "quaternion", "shimura", "localpoints", "parity", "mumford_graph")
+    expected = [name for module in modules for name in getattr(alquot, module).__all__]
+    done = _python("-c", "import json, alquot; print(json.dumps(alquot.__all__))")
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == expected
+
+
+def test_star_import_and_attribute_access_load_the_graph_layer():
+    script = (
+        "from alquot import *\n"
+        "print(parse_graph.__module__, INVOLUTION_NAMES)\n"
+        "import alquot\n"
+        "print(alquot.parse_graph is alquot.mumford_graph.parse_graph)\n"
+    )
+    done = _python("-c", script)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "alquot.mumford_graph ('wp', 'wq', 'wpq')\nTrue\n"
+    done = _python("-c", "import alquot; graph = alquot.mumford_graph; print(alquot.parse_graph is graph.parse_graph)")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "True\n"
+
+
+def test_frobenius_choices_are_the_graph_layers_involutions():
+    sub = next(a for a in alquot.cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    frobenius = next(a for a in sub.choices["graph-check"]._actions if a.dest == "frobenius")
+    assert tuple(frobenius.choices) == alquot.mumford_graph.INVOLUTION_NAMES
 
 
 def test_oracle_and_certify_run_with_numpy_blocked(capsys):
