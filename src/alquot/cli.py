@@ -37,10 +37,9 @@ import operator
 import os
 import stat
 import sys
-from dataclasses import dataclass, fields
 from typing import Iterable, Iterator, Sequence, TextIO
 
-from .ntheory import INFINITY, Place, hilbert_symbol
+from .ntheory import INFINITY, Place, _Value, hilbert_symbol
 from .parity import ParityCertificate, _certify_table, _hyperelliptic_flag, certify
 from .shimura import AdmissibilityRejection, _admissible_pairs
 
@@ -51,20 +50,25 @@ EXIT_USAGE = 1
 EXIT_REJECTED = 2
 
 
-@dataclass(frozen=True)
-class OutputRecord:
+class OutputRecord(_Value):
     """One certified pair in wire form; field order is the CSV order."""
 
-    p: int
-    q: int
-    disc: int
-    g_VB: int
-    e_p: int
-    g_quotient: int
-    deficient_places: list[str]
-    verdict: str
-    hyperelliptic_flag: str
-    assumptions: list[str]
+    __slots__ = _fields = ("p", "q", "disc", "g_VB", "e_p", "g_quotient", "deficient_places", "verdict",
+                           "hyperelliptic_flag", "assumptions")
+
+    def __init__(self, p: int, q: int, disc: int, g_VB: int, e_p: int, g_quotient: int,
+                 deficient_places: list[str], verdict: str, hyperelliptic_flag: str,
+                 assumptions: list[str]) -> None:
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "disc", disc)
+        object.__setattr__(self, "g_VB", g_VB)
+        object.__setattr__(self, "e_p", e_p)
+        object.__setattr__(self, "g_quotient", g_quotient)
+        object.__setattr__(self, "deficient_places", deficient_places)
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "hyperelliptic_flag", hyperelliptic_flag)
+        object.__setattr__(self, "assumptions", assumptions)
 
     @classmethod
     def from_certificate(cls, cert: ParityCertificate) -> "OutputRecord":
@@ -88,10 +92,10 @@ class OutputRecord:
     @classmethod
     def from_json(cls, text: str) -> "OutputRecord":
         data = json.loads(text)
-        return cls(**{f.name: data[f.name] for f in fields(cls)})
+        return cls(*[data[name] for name in cls._fields])
 
     def csv_row(self) -> list[str]:
-        return _cells(getattr(self, name) for name in CSV_HEADER)
+        return _cells(self._values())
 
 
 def _cells(values: Iterable[object]) -> list[str]:
@@ -99,7 +103,7 @@ def _cells(values: Iterable[object]) -> list[str]:
     return [";".join(v) if isinstance(v, (list, tuple)) else str(v) for v in values]
 
 
-CSV_HEADER = [f.name for f in fields(OutputRecord)]
+CSV_HEADER = list(OutputRecord._fields)
 
 
 def _certificate_text(cert: ParityCertificate) -> str:

@@ -30,10 +30,9 @@ and each ledger finds its deficient places once, when it is built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 
-from .ntheory import INFINITY, Place, hilbert_symbol
+from .ntheory import INFINITY, Place, _Value, hilbert_symbol
 from .quaternion import QuaternionAlgebra, _quad_field_splits, interchange
 from .shimura import AdmissiblePair, _pair_places
 
@@ -57,14 +56,17 @@ class StatusSource(Enum):
     GOOD_REDUCTION_FACT = "good-reduction-fact"
 
 
-@dataclass(frozen=True)
-class LocalStatus:
+class LocalStatus(_Value):
     """Verdict at one place; ``place=None`` is the symbolic entry covering
     every finite place away from the discriminant."""
 
-    place: Place | None
-    pic1_nonempty: bool
-    source: StatusSource
+    __slots__ = _fields = ("place", "pic1_nonempty", "source")
+
+    def __init__(self, place: Place | None, pic1_nonempty: bool, source: StatusSource) -> None:
+        object.__setattr__(self, "place", place)
+        object.__setattr__(self, "pic1_nonempty", pic1_nonempty)
+        object.__setattr__(self, "source", source)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.source is StatusSource.OWN_PRIME_UNIFORMIZATION and not self.pic1_nonempty:
@@ -81,18 +83,22 @@ class LocalStatus:
 _ELSEWHERE = LocalStatus(None, True, StatusSource.GOOD_REDUCTION_FACT)
 
 
-@dataclass(frozen=True)
-class DeficiencyLedger:
+class DeficiencyLedger(_Value):
     """Status of V/w_p at oo, p and q, and symbolically everywhere else:
-    ``elsewhere`` is not an argument but the fixed, shared ``_ELSEWHERE``.
-    The deficient places are found once, when the ledger is built, and
-    ``deficient_count`` is their number."""
+    ``elsewhere`` is not an argument but the fixed, shared ``_ELSEWHERE``,
+    a class attribute.  The deficient places are found once, when the
+    ledger is built, and ``deficient_count`` is their number; as they
+    follow from the entries, equality and the repr skip them."""
 
-    at_infinity: LocalStatus
-    at_p: LocalStatus
-    at_q: LocalStatus
-    elsewhere: LocalStatus = field(init=False, default=_ELSEWHERE)
-    _deficient: tuple[Place, ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("at_infinity", "at_p", "at_q", "_deficient")
+    _fields = ("at_infinity", "at_p", "at_q", "elsewhere")
+    elsewhere = _ELSEWHERE
+
+    def __init__(self, at_infinity: LocalStatus, at_p: LocalStatus, at_q: LocalStatus) -> None:
+        object.__setattr__(self, "at_infinity", at_infinity)
+        object.__setattr__(self, "at_p", at_p)
+        object.__setattr__(self, "at_q", at_q)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.at_infinity.place != INFINITY:

@@ -12,6 +12,9 @@ enough for Hensel lifting.  They share only ``_valuation``, the loop that
 search scans a byte mask of the squares in plain Python, so this module,
 like the whole package, needs nothing beyond the standard library.
 
+``_Value``, the base of the package's immutable value classes, sits here
+beside ``Place``, in the layer every other module imports.
+
 Everything here is deterministic and pure; all functions are safe to call
 from multiple threads.
 """
@@ -20,7 +23,6 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
 
@@ -55,11 +57,54 @@ def _least_prime_factor(n: int, d: int) -> int:
     return n
 
 
-@dataclass(frozen=True)
-class Place:
+class _Value:
+    """Base of the package's immutable value classes: what a frozen
+    dataclass gives, without importing ``dataclasses``.  A subclass lists
+    its fields, in order, in ``_fields`` and keeps them in ``__slots__``,
+    but for a field every instance shares, a class attribute.  Its
+    ``__init__`` sets the slots through ``object.__setattr__`` and ends by
+    calling its ``__post_init__`` check, if it has one.  Pickle and
+    ``copy`` carry the slots as the state."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __getstate__(self) -> dict[str, object]:
+        return {name: getattr(self, name) for name in self.__slots__}
+
+    def __setstate__(self, state: dict[str, object]) -> None:
+        for name, value in state.items():
+            object.__setattr__(self, name, value)
+
+
+class Place(_Value):
     """A place of Q: ``Place(p)`` for a finite prime p, ``Place(None)`` for oo."""
 
-    prime: int | None = None
+    __slots__ = _fields = ("prime",)
+
+    def __init__(self, prime: int | None = None) -> None:
+        object.__setattr__(self, "prime", prime)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.prime is not None and not is_prime(self.prime):
@@ -73,7 +118,7 @@ class Place:
         object.__setattr__(place, "prime", n)
         return place
 
-    # the generated hash and eq build the tuple (prime,) for each side on
+    # the base's hash and eq build the tuple (prime,) for each side on
     # every call
     def __hash__(self) -> int:
         return hash(self.prime)

@@ -27,12 +27,11 @@ records read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Iterator
 
 from .localpoints import DeficiencyLedger, _deficiency_ledger, _own_prime_entry
-from .ntheory import Place
+from .ntheory import Place, _Value
 from .quadforms import class_number
 from .quaternion import _eichler_formula, _local_factors
 from .shimura import (
@@ -85,8 +84,7 @@ F4_POINT_CAP = 10
 HYPERELLIPTIC_PRODUCT_BOUND = 24 * F4_POINT_CAP
 
 
-@dataclass(frozen=True)
-class ParityCertificate:
+class ParityCertificate(_Value):
     """Complete trace of one parity computation.
 
     The ledger speaks about degree g-1 divisor classes via degree 1: the
@@ -95,14 +93,18 @@ class ParityCertificate:
     asserted here, where the genus and the ledger meet.  The verdict is
     not given: it is ``poonen_stoll_verdict(ledger)``, computed here, once.
     Nor are the assumptions: every certificate cites the fixed
-    ``STANDING_ASSUMPTIONS``.
+    ``STANDING_ASSUMPTIONS``, a class attribute.
     """
 
-    pair: AdmissiblePair
-    genus: GenusData
-    ledger: DeficiencyLedger
-    verdict: Verdict = field(init=False)
-    assumptions: tuple[str, ...] = field(init=False, default=STANDING_ASSUMPTIONS)
+    __slots__ = ("pair", "genus", "ledger", "verdict")
+    _fields = (*__slots__, "assumptions")
+    assumptions = STANDING_ASSUMPTIONS
+
+    def __init__(self, pair: AdmissiblePair, genus: GenusData, ledger: DeficiencyLedger) -> None:
+        object.__setattr__(self, "pair", pair)
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "ledger", ledger)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.genus.g_quotient % 2:
@@ -185,8 +187,7 @@ def _hyperelliptic_flag(pair: AdmissiblePair) -> HyperellipticFlag:
     return HyperellipticFlag.POSSIBLY_HYPERELLIPTIC
 
 
-@dataclass(frozen=True)
-class SieveReport:
+class SieveReport(_Value):
     """Hyperellipticity sieve outcome with its witness numbers.
 
     Given the pair and definite_class_number = H(2pq), the number of
@@ -198,11 +199,12 @@ class SieveReport:
     so it is the flag, not a field.
     """
 
-    pair: AdmissiblePair
-    flag: HyperellipticFlag = field(init=False)
-    genus_product: int = field(init=False)
-    definite_class_number: int
-    supersingular_lower_bound: int = field(init=False)
+    __slots__ = _fields = ("pair", "flag", "genus_product", "definite_class_number", "supersingular_lower_bound")
+
+    def __init__(self, pair: AdmissiblePair, definite_class_number: int) -> None:
+        object.__setattr__(self, "pair", pair)
+        object.__setattr__(self, "definite_class_number", definite_class_number)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "flag", _hyperelliptic_flag(self.pair))

@@ -14,19 +14,22 @@ a <= sqrt(|D|/3); it is the reference the count is tested against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import compress
+
+from .ntheory import _Value
 
 __all__ = ["QuadraticForm", "reduced_forms", "class_number"]
 
 
-@dataclass(frozen=True, order=True)
-class QuadraticForm:
+class QuadraticForm(_Value):
     """The integral binary quadratic form a x^2 + b x y + c y^2."""
 
-    a: int
-    b: int
-    c: int
+    __slots__ = _fields = ("a", "b", "c")
+
+    def __init__(self, a: int, b: int, c: int) -> None:
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
 
     def discriminant(self) -> int:
         return self.b * self.b - 4 * self.a * self.c

@@ -19,12 +19,12 @@ the ramification set carries everything the rest of the package needs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable
 
 from .ntheory import (
     INFINITY,
     Place,
+    _Value,
     hilbert_symbol,
     is_squarefree,
     kronecker,
@@ -54,11 +54,14 @@ def ramified_places(a: int, b: int) -> frozenset[Place]:
     return frozenset(v for v in places if hilbert_symbol(a, b, v) == -1)
 
 
-@dataclass(frozen=True)
-class QuaternionAlgebra:
+class QuaternionAlgebra(_Value):
     """A rational quaternion algebra, canonically its ramification set."""
 
-    ram_set: frozenset[Place]
+    __slots__ = _fields = ("ram_set",)
+
+    def __init__(self, ram_set: frozenset[Place]) -> None:
+        object.__setattr__(self, "ram_set", ram_set)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if len(self.ram_set) % 2:

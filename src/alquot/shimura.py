@@ -36,11 +36,10 @@ Riemann-Hurwitz.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from operator import mul
 from typing import Iterator
 
-from .ntheory import Place, is_prime, kronecker
+from .ntheory import Place, _Value, is_prime, kronecker
 from .quadforms import class_number
 from .quaternion import _local_factors, _quad_field_splits
 
@@ -55,12 +54,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class AdmissiblePair:
+class AdmissiblePair(_Value):
     """A pair (p, q) satisfying the hypotheses of the parity pipeline."""
 
-    p: int
-    q: int
+    __slots__ = _fields = ("p", "q")
+
+    def __init__(self, p: int, q: int) -> None:
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         failure = _admissibility_failure(self.p, self.q)
@@ -81,13 +83,15 @@ class AdmissiblePair:
         return self.p * self.q
 
 
-@dataclass(frozen=True)
-class AdmissibilityRejection:
+class AdmissibilityRejection(_Value):
     """Structured refusal naming the first failed hypothesis."""
 
-    p: int
-    q: int
-    reason: str
+    __slots__ = _fields = ("p", "q", "reason")
+
+    def __init__(self, p: int, q: int, reason: str) -> None:
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "reason", reason)
 
 
 class _Inadmissible(ValueError):
@@ -149,8 +153,7 @@ def _admissible_pairs(bound: int) -> Iterator[AdmissiblePair]:
     return (AdmissiblePair._admitted(p, q) for p in ps for q in qs if _pair_failure(p, q) is None)
 
 
-@dataclass(frozen=True)
-class GenusData:
+class GenusData(_Value):
     """Genus g_VB of the covering curve and the number e_p of fixed points
     of w_p, from which Riemann-Hurwitz derives, here and only here,
 
@@ -160,10 +163,12 @@ class GenusData:
     from admissibility; a violation raises instead of rounding.
     """
 
-    g_VB: int
-    e_p: int
-    g_quotient: int = field(init=False)
-    mass_half: int = field(init=False)
+    __slots__ = _fields = ("g_VB", "e_p", "g_quotient", "mass_half")
+
+    def __init__(self, g_VB: int, e_p: int) -> None:
+        object.__setattr__(self, "g_VB", g_VB)
+        object.__setattr__(self, "e_p", e_p)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.g_VB < 0 or self.e_p < 0:

@@ -2,7 +2,6 @@ import argparse
 import ast
 import contextlib
 import csv
-import dataclasses
 import errno
 import hashlib
 import io
@@ -43,6 +42,57 @@ CERTIFY_5_17_JSON = {
     "verdict": "odd",
     "hyperelliptic_flag": "possibly_hyperelliptic",
     "assumptions": list(STANDING_ASSUMPTIONS),
+}
+
+# certify's default text output, byte for byte: the local record names
+# the symbolic entry "other finite places" and the others by their place
+_ASSUMPTIONS_TEXT = """assumptions:
+  - parity criterion: the jacobian verdict is odd exactly when the deficient-place count is odd
+  - degree-2 rational divisor classes exist on the covering curve over every completion of Q
+  - degree-1 rational divisor classes exist on the covering curve over Q_l for finite l prime to the discriminant
+  - the quotient curve acquires a degree-1 rational divisor class over Q_p at its own prime via p-adic uniformization
+"""
+
+CERTIFY_TEXT = {
+    (5, 17): """admissible pair: p=5 q=17 disc=85
+covering curve genus: 5
+involution fixed points: 4
+quotient genus: 2
+local record:
+  place inf: has degree-1 class [real-splitting]
+  place 5: has degree-1 class [own-prime-uniformization]
+  place 17: deficient [interchange-criterion]
+  other finite places: has degree-1 class [good-reduction-fact]
+deficient places: 17
+verdict: odd
+hyperelliptic flag: possibly_hyperelliptic
+""" + _ASSUMPTIONS_TEXT,
+    (29, 17): """admissible pair: p=29 q=17 disc=493
+covering curve genus: 37
+involution fixed points: 12
+quotient genus: 16
+local record:
+  place inf: has degree-1 class [real-splitting]
+  place 29: has degree-1 class [own-prime-uniformization]
+  place 17: deficient [interchange-criterion]
+  other finite places: has degree-1 class [good-reduction-fact]
+deficient places: 17
+verdict: odd
+hyperelliptic flag: not_hyperelliptic
+""" + _ASSUMPTIONS_TEXT,
+    (10000229, 29): """admissible pair: p=10000229 q=29 disc=290006641
+covering curve genus: 23333865
+involution fixed points: 6300
+quotient genus: 11665358
+local record:
+  place inf: has degree-1 class [real-splitting]
+  place 10000229: has degree-1 class [own-prime-uniformization]
+  place 29: deficient [interchange-criterion]
+  other finite places: has degree-1 class [good-reduction-fact]
+deficient places: 29
+verdict: odd
+hyperelliptic flag: not_hyperelliptic
+""" + _ASSUMPTIONS_TEXT,
 }
 
 ENUMERATE_30_CSV = (
@@ -89,16 +139,15 @@ def test_certify_json_roundtrip(capsys):
     assert record.g_quotient == 16
 
 
-def test_certify_text(capsys):
-    assert main(["certify", "5", "17"]) == 0
-    out = capsys.readouterr().out
-    assert "verdict: odd" in out
-    assert "deficient places: 17" in out
+@pytest.mark.parametrize("p, q", sorted(CERTIFY_TEXT))
+def test_certify_text(p, q, capsys):
+    assert main(["certify", str(p), str(q)]) == 0
+    assert capsys.readouterr() == (CERTIFY_TEXT[p, q], "")
 
 
 def test_certify_rejection_exit_2(capsys):
     assert main(["certify", "7", "17"]) == 2
-    assert "p ≢ 5 mod 24" in capsys.readouterr().out
+    assert capsys.readouterr() == ("rejected: p ≢ 5 mod 24\n", "")
 
 
 def test_certify_json_rejection_exit_2(capsys):
@@ -115,6 +164,15 @@ def test_certify_parse_error_exit_1(capsys):
 def test_enumerate_csv_golden(capsys):
     assert main(["enumerate", "--max", "30"]) == 0
     assert capsys.readouterr().out == ENUMERATE_30_CSV
+
+
+@pytest.mark.parametrize("bound", [17, 16, 1])
+def test_enumerate_max_is_inclusive(bound, capsys):
+    # (5, 17) is the least admissible pair: --max 17 holds it, --max 16 and
+    # --max 1 hold the header alone
+    assert main(["enumerate", "--max", str(bound)]) == 0
+    header, row = ENUMERATE_30_CSV.splitlines(keepends=True)[:2]
+    assert capsys.readouterr() == (header + row if bound == 17 else header, "")
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -282,7 +340,7 @@ def test_enumerate_csv_encodes_each_assumptions_value_once(monkeypatch, capsys):
     turn = itertools.count()
 
     def alternating(cert):
-        return dataclasses.replace(from_certificate(cert), assumptions=cited[next(turn) % 2])
+        return OutputRecord(**{**_fields(from_certificate(cert)), "assumptions": cited[next(turn) % 2]})
 
     monkeypatch.setattr(OutputRecord, "from_certificate", alternating)
     assert main(["enumerate", "--max", "200"]) == 0
@@ -291,7 +349,7 @@ def test_enumerate_csv_encodes_each_assumptions_value_once(monkeypatch, capsys):
     writer = csv.writer(expected, lineterminator="\n")
     writer.writerow(CSV_HEADER)
     certificates = _certify_table(enumerate_admissible(200))
-    records = (dataclasses.replace(from_certificate(c), assumptions=cited[i % 2]) for i, c in enumerate(certificates))
+    records = (OutputRecord(**{**_fields(from_certificate(c)), "assumptions": cited[i % 2]}) for i, c in enumerate(certificates))
     writer.writerows(record.csv_row() for record in records)
     assert out == expected.getvalue()
     assert min(out.count(',"a ""quoted"", fact;over\ntwo lines"\n'), out.count(f",{ASSUMPTION_CELL}\n")) > 2
@@ -487,10 +545,25 @@ def _python(*args: str) -> subprocess.CompletedProcess:
     )
 
 
+# modules the CLI never needs: numpy, and dataclasses with the inspect
+# module it imports, whose import and class decorations cost ~6 ms
+_NOT_ON_THE_CLI_PATH = ("numpy", "dataclasses", "inspect")
+
+
 def test_cli_import_does_not_load_numpy():
-    done = _python("-c", "import sys, alquot.cli; print('numpy' in sys.modules)")
+    # neither the import nor a certify run loads any of them; some site
+    # hooks load inspect before any import, so only new modules count
+    script = (
+        "import sys\n"
+        f"names = set({_NOT_ON_THE_CLI_PATH!r}) - set(sys.modules)\n"
+        "import alquot.cli\n"
+        "imported = sorted(names & set(sys.modules))\n"
+        "code = alquot.cli.main(['certify', '5', '17'])\n"
+        "print(imported, sorted(names & set(sys.modules)), code)\n"
+    )
+    done = _python("-c", script)
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "False\n"
+    assert done.stdout == CERTIFY_TEXT[5, 17] + "[] [] 0\n"
 
 
 def test_only_graph_check_loads_the_graph_layer(tmp_path, capsys):
@@ -606,9 +679,13 @@ def _forbid_trial_division(monkeypatch) -> None:
                 monkeypatch.setattr(module, function.__name__, refuse)
 
 
-@pytest.mark.parametrize("p, q", [(10**8 + 1, 17), (5, 10**8 + 1), (10**20 + 39, 17)])
+@pytest.mark.parametrize("p, q", [(10**8 + 1, 17), (5, 10**8 + 1), (10**20 + 39, 17), (10**8, 17)])
 def test_certify_budget(p, q, monkeypatch, capsys):
     assert alquot.cli._MAX_CERTIFY_PRIME == 10**8
+    if max(p, q) == 10**8:  # the budget's edge is inside it: 10^8 is refused as composite
+        assert main(["certify", str(p), str(q)]) == 2
+        assert capsys.readouterr() == ("rejected: p is not prime\n", "")
+        return
     _forbid_trial_division(monkeypatch)
     assert main(["certify", str(p), str(q)]) == 1
     captured = capsys.readouterr()
@@ -634,9 +711,13 @@ def test_certify_integrity_failure_propagates(monkeypatch):
         main(["certify", "5", "17"])
 
 
-@pytest.mark.parametrize("v", [10**12 + 1, 10**20 + 39])
+@pytest.mark.parametrize("v", [10**12 + 1, 10**20 + 39, 10**12])
 def test_hilbert_budget(v, monkeypatch, capsys):
     assert alquot.cli._MAX_HILBERT_PRIME == 10**12
+    if v == 10**12:  # the budget's edge is inside it: the place is refused as composite
+        assert main(["hilbert", "3", "5", str(v)]) == 1
+        assert capsys.readouterr() == ("", "error: 1000000000000 is not prime\n")
+        return
     _forbid_trial_division(monkeypatch)
     assert main(["hilbert", "1", "1", str(v)]) == 1
     captured = capsys.readouterr()

@@ -1,5 +1,4 @@
 import ast
-import dataclasses
 from pathlib import Path
 
 import pytest
@@ -137,8 +136,9 @@ def test_ledger_guards():
     ledger = DeficiencyLedger(ok, at_p, at_q)
     assert ledger.deficient_count == 1
     # the count is taken when a ledger is built, so a replaced entry recounts
-    assert dataclasses.replace(ledger, at_infinity=dataclasses.replace(ok, pic1_nonempty=False)).deficient_count == 2
-    assert dataclasses.replace(ledger, at_q=dataclasses.replace(at_q, pic1_nonempty=True)).deficient_count == 0
+    not_real = LocalStatus(INFINITY, False, StatusSource.REAL_SPLITTING)
+    assert DeficiencyLedger(not_real, at_p, at_q).deficient_count == 2
+    assert DeficiencyLedger(ok, at_p, LocalStatus(Place(17), True, StatusSource.INTERCHANGE_CRITERION)).deficient_count == 0
     with pytest.raises(ValueError):
         DeficiencyLedger(at_p, ok, at_q)  # first slot must be archimedean
 
@@ -223,5 +223,5 @@ def test_ledger_counts_its_deficient_places_once():
 def test_ledger_reads_its_count_off_its_deficient_places():
     # the places are stored once; the count is not stored beside them
     ledger = deficiency_ledger(AdmissiblePair(5, 17))
-    assert "deficient_count" not in {f.name for f in dataclasses.fields(DeficiencyLedger)}
+    assert "deficient_count" not in {*DeficiencyLedger.__slots__, *DeficiencyLedger._fields}
     assert ledger.deficient_count == len(ledger.deficient_places()) == 1

@@ -58,6 +58,9 @@ def test_form_dataclass():
     assert f.discriminant() == -20
     assert QuadraticForm(2, -2, 3).is_reduced is False
     assert QuadraticForm(2, 4, 6).is_primitive is False
+    # positive definite needs both a > 0 and a negative discriminant
+    assert QuadraticForm(1, 3, 1).is_positive_definite is False
+    assert QuadraticForm(-1, 0, -1).is_positive_definite is False
 
 
 @pytest.mark.parametrize("abc", [(2, 3, 4), (2, -3, 4), (3, 1, 2)])

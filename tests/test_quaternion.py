@@ -125,6 +125,11 @@ def test_quad_field_splits_examples():
     assert quad_field_splits(5, B)
     assert quad_field_splits(-5, B)
     assert not quad_field_splits(-13, QuaternionAlgebra(_places(13, 17)))
+    # at 2 the field discriminant is d for d = 1 mod 4 and 4d otherwise:
+    # 2 splits in Q(sqrt(17)) and Q(sqrt(-7)), and is inert in Q(sqrt(5))
+    # and Q(sqrt(-3)), where 3 does not split either
+    B23 = QuaternionAlgebra(_places(2, 3))
+    assert [quad_field_splits(d, B23) for d in (17, -7, 5, -3)] == [False, False, True, True]
     with pytest.raises(ValueError):
         quad_field_splits(12, B)
     with pytest.raises(ValueError):

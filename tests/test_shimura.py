@@ -156,6 +156,8 @@ def test_genus_data_derives_the_quotient_genus():
     data = GenusData(3, 4)
     assert (data.g_VB, data.e_p, data.g_quotient, data.mass_half) == (3, 4, 1, 2)
     assert GenusData(37, 12) == genus_quotient(AdmissiblePair(29, 17))
+    # a quotient of genus 0 is accepted: only a negative genus is refused
+    assert GenusData(1, 4).g_quotient == 0
     for derived in ("g_quotient", "mass_half"):
         with pytest.raises(TypeError):
             GenusData(3, 4, **{derived: 1})
