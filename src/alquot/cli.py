@@ -15,7 +15,9 @@ batch scripts can tell malformed input from out-of-regime input.
 JSON and CSV speak the fixed record schema below; the CSV column order is
 frozen and list-valued cells join their items with semicolons.  ``certify``
 prints a record's JSON as the ``enumerate`` table holds it, but two spaces
-shallower.
+shallower.  The ``certify`` text, ``certify --format json`` and both tables
+read a certificate through one row function, ``_row``; ``OutputRecord`` is
+the record's wire and parsed form.
 ``enumerate`` streams its table in (p, q) order, one row per admissible
 pair, so memory does not grow with the table.  An integrity check failing
 mid-table raises after stdout may hold a prefix, but leaves no partial
@@ -33,7 +35,6 @@ import contextlib
 import csv
 import functools
 import json
-import operator
 import os
 import stat
 import sys
@@ -72,22 +73,12 @@ class OutputRecord(_Value):
 
     @classmethod
     def from_certificate(cls, cert: ParityCertificate) -> "OutputRecord":
-        return cls(
-            p=cert.pair.p,
-            q=cert.pair.q,
-            disc=cert.pair.disc,
-            g_VB=cert.genus.g_VB,
-            e_p=cert.genus.e_p,
-            g_quotient=cert.genus.g_quotient,
-            deficient_places=[str(v) for v in cert.ledger.deficient_places()],
-            verdict=cert.verdict.value,
-            hyperelliptic_flag=_hyperelliptic_flag(cert.pair).value,
-            assumptions=list(cert.assumptions),
-        )
+        *head, places, verdict, flag, cited = _row(cert)
+        return cls(*head, list(places), verdict, flag, list(cited))
 
     def to_json(self) -> str:
         # the table's text, two spaces shallower: a JSON string has no raw newline
-        return _json_member(self).replace("\n  ", "\n")
+        return _json_member(self._values()).replace("\n  ", "\n")
 
     @classmethod
     def from_json(cls, text: str) -> "OutputRecord":
@@ -106,24 +97,34 @@ def _cells(values: Iterable[object]) -> list[str]:
 CSV_HEADER = list(OutputRecord._fields)
 
 
+def _row(cert: ParityCertificate) -> tuple:
+    """A certificate's record values in ``CSV_HEADER`` order, which every
+    output reads: the list fields as tuples, the citations the
+    certificate's own shared ``assumptions``."""
+    pair, genus = cert.pair, cert.genus
+    return (pair.p, pair.q, pair.disc, genus.g_VB, genus.e_p, genus.g_quotient,
+            tuple([str(v) for v in cert.ledger.deficient_places()]), cert.verdict.value,
+            _hyperelliptic_flag(pair).value, cert.assumptions)
+
+
 def _certificate_text(cert: ParityCertificate) -> str:
+    p, q, disc, g_VB, e_p, g_quotient, places, verdict, flag, cited = _row(cert)
     lines = [
-        f"admissible pair: p={cert.pair.p} q={cert.pair.q} disc={cert.pair.disc}",
-        f"covering curve genus: {cert.genus.g_VB}",
-        f"involution fixed points: {cert.genus.e_p}",
-        f"quotient genus: {cert.genus.g_quotient}",
+        f"admissible pair: p={p} q={q} disc={disc}",
+        f"covering curve genus: {g_VB}",
+        f"involution fixed points: {e_p}",
+        f"quotient genus: {g_quotient}",
         "local record:",
     ]
     for status in cert.ledger.entries():
         where = "other finite places" if status.place is None else f"place {status.place}"
-        verdict = "deficient" if status.deficient else "has degree-1 class"
-        lines.append(f"  {where}: {verdict} [{status.source.value}]")
-    places = ", ".join(str(v) for v in cert.ledger.deficient_places()) or "none"
-    lines.append(f"deficient places: {places}")
-    lines.append(f"verdict: {cert.verdict.value}")
-    lines.append(f"hyperelliptic flag: {_hyperelliptic_flag(cert.pair).value}")
+        found = "deficient" if status.deficient else "has degree-1 class"
+        lines.append(f"  {where}: {found} [{status.source.value}]")
+    lines.append(f"deficient places: {', '.join(places) or 'none'}")
+    lines.append(f"verdict: {verdict}")
+    lines.append(f"hyperelliptic flag: {flag}")
     lines.append("assumptions:")
-    lines.extend(f"  - {a}" for a in cert.assumptions)
+    lines.extend(f"  - {a}" for a in cited)
     return "\n".join(lines)
 
 
@@ -201,10 +202,10 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: --max: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    records = map(OutputRecord.from_certificate, _certify_table(pairs))
+    rows = map(_row, _certify_table(pairs))
     try:
         with _output(args.out) as handle:
-            (_write_json if args.format == "json" else _write_csv)(handle, records)
+            (_write_json if args.format == "json" else _write_csv)(handle, rows)
     except OSError as exc:
         print(f"error: cannot write {'stdout' if args.out is None else args.out}: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -218,11 +219,6 @@ class _Line:
     write = str
 
 
-# The record's int fields, which lead it: p, q, disc, g_VB, e_p, g_quotient.
-# The csv module writes an int as str() does, and JSON as %d does.
-_INTS = operator.attrgetter(*CSV_HEADER[:6])
-
-
 @functools.lru_cache(maxsize=16)  # a few values, so its memory is bounded
 def _csv_tail(assumptions: tuple[str, ...]) -> str:
     """The last cell with its separator and line end, as it ends a longer
@@ -231,17 +227,16 @@ def _csv_tail(assumptions: tuple[str, ...]) -> str:
     return csv.writer(_Line, lineterminator="\n").writerow(["", ";".join(assumptions)])
 
 
-def _write_csv(handle: TextIO, records: Iterable[OutputRecord]) -> None:
-    """The CSV table, byte for byte what ``csv.writer(handle,
-    lineterminator="\\n")`` writes for the header and each ``csv_row()``.
-    The first nine cells are encoded per row, the ints as they are, and
-    the last, about 40% of a row, is ``_csv_tail``.  The csv module
-    encodes every cell, so its quoting rules apply to each."""
+def _write_csv(handle: TextIO, rows: Iterable[Sequence]) -> None:
+    """The CSV table of ``_row`` values, byte for byte what
+    ``csv.writer(handle, lineterminator="\\n")`` writes for the header and
+    each row's ``_cells``.  The first nine cells are encoded per row, the
+    ints as they are, and the last, about 40% of a row, is ``_csv_tail``.
+    The csv module encodes every cell, so its quoting rules apply to each."""
     encode = csv.writer(_Line, lineterminator="\n").writerow
     handle.write(encode(CSV_HEADER))
-    for record in records:
-        row = (*_INTS(record), ";".join(record.deficient_places), record.verdict, record.hyperelliptic_flag)
-        handle.write(encode(row)[:-1] + _csv_tail(tuple(record.assumptions)))
+    for *ints, places, verdict, flag, cited in rows:
+        handle.write(encode((*ints, ";".join(places), verdict, flag))[:-1] + _csv_tail(tuple(cited)))
 
 
 # A string as ``json.dumps`` encodes it: ``encode`` of a str goes straight
@@ -269,24 +264,21 @@ def _json_tail(assumptions: tuple[str, ...]) -> str:
     return _json_line(CSV_HEADER[-1], _json_strings(assumptions)) + "\n  }"
 
 
-def _json_member(record: OutputRecord) -> str:
-    """The one JSON encoder of a record: the record as a member of the
-    table, byte for byte what ``json.dumps(..., indent=2)`` writes for it
-    one level deep, without the json module's pure-Python indenter."""
-    return _JSON_HEAD % (
-        *_INTS(record),
-        _json_strings(record.deficient_places),
-        _encode_str(record.verdict),
-        _encode_str(record.hyperelliptic_flag),
-    ) + _json_tail(tuple(record.assumptions))
+def _json_member(row: Sequence) -> str:
+    """The one JSON encoder of a record's values: the record as a member of
+    the table, byte for byte what ``json.dumps(..., indent=2)`` writes for
+    it one level deep, without the json module's pure-Python indenter."""
+    *ints, places, verdict, flag, cited = row
+    head = _JSON_HEAD % (*ints, _json_strings(places), _encode_str(verdict), _encode_str(flag))
+    return head + _json_tail(tuple(cited))
 
 
-def _write_json(handle: TextIO, records: Iterable[OutputRecord]) -> None:
-    """The JSON table, byte for byte ``json.dumps`` of the list of the
-    records' fields with ``indent=2``, and a line end."""
+def _write_json(handle: TextIO, rows: Iterable[Sequence]) -> None:
+    """The JSON table of ``_row`` values, byte for byte ``json.dumps`` of
+    the list of the records' fields with ``indent=2``, and a line end."""
     separator = "[\n  "
-    for record in records:
-        handle.write(separator + _json_member(record))
+    for row in rows:
+        handle.write(separator + _json_member(row))
         separator = ",\n  "
     handle.write("[]\n" if separator == "[\n  " else "\n]\n")
 

@@ -333,23 +333,23 @@ def test_enumerate_2500_golden(fmt, capsys):
 
 
 def test_enumerate_csv_encodes_each_assumptions_value_once(monkeypatch, capsys):
-    # records citing two assumption lists in turn, one of which the csv
+    # rows citing two assumption lists in turn, one of which the csv
     # module must quote: a writer that reuses the first row's cell fails
-    cited = [list(STANDING_ASSUMPTIONS), ['a "quoted", fact', "over\ntwo lines"]]
-    from_certificate = OutputRecord.from_certificate
+    cited = [STANDING_ASSUMPTIONS, ['a "quoted", fact', "over\ntwo lines"]]
+    row = alquot.cli._row
     turn = itertools.count()
 
     def alternating(cert):
-        return OutputRecord(**{**_fields(from_certificate(cert)), "assumptions": cited[next(turn) % 2]})
+        return (*row(cert)[:-1], cited[next(turn) % 2])
 
-    monkeypatch.setattr(OutputRecord, "from_certificate", alternating)
+    monkeypatch.setattr(alquot.cli, "_row", alternating)
     assert main(["enumerate", "--max", "200"]) == 0
     out = capsys.readouterr().out
     expected = io.StringIO()
     writer = csv.writer(expected, lineterminator="\n")
     writer.writerow(CSV_HEADER)
     certificates = _certify_table(enumerate_admissible(200))
-    records = (OutputRecord(**{**_fields(from_certificate(c)), "assumptions": cited[i % 2]}) for i, c in enumerate(certificates))
+    records = (OutputRecord(*row(c)[:-1], cited[i % 2]) for i, c in enumerate(certificates))
     writer.writerows(record.csv_row() for record in records)
     assert out == expected.getvalue()
     assert min(out.count(',"a ""quoted"", fact;over\ntwo lines"\n'), out.count(f",{ASSUMPTION_CELL}\n")) > 2
@@ -364,7 +364,7 @@ def test_csv_writer_memo_is_bounded_and_exact():
         for i, assumptions in enumerate(cited * 2)
     ]
     out = io.StringIO()
-    alquot.cli._write_csv(out, records)
+    alquot.cli._write_csv(out, [record._values() for record in records])
     expected = io.StringIO()
     writer = csv.writer(expected, lineterminator="\n")
     writer.writerow(CSV_HEADER)
@@ -380,6 +380,33 @@ def test_enumerate_csv_and_json_tables_agree(capsys):
     rows = list(csv.reader(io.StringIO(capsys.readouterr().out, newline="")))
     assert len(records) > 100
     assert rows == [CSV_HEADER] + [record.csv_row() for record in records]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_enumerate_builds_no_output_record(fmt, monkeypatch, capsys):
+    # the tables are written from _row values, not from a record per row
+    assert main(["enumerate", "--max", "200", "--format", fmt]) == 0
+    unpatched = capsys.readouterr().out
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("enumerate built an OutputRecord")
+
+    monkeypatch.setattr(OutputRecord, "__init__", refuse)
+    assert main(["enumerate", "--max", "200", "--format", fmt]) == 0
+    assert capsys.readouterr().out == unpatched
+    assert unpatched.count("odd") > 10
+
+
+def test_record_is_the_row_with_lists():
+    # from_certificate and the tables read one row function; the row cites
+    # the certificates' shared assumptions, not a copy
+    certificates = list(_certify_table(enumerate_admissible(500)))
+    assert len(certificates) > 100
+    for cert in certificates:
+        row = alquot.cli._row(cert)
+        values = OutputRecord.from_certificate(cert)._values()
+        assert values == (*row[:6], list(row[6]), *row[7:9], list(row[9]))
+        assert type(row[6]) is tuple and row[-1] is STANDING_ASSUMPTIONS
 
 
 def _fields(record: OutputRecord) -> dict:
@@ -415,7 +442,7 @@ def test_certify_prints_its_record_as_the_table_holds_it(capsys):
     record = OutputRecord.from_json(out)
     assert out == json.dumps(_fields(record), indent=2) + "\n"
     table = io.StringIO()
-    alquot.cli._write_json(table, [record])
+    alquot.cli._write_json(table, [record._values()])
     assert table.getvalue() == "[\n" + _deeper(out) + "\n]\n"
 
 
@@ -450,7 +477,7 @@ def test_json_writer_is_json_dumps_on_arbitrary_text(places, verdict, flag, cite
         for i, assumptions in enumerate(cited * 2)
     ]
     out = io.StringIO()
-    alquot.cli._write_json(out, records)
+    alquot.cli._write_json(out, [record._values() for record in records])
     assert out.getvalue() == _json_table(records)
     assert [record.to_json() for record in records] == [json.dumps(_fields(r), indent=2) for r in records]
 
