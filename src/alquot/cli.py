@@ -12,6 +12,12 @@ batch scripts can tell malformed input from out-of-regime input.
                                          only command that loads the
                                          graph layer, ``mumford_graph``
 
+Each command loads only the modules it runs: the import loads none of
+``mumford_graph``, ``json``, ``csv`` or ``array``.  JSON output (``certify
+--format json`` and its rejection, the JSON table) loads ``json``, and the
+CSV table ``csv``; ``array`` serves only the test oracle
+``ntheory.hilbert_symbol_oracle``.
+
 JSON and CSV speak the fixed record schema below; the CSV column order is
 frozen and list-valued cells join their items with semicolons.  ``certify``
 prints a record's JSON as the ``enumerate`` table holds it, but two spaces
@@ -25,20 +31,20 @@ mid-table raises after stdout may hold a prefix, but leaves no partial
 
 ``certify`` and ``hilbert`` refuse inputs beyond a desk-scale budget
 (``_MAX_CERTIFY_PRIME``, ``_MAX_HILBERT_PRIME``) with exit 1 before any
-trial division, instead of running for minutes.
+trial division, instead of running for minutes.  A reader that closes
+stdout early is an IO problem too: ``entrypoint`` exits 1 with one
+``error: cannot write stdout`` line.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import functools
-import json
 import os
 import stat
 import sys
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 from .ntheory import INFINITY, Place, _Value, hilbert_symbol
 from .parity import ParityCertificate, _certify_table, _hyperelliptic_flag, certify
@@ -78,10 +84,12 @@ class OutputRecord(_Value):
 
     def to_json(self) -> str:
         # the table's text, two spaces shallower: a JSON string has no raw newline
-        return _json_member(self._values()).replace("\n  ", "\n")
+        return _json_member(self._values(), _string_encoder()).replace("\n  ", "\n")
 
     @classmethod
     def from_json(cls, text: str) -> "OutputRecord":
+        import json
+
         data = json.loads(text)
         return cls(*[data[name] for name in cls._fields])
 
@@ -185,6 +193,8 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     result = certify(args.p, args.q)
     if isinstance(result, AdmissibilityRejection):
         if args.format == "json":
+            import json
+
             print(json.dumps({"p": result.p, "q": result.q, "rejected": result.reason}, indent=2))
         else:
             print(f"rejected: {result.reason}")
@@ -207,6 +217,8 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         with _output(args.out) as handle:
             (_write_json if args.format == "json" else _write_csv)(handle, rows)
     except OSError as exc:
+        if args.out is None and isinstance(exc, BrokenPipeError):
+            raise  # ``entrypoint`` reports a closed reader once, after its last flush
         print(f"error: cannot write {'stdout' if args.out is None else args.out}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     return EXIT_OK
@@ -224,6 +236,8 @@ def _csv_tail(assumptions: tuple[str, ...]) -> str:
     """The last cell with its separator and line end, as it ends a longer
     row: every certificate cites the same assumptions, so it is encoded
     once per distinct value, by an encoder only a miss builds."""
+    import csv
+
     return csv.writer(_Line, lineterminator="\n").writerow(["", ";".join(assumptions)])
 
 
@@ -232,53 +246,62 @@ def _write_csv(handle: TextIO, rows: Iterable[Sequence]) -> None:
     ``csv.writer(handle, lineterminator="\\n")`` writes for the header and
     each row's ``_cells``.  The first nine cells are encoded per row, the
     ints as they are, and the last, about 40% of a row, is ``_csv_tail``.
-    The csv module encodes every cell, so its quoting rules apply to each."""
+    The csv module encodes every cell, so its quoting rules apply to each;
+    it loads here, as only this table needs it."""
+    import csv
+
     encode = csv.writer(_Line, lineterminator="\n").writerow
     handle.write(encode(CSV_HEADER))
     for *ints, places, verdict, flag, cited in rows:
         handle.write(encode((*ints, ";".join(places), verdict, flag))[:-1] + _csv_tail(tuple(cited)))
 
 
-# A string as ``json.dumps`` encodes it: ``encode`` of a str goes straight
-# to the C encoder, with none of the indent machinery, which is pure Python.
-_encode_str = json.JSONEncoder().encode
+@functools.cache  # one encoder, built by the first JSON output
+def _string_encoder() -> Callable[[str], str]:
+    """A string as ``json.dumps`` encodes it: ``encode`` of a str goes
+    straight to the C encoder, with none of the indent machinery, which is
+    pure Python.  json loads on the first call, so only JSON output loads
+    it.  A writer binds the encoder once per record or table: an import
+    statement per string made the JSON table 20-35% slower."""
+    import json
+
+    return json.JSONEncoder().encode
 
 
-def _json_strings(items: Sequence[str]) -> str:  # a list field of a record
-    return "[\n      " + ",\n      ".join(map(_encode_str, items)) + "\n    ]" if items else "[]"
+def _json_strings(items: Sequence[str], encode: Callable[[str], str]) -> str:  # a list field
+    return "[\n      " + ",\n      ".join(map(encode, items)) + "\n    ]" if items else "[]"
 
 
-def _json_line(name: str, value: str) -> str:  # a line of a record
-    return f"\n    {_encode_str(name)}: {value}"
-
-
-# the record up to its last field: the int fields fill %d, the others %s
-_JSON_HEAD = "{" + "".join(_json_line(name, "%d,") for name in CSV_HEADER[:6])
-_JSON_HEAD += "".join(_json_line(name, "%s,") for name in CSV_HEADER[6:-1])
+# The record up to its last field: the int fields fill %d, the others %s.
+# The field names are identifiers, which JSON encodes quoted as they are.
+_JSON_HEAD = "{" + "".join(f'\n    "{name}": %d,' for name in CSV_HEADER[:6])
+_JSON_HEAD += "".join(f'\n    "{name}": %s,' for name in CSV_HEADER[6:-1])
 
 
 @functools.lru_cache(maxsize=16)  # a few values, so its memory is bounded
 def _json_tail(assumptions: tuple[str, ...]) -> str:
     """The last field with the record's closing brace: every certificate
     cites the same assumptions, so it is encoded once per distinct value."""
-    return _json_line(CSV_HEADER[-1], _json_strings(assumptions)) + "\n  }"
+    return f'\n    "{CSV_HEADER[-1]}": {_json_strings(assumptions, _string_encoder())}\n  }}'
 
 
-def _json_member(row: Sequence) -> str:
+def _json_member(row: Sequence, encode: Callable[[str], str]) -> str:
     """The one JSON encoder of a record's values: the record as a member of
     the table, byte for byte what ``json.dumps(..., indent=2)`` writes for
-    it one level deep, without the json module's pure-Python indenter."""
+    it one level deep, without the json module's pure-Python indenter.
+    ``encode`` is ``_string_encoder()``."""
     *ints, places, verdict, flag, cited = row
-    head = _JSON_HEAD % (*ints, _json_strings(places), _encode_str(verdict), _encode_str(flag))
+    head = _JSON_HEAD % (*ints, _json_strings(places, encode), encode(verdict), encode(flag))
     return head + _json_tail(tuple(cited))
 
 
 def _write_json(handle: TextIO, rows: Iterable[Sequence]) -> None:
     """The JSON table of ``_row`` values, byte for byte ``json.dumps`` of
     the list of the records' fields with ``indent=2``, and a line end."""
+    encode = _string_encoder()
     separator = "[\n  "
     for row in rows:
-        handle.write(separator + _json_member(row))
+        handle.write(separator + _json_member(row, encode))
         separator = ",\n  "
     handle.write("[]\n" if separator == "[\n  " else "\n]\n")
 
@@ -379,7 +402,18 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entrypoint() -> None:
-    raise SystemExit(main())
+    """``main`` as a process: stdout is flushed here, so a reader that
+    closed the pipe is an IO problem, exit 1 with one error line."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError as exc:
+        print(f"error: cannot write stdout: {exc}", file=sys.stderr)
+        # Python flushes stdout again at exit; pointed at the null device,
+        # that flush cannot fail (the signal module docs' SIGPIPE note)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_USAGE
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

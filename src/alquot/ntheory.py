@@ -22,9 +22,9 @@ from multiple threads.
 from __future__ import annotations
 
 import math
-from array import array
 from functools import lru_cache
 from itertools import compress
+from typing import Sequence
 
 __all__ = [
     "Place",
@@ -269,7 +269,9 @@ _MAX_SEARCH_MODULUS = 1 << 20
 # 32 moduli cover a sweep over small places; one table (8 bytes per distinct
 # square plus a 1-byte mask) holds at most ~5.3 MB
 @lru_cache(maxsize=32)
-def _square_tables(n: int) -> tuple[array, bytes]:
+def _square_tables(n: int) -> tuple[Sequence[int], bytes]:
+    from array import array  # only this test oracle needs it
+
     is_square = bytearray(n)
     for r in range(n // 2 + 1):  # r and n - r have the same square
         is_square[r * r % n] = 1

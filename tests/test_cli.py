@@ -464,7 +464,8 @@ TEXT = st.text()
 @example("p ≢ 5 mod 24")
 @example("\u2028\ud800\U0001f600")  # a lone surrogate, as json.dumps escapes it
 def test_json_string_encoder_is_json_dumps(text):
-    assert alquot.cli._encode_str(text) == json.dumps(text)
+    # the encoder every JSON writer binds
+    assert alquot.cli._string_encoder()(text) == json.dumps(text)
 
 
 @settings(max_examples=100, deadline=None)
@@ -560,21 +561,19 @@ def test_enumerate_checks_each_candidate_once_and_proves_each_prime_once(monkeyp
     assert place_proofs == []
 
 
-def _python(*args: str) -> subprocess.CompletedProcess:
+def _env() -> dict[str, str]:  # this environment, with alquot's sources on the path
     src = str(Path(alquot.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, *args],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-        check=False,
-    )
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def _python(*args: str) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=_env(), check=False)
 
 
 # modules the CLI never needs: numpy, and dataclasses with the inspect
-# module it imports, whose import and class decorations cost ~6 ms
-_NOT_ON_THE_CLI_PATH = ("numpy", "dataclasses", "inspect")
+# module it imports, whose import and class decorations cost ~6 ms; and
+# json, csv and array, which only some commands need (see the next tests)
+_NOT_ON_THE_CLI_PATH = ("numpy", "dataclasses", "inspect", "json", "csv", "array")
 
 
 def test_cli_import_does_not_load_numpy():
@@ -618,6 +617,67 @@ def test_only_graph_check_loads_the_graph_layer(tmp_path, capsys):
     done = _python("-c", script)
     assert done.returncode == 0, done.stderr
     assert done.stdout == expected + "[False, False, False, False, True]\n"
+
+
+_LOADED_ON_USE = ("json", "csv", "array", "alquot.mumford_graph")
+
+
+@pytest.mark.parametrize("argv, code, loaded", [
+    ([], 0, []),
+    (["certify", "5", "17"], 0, []),
+    (["certify", "5", "17", "--format", "json"], 0, ["json"]),
+    (["certify", "7", "17", "--format", "json"], 2, ["json"]),
+    (["hilbert", "-1", "-85", "5"], 0, []),
+    (["enumerate", "--max", "50"], 0, ["csv"]),
+    (["enumerate", "--max", "50", "--format", "json"], 0, ["json"]),
+    (["graph-check", "GRAPH"], 0, ["alquot.mumford_graph"]),
+], ids=["import", "certify", "certify-json", "rejection-json", "hilbert", "enumerate-csv", "enumerate-json",
+        "graph-check"])
+def test_each_command_loads_only_the_modules_it_runs(argv, code, loaded, tmp_path):
+    # one fresh process per command ([] is the import alone); a module
+    # loaded before the import, as a site hook may do, counts for none
+    graph = tmp_path / "g.graph"
+    graph.write_text(GRAPH_OK, encoding="utf-8")
+    argv = [str(graph) if arg == "GRAPH" else arg for arg in argv]
+    script = (
+        "import sys\n"
+        f"names = set({_LOADED_ON_USE!r}) - set(sys.modules)\n"
+        "import alquot.cli\n"
+        f"code = alquot.cli.main({argv!r}) if {argv!r} else 0\n"
+        "print((code, sorted(names), sorted(names & set(sys.modules))))\n"
+    )
+    done = _python("-c", script)
+    assert done.returncode == 0, done.stderr
+    returned, names, new = ast.literal_eval(done.stdout.splitlines()[-1])
+    assert (returned, new) == (code, [name for name in names if name in loaded])
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [
+    ["certify", "5", "17"],
+    ["hilbert", "-1", "-85", "5"],
+    ["graph-check", "GRAPH"],
+    ["enumerate", "--max", "50"],
+], ids=lambda argv: argv[0])
+def test_a_closed_stdout_exits_1_with_one_error_line(argv, unbuffered, tmp_path):
+    # the pipe's reader is gone before the command writes: buffered, the
+    # first write fails at the flush, unbuffered at the first print
+    graph = tmp_path / "g.graph"
+    graph.write_text(GRAPH_OK, encoding="utf-8")
+    argv = [str(graph) if arg == "GRAPH" else arg for arg in argv]
+    env = _env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run([sys.executable, "-m", "alquot", *argv], stdout=write,
+                              stderr=subprocess.PIPE, text=True, env=env, check=False)
+    finally:
+        os.close(write)
+    reason = f"[Errno {errno.EPIPE}] {os.strerror(errno.EPIPE)}"
+    assert (done.returncode, done.stderr) == (1, f"error: cannot write stdout: {reason}\n")
 
 
 def test_first_package_all_in_a_fresh_process_is_the_modules_lists():
