@@ -31,9 +31,10 @@ mid-table raises after stdout may hold a prefix, but leaves no partial
 
 ``certify`` and ``hilbert`` refuse inputs beyond a desk-scale budget
 (``_MAX_CERTIFY_PRIME``, ``_MAX_HILBERT_PRIME``) with exit 1 before any
-trial division, instead of running for minutes.  A reader that closes
-stdout early is an IO problem too: ``entrypoint`` exits 1 with one
-``error: cannot write stdout`` line.
+trial division, instead of running for minutes.  A stdout that cannot
+take the output, a reader that closed it early or a full disk, is an IO
+problem too: ``entrypoint`` exits 1 with one ``error: cannot write
+stdout`` line.
 """
 
 from __future__ import annotations
@@ -83,8 +84,7 @@ class OutputRecord(_Value):
         return cls(*head, list(places), verdict, flag, list(cited))
 
     def to_json(self) -> str:
-        # the table's text, two spaces shallower: a JSON string has no raw newline
-        return _json_member(self._values(), _string_encoder()).replace("\n  ", "\n")
+        return _record_json(self._values())
 
     @classmethod
     def from_json(cls, text: str) -> "OutputRecord":
@@ -179,9 +179,10 @@ _PARSER = build_parser()
 
 
 # Desk-scale budgets, checked before any work.  ``certify`` proves p and q
-# by trial division and counts h(-4p) from square roots mod 4a: ~25 ms at
-# p = 10^8, after ~33 ms of start-up (2-core AMD EPYC, Python 3.11);
-# ``hilbert`` proves its place by trial division, ~20 ms at 10^12.
+# by trial division and counts h(-4p) from square roots mod 4a: ~18 ms at
+# p = 10^8, after ~25 ms of start-up (2-core AMD EPYC, Python 3.11, with a
+# bytecode cache); ``hilbert`` proves its place by trial division, ~20 ms
+# at 10^12.
 _MAX_CERTIFY_PRIME = 10**8
 _MAX_HILBERT_PRIME = 10**12
 
@@ -200,7 +201,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
             print(f"rejected: {result.reason}")
         return EXIT_REJECTED
     if args.format == "json":
-        print(OutputRecord.from_certificate(result).to_json())
+        print(_record_json(_row(result)))
     else:
         print(_certificate_text(result))
     return EXIT_OK
@@ -217,8 +218,6 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         with _output(args.out) as handle:
             (_write_json if args.format == "json" else _write_csv)(handle, rows)
     except OSError as exc:
-        if args.out is None and isinstance(exc, BrokenPipeError):
-            raise  # ``entrypoint`` reports a closed reader once, after its last flush
         print(f"error: cannot write {'stdout' if args.out is None else args.out}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     return EXIT_OK
@@ -293,6 +292,12 @@ def _json_member(row: Sequence, encode: Callable[[str], str]) -> str:
     *ints, places, verdict, flag, cited = row
     head = _JSON_HEAD % (*ints, _json_strings(places, encode), encode(verdict), encode(flag))
     return head + _json_tail(tuple(cited))
+
+
+def _record_json(row: Sequence) -> str:
+    """A record's JSON as ``certify`` prints it: the table's text, two
+    spaces shallower, as a JSON string holds no raw newline."""
+    return _json_member(row, _string_encoder()).replace("\n  ", "\n")
 
 
 def _write_json(handle: TextIO, rows: Iterable[Sequence]) -> None:
@@ -402,12 +407,13 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entrypoint() -> None:
-    """``main`` as a process: stdout is flushed here, so a reader that
-    closed the pipe is an IO problem, exit 1 with one error line."""
+    """``main`` as a process: stdout is flushed here, so a stdout that
+    cannot take the output (a reader that closed the pipe, a full disk) is
+    an IO problem, exit 1 with one error line."""
     try:
         code = main()
         sys.stdout.flush()
-    except BrokenPipeError as exc:
+    except OSError as exc:  # main reports its own --out and graph-check reads
         print(f"error: cannot write stdout: {exc}", file=sys.stderr)
         # Python flushes stdout again at exit; pointed at the null device,
         # that flush cannot fail (the signal module docs' SIGPIPE note)

@@ -680,6 +680,23 @@ def test_a_closed_stdout_exits_1_with_one_error_line(argv, unbuffered, tmp_path)
     assert (done.returncode, done.stderr) == (1, f"error: cannot write stdout: {reason}\n")
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [
+    ["certify", "5", "17"],
+    ["hilbert", "-1", "-85", "5"],
+    ["enumerate", "--max", "50"],
+    ["enumerate", "--max", "2500"],
+], ids=["certify", "hilbert", "enumerate-50", "enumerate-2500"])
+def test_a_full_stdout_exits_1_with_one_error_line(argv):
+    # every write to /dev/full fails with ENOSPC: a short output at the last
+    # flush, a table past the buffer's size mid-table, in _cmd_enumerate
+    with open("/dev/full", "w") as full:
+        done = subprocess.run([sys.executable, "-m", "alquot", *argv], stdout=full,
+                              stderr=subprocess.PIPE, text=True, env=_env(), check=False)
+    reason = f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
+    assert (done.returncode, done.stderr) == (1, f"error: cannot write stdout: {reason}\n")
+
+
 def test_first_package_all_in_a_fresh_process_is_the_modules_lists():
     modules = ("ntheory", "quadforms", "quaternion", "shimura", "localpoints", "parity", "mumford_graph")
     expected = [name for module in modules for name in getattr(alquot, module).__all__]

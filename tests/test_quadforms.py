@@ -1,8 +1,14 @@
+import math
+import sys
+import threading
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from alquot import quadforms
 from alquot.ntheory import is_prime, is_squarefree, kronecker
-from alquot.quadforms import QuadraticForm, class_number, reduced_forms
+from alquot.quadforms import (QuadraticForm, _primes_to, _reduced_form_count, _root_counts, class_number,
+                              reduced_forms)
 
 
 def _forms(D):
@@ -135,3 +141,100 @@ def test_class_number_matches_the_analytic_formula():
         assert class_number(D) == _analytic_class_number(D), D
     # tabulated class numbers of Q(sqrt(-p))
     assert [_analytic_class_number(-4 * p) for p in (5, 13, 29, 53, 101, 173)] == [2, 2, 6, 6, 14, 14]
+
+
+def _brute_root_count(d, a):
+    """rho(a) from its definition, #{x mod 2a : x^2 = d mod 4a}."""
+    return sum(1 for x in range(2 * a) if (x * x - d) % (4 * a) == 0)
+
+
+# d with an odd square factor l^v (v >= 2), so the local factor at l comes
+# from _root_count, not from 1 + (d/l); u = 1 and 4 make d a power of l
+# (times 4), and 3, 7, 15, 20, 28 add a unit part
+_ODD_SQUARE_PARTS = [-(ell**v) * u for ell in (3, 5, 7, 11) for v in (2, 3, 4, 5) for u in (1, 4, 3, 7, 15, 20, 28)
+                     if ell**v * u <= 100_000 and -(ell**v) * u % 4 in (0, 1)]
+
+
+def test_root_counts_are_the_square_roots_mod_4a():
+    # the band reads rho(a) as a count, so every entry up to sqrt(|d|/3) matters
+    for d in [*range(-2000, -2), *_ODD_SQUARE_PARTS, *_SQUARE_PARTS]:
+        if d % 4 in (0, 1):
+            top = math.isqrt(-d // 3)
+            rho = _root_counts(d, top, _primes_to(top))
+            assert rho[1:] == [_brute_root_count(d, a) for a in range(1, top + 1)], d
+
+
+def _all_reduced_form_count(d):
+    """N(d) by the classical scan: the reduced forms of discriminant d < 0,
+    primitive or not."""
+    return sum(
+        QuadraticForm(a, b, (b * b - d) // (4 * a)).is_reduced
+        for a in range(1, math.isqrt(-d // 3) + 1)
+        for b in range(-a, a + 1)
+        if (b * b - d) % (4 * a) == 0
+    )
+
+
+def test_band_rows_counted_from_the_short_side():
+    # a band row a0 < a <= sqrt(|d|/3) whose least b0 with c >= a is below
+    # a/2 is counted as rho(a) less the roots with |b| < b0.  Each boundary
+    # of that complement occurs below, and N(d) is checked at every d where
+    # one does, so a miscounted boundary changes a checked count
+    hits = {"root at b = a": 0, "form with c = a at b = b0": 0, "root x = 0": 0}
+    for d in [*range(-5000, -2), *_ODD_SQUARE_PARTS, *_EDGES]:
+        if d % 4 not in (0, 1):
+            continue
+        top = math.isqrt(-d // 3)
+        found = False
+        for a in range(math.isqrt(-d) // 2 + 1, top + 1):
+            b0 = next(b for b in range(-d % 2, a + 2, 2) if b * b >= 4 * a * a + d)
+            if 2 * b0 < a and _brute_root_count(d, a):
+                cases = ((a * a - d) % (4 * a) == 0, b0 * b0 == 4 * a * a + d, d % (4 * a) == 0)
+                for name, case in zip(hits, cases):
+                    hits[name] += case
+                found = found or any(cases)
+        if found:
+            assert _reduced_form_count(d, _primes_to(top)) == _all_reduced_form_count(d), d
+    assert all(hits.values()), hits
+
+
+@pytest.mark.parametrize("grown", [False, True], ids=["first-use", "grown"])
+def test_prime_table_is_the_sieve_and_stays_capped(monkeypatch, grown):
+    # n on both sides of the cap, each read off an empty table or off the
+    # table the reads before it grew
+    monkeypatch.setattr(quadforms, "_prime_table", (b"", ()))
+    cap = quadforms._PRIME_CAP
+    for n in (1, 2, 3, 4, 100, 1000, 11547, cap - 1, cap, cap + 1, 2 * cap, 3, 70_000):
+        if not grown:
+            monkeypatch.setattr(quadforms, "_prime_table", (b"", ()))
+        assert list(quadforms._primes(n)) == _primes_to(n), n
+        sieve, primes = quadforms._prime_table
+        assert len(sieve) <= cap + 1
+        assert list(primes) == (_primes_to(len(sieve) - 1) if sieve else [])
+
+
+def test_prime_table_grows_under_concurrent_readers(monkeypatch):
+    # each reader sees a whole table, the old one or the new one: a reader
+    # that caught one half-built would list the wrong primes
+    monkeypatch.setattr(quadforms, "_prime_table", (b"", ()))
+    bounds = [1, 10, 100, 1000, 5000, 11547, 20000]
+    expected = {n: _primes_to(n) for n in bounds}
+    errors = []
+
+    def read():
+        for n in bounds * 3:
+            if list(quadforms._primes(n)) != expected[n]:
+                errors.append(n)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read) for _ in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
