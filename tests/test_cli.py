@@ -24,6 +24,7 @@ import alquot.parity
 import alquot.quadforms
 import alquot.quaternion
 import alquot.shimura
+import cli_corpus
 from alquot.cli import CSV_HEADER, OutputRecord, main
 from alquot.mumford_graph import parse_graph, serialize_graph
 from alquot.parity import STANDING_ASSUMPTIONS, _certify_table, enumerate_admissible
@@ -930,3 +931,30 @@ def test_main_reuses_one_parser(monkeypatch, capsys):
     assert "usage error" in capsys.readouterr().err
     assert main(["certify", "5", "17", "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["verdict"] == "odd"
+
+
+@pytest.mark.parametrize("argv", cli_corpus.CORPUS, ids=lambda argv: ",".join(argv) or "no-arguments")
+def test_main_parses_as_the_whole_tree_does(argv, tmp_path):
+    argv = cli_corpus.fill(argv, tmp_path)
+    assert cli_corpus.outcome(main, argv) == cli_corpus.outcome(cli_corpus.reference, argv)
+
+
+class _FullParse(Exception):
+    pass
+
+
+def test_a_command_skips_the_top_level_parse(monkeypatch, tmp_path):
+    def full_parse(argv):
+        raise _FullParse(argv)
+
+    monkeypatch.setattr(alquot.cli._PARSER, "parse_args", full_parse)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(["certify", "5", "17"]) == 0
+        assert main(["certify", "7", "17", "--format", "json"]) == 2
+        assert main(["certify", "5", "17", "extra"]) == 1
+        assert main(["enumerate", "--max", "50"]) == 0
+        assert main(["hilbert", "-1", "-85", "5"]) == 0
+        assert main(cli_corpus.fill(["graph-check", "{graph}"], tmp_path)) == 0
+    for argv in ([], ["-h"], ["bogus"], ["--", "certify", "5", "17"]):
+        with pytest.raises(_FullParse):
+            main(argv)
