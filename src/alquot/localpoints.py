@@ -63,16 +63,13 @@ class LocalStatus(_Value):
     __slots__ = _fields = ("place", "pic1_nonempty", "source")
 
     def __init__(self, place: Place | None, pic1_nonempty: bool, source: StatusSource) -> None:
+        if source is StatusSource.OWN_PRIME_UNIFORMIZATION and not pic1_nonempty:
+            raise ValueError("the own-prime entry is always non-deficient")
+        if source is StatusSource.GOOD_REDUCTION_FACT and place is not None:
+            raise ValueError("the good-reduction fact covers only the symbolic entry")
         object.__setattr__(self, "place", place)
         object.__setattr__(self, "pic1_nonempty", pic1_nonempty)
         object.__setattr__(self, "source", source)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        if self.source is StatusSource.OWN_PRIME_UNIFORMIZATION and not self.pic1_nonempty:
-            raise ValueError("the own-prime entry is always non-deficient")
-        if self.source is StatusSource.GOOD_REDUCTION_FACT and self.place is not None:
-            raise ValueError("the good-reduction fact covers only the symbolic entry")
 
     @property
     def deficient(self) -> bool:
@@ -95,15 +92,13 @@ class DeficiencyLedger(_Value):
     elsewhere = _ELSEWHERE
 
     def __init__(self, at_infinity: LocalStatus, at_p: LocalStatus, at_q: LocalStatus) -> None:
+        if at_infinity.place != INFINITY:
+            raise ValueError("first entry must sit at the archimedean place")
+        deficient = tuple(s.place for s in (at_infinity, at_p, at_q, self.elsewhere) if s.deficient)
         object.__setattr__(self, "at_infinity", at_infinity)
         object.__setattr__(self, "at_p", at_p)
         object.__setattr__(self, "at_q", at_q)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        if self.at_infinity.place != INFINITY:
-            raise ValueError("first entry must sit at the archimedean place")
-        object.__setattr__(self, "_deficient", tuple(s.place for s in self.entries() if s.deficient))
+        object.__setattr__(self, "_deficient", deficient)
 
     @property
     def deficient_count(self) -> int:

@@ -41,7 +41,10 @@ __all__ = [
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test by trial division (desk scale)."""
+    """Deterministic primality test by trial division (desk scale); n must
+    be an int (a bool counts as one)."""
+    if not isinstance(n, int):
+        raise TypeError(f"primality is defined for ints, not {type(n).__name__}")
     if n < 4:
         return n > 1
     return n % 2 == 1 and _least_prime_factor(n, 3) == n
@@ -62,8 +65,8 @@ class _Value:
     dataclass gives, without importing ``dataclasses``.  A subclass lists
     its fields, in order, in ``_fields`` and keeps them in ``__slots__``,
     but for a field every instance shares, a class attribute.  Its
-    ``__init__`` sets the slots through ``object.__setattr__`` and ends by
-    calling its ``__post_init__`` check, if it has one.  Pickle and
+    ``__init__`` checks its arguments and derives what follows from them,
+    then sets the slots through ``object.__setattr__``.  Pickle and
     ``copy`` carry the slots as the state."""
 
     __slots__ = ()
@@ -103,12 +106,9 @@ class Place(_Value):
     __slots__ = _fields = ("prime",)
 
     def __init__(self, prime: int | None = None) -> None:
+        if prime is not None and not is_prime(prime):
+            raise ValueError(f"{prime} is not prime")
         object.__setattr__(self, "prime", prime)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        if self.prime is not None and not is_prime(self.prime):
-            raise ValueError(f"{self.prime} is not prime")
 
     @classmethod
     def _proven(cls, n: int) -> "Place":

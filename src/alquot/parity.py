@@ -39,7 +39,8 @@ from .shimura import (
     AdmissiblePair,
     GenusData,
     _admissible_pairs,
-    _genus_quotient,
+    _fixed_points_e,
+    _genus_VB,
     check_admissible,
 )
 
@@ -101,15 +102,12 @@ class ParityCertificate(_Value):
     assumptions = STANDING_ASSUMPTIONS
 
     def __init__(self, pair: AdmissiblePair, genus: GenusData, ledger: DeficiencyLedger) -> None:
+        if genus.g_quotient % 2:
+            raise ValueError("degree bridge needs an even quotient genus")
         object.__setattr__(self, "pair", pair)
         object.__setattr__(self, "genus", genus)
         object.__setattr__(self, "ledger", ledger)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        if self.genus.g_quotient % 2:
-            raise ValueError("degree bridge needs an even quotient genus")
-        object.__setattr__(self, "verdict", poonen_stoll_verdict(self.ledger))
+        object.__setattr__(self, "verdict", poonen_stoll_verdict(ledger))
 
     @classmethod
     def for_pair(cls, pair: AdmissiblePair) -> "ParityCertificate":
@@ -169,7 +167,7 @@ def _certify_table(pairs: Iterable[AdmissiblePair]) -> Iterator[ParityCertificat
         Q, fq = facts(pair.q)
         yield ParityCertificate(
             pair=pair,
-            genus=_genus_quotient(pair, P, Q, h, fp, fq),
+            genus=GenusData(_genus_VB(p, pair.q, fp, fq), _fixed_points_e(P, Q, h)),
             ledger=_deficiency_ledger(at_p, Q),
         )
 
@@ -203,13 +201,10 @@ class SieveReport(_Value):
 
     def __init__(self, pair: AdmissiblePair, definite_class_number: int) -> None:
         object.__setattr__(self, "pair", pair)
+        object.__setattr__(self, "flag", _hyperelliptic_flag(pair))
+        object.__setattr__(self, "genus_product", (pair.p - 1) * (pair.q - 1))
         object.__setattr__(self, "definite_class_number", definite_class_number)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "flag", _hyperelliptic_flag(self.pair))
-        object.__setattr__(self, "genus_product", (self.pair.p - 1) * (self.pair.q - 1))
-        object.__setattr__(self, "supersingular_lower_bound", (self.definite_class_number + 1) // 2)
+        object.__setattr__(self, "supersingular_lower_bound", (definite_class_number + 1) // 2)
 
 
 def hyperelliptic_sieve(pairs: list[AdmissiblePair]) -> list[SieveReport]:

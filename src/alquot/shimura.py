@@ -27,10 +27,10 @@ of discriminant pq is its ramification set {p, q}, so those two Places
 carry it: no algebra is built.  The entry points delegate to private
 cores that take what a certificate already holds: the Places P and Q,
 h(-4p), and the Eichler-Shimura factors ``_local_factors((l,))`` of
-l = p and q, whose products the genus formula reads.
-``_genus_quotient(pair, P, Q, h, fp, fq)`` is the core every certificate
-runs.  ``_genus_VB`` holds the integrity check of g_VB, and
-``GenusData``, which derives the quotient genus, holds those of
+l = p and q, whose products the genus formula reads.  Every certificate
+builds its genus as ``GenusData(_genus_VB(p, q, fp, fq),
+_fixed_points_e(P, Q, h))``: ``_genus_VB`` holds the integrity check of
+g_VB, and ``GenusData``, which derives the quotient genus, holds those of
 Riemann-Hurwitz.
 """
 
@@ -60,14 +60,11 @@ class AdmissiblePair(_Value):
     __slots__ = _fields = ("p", "q")
 
     def __init__(self, p: int, q: int) -> None:
+        failure = _admissibility_failure(p, q)
+        if failure is not None:
+            raise ValueError(f"({p}, {q}) inadmissible: {failure}")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        failure = _admissibility_failure(self.p, self.q)
-        if failure is not None:
-            raise _Inadmissible(AdmissibilityRejection(self.p, self.q, failure))
 
     @classmethod
     def _admitted(cls, p: int, q: int) -> "AdmissiblePair":
@@ -92,14 +89,6 @@ class AdmissibilityRejection(_Value):
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "reason", reason)
-
-
-class _Inadmissible(ValueError):
-    """Raised by ``AdmissiblePair`` with the rejection that ``check_admissible`` returns."""
-
-    def __str__(self) -> str:
-        rejection = self.args[0]
-        return f"({rejection.p}, {rejection.q}) inadmissible: {rejection.reason}"
 
 
 # each prime of a pair lies in the class 5 mod its modulus
@@ -166,21 +155,18 @@ class GenusData(_Value):
     __slots__ = _fields = ("g_VB", "e_p", "g_quotient", "mass_half")
 
     def __init__(self, g_VB: int, e_p: int) -> None:
+        if g_VB < 0 or e_p < 0:
+            raise ValueError(f"g_VB = {g_VB} and e(p) = {e_p} must be nonnegative")
+        if g_VB % 2 == 0:
+            raise ValueError(f"(g_VB + 1)/2 is not integral for g_VB = {g_VB}")
+        if e_p % 4:
+            raise ValueError(f"e(p) = {e_p} is not divisible by 4")
+        mass_half = (g_VB + 1) // 2
+        g_quotient = mass_half - e_p // 4
+        if g_quotient < 0:
+            raise ValueError(f"negative quotient genus for g_VB = {g_VB}, e(p) = {e_p}")
         object.__setattr__(self, "g_VB", g_VB)
         object.__setattr__(self, "e_p", e_p)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        if self.g_VB < 0 or self.e_p < 0:
-            raise ValueError(f"g_VB = {self.g_VB} and e(p) = {self.e_p} must be nonnegative")
-        if self.g_VB % 2 == 0:
-            raise ValueError(f"(g_VB + 1)/2 is not integral for g_VB = {self.g_VB}")
-        if self.e_p % 4:
-            raise ValueError(f"e(p) = {self.e_p} is not divisible by 4")
-        mass_half = (self.g_VB + 1) // 2
-        g_quotient = mass_half - self.e_p // 4
-        if g_quotient < 0:
-            raise ValueError(f"negative quotient genus for g_VB = {self.g_VB}, e(p) = {self.e_p}")
         object.__setattr__(self, "g_quotient", g_quotient)
         object.__setattr__(self, "mass_half", mass_half)
 
@@ -246,20 +232,5 @@ def genus_quotient(pair: AdmissiblePair) -> GenusData:
     do not prove them again.
     """
     p, q = pair.p, pair.q
-    P, Q = Place._proven(p), Place._proven(q)
-    return _genus_quotient(pair, P, Q, class_number(-4 * p), _local_factors((p,)), _local_factors((q,)))
-
-
-def _genus_quotient(
-    pair: AdmissiblePair,
-    P: Place,
-    Q: Place,
-    h: int,
-    fp: tuple[int, int, int],
-    fq: tuple[int, int, int],
-) -> GenusData:
-    """``genus_quotient`` for the pair's Places P and Q, h = h(-4p) and the
-    factors ``_local_factors`` gives p and q, which the caller computes
-    once and shares.  Every certificate runs the integrity checks of
-    ``_genus_VB`` and ``GenusData`` here."""
-    return GenusData(_genus_VB(pair.p, pair.q, fp, fq), _fixed_points_e(P, Q, h))
+    g_VB = _genus_VB(p, q, _local_factors((p,)), _local_factors((q,)))
+    return GenusData(g_VB, _fixed_points_e(Place._proven(p), Place._proven(q), class_number(-4 * p)))

@@ -288,17 +288,18 @@ def test_enumerate_bound_guard(bound, capsys):
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_enumerate_integrity_failure_propagates(fmt, tmp_path, monkeypatch, capsys):
-    genus, certified = alquot.parity._genus_quotient, []
+    genus_VB, certified = alquot.parity._genus_VB, []
 
-    def broken_at_second(pair, *shared):
-        certified.append(pair)
+    def broken_at_second(p, q, *factors):
+        certified.append((p, q))
         if len(certified) == 2:
             raise ValueError("integrity check failed")
-        return genus(pair, *shared)
+        return genus_VB(p, q, *factors)
 
-    # the genus core holds the integrity checks, and both certificate paths
-    # (for_pair and the enumerate table) run it through this name
-    monkeypatch.setattr(alquot.parity, "_genus_quotient", broken_at_second)
+    # every certificate runs the integrity check of g_VB, and both
+    # certificate paths (for_pair and the enumerate table) run it through
+    # this name
+    monkeypatch.setattr(alquot.parity, "_genus_VB", broken_at_second)
     with pytest.raises(ValueError, match="integrity check failed"):
         main(["enumerate", "--max", "30", "--format", fmt])
     # rows are written as they are certified: stdout holds (5, 17) only
@@ -519,7 +520,7 @@ def test_enumerate_checks_each_candidate_once_and_proves_each_prime_once(monkeyp
     pair_rule = _count_calls(monkeypatch, alquot.shimura._pair_failure)
     # the rules prove primes through the shimura binding, and Place through
     # the ntheory binding alone
-    rule_proofs, place_proofs, raised = [], [], []
+    rule_proofs, place_proofs, checked = [], [], []
 
     def recording(prove, proofs):
         def counted_proof(n):
@@ -528,17 +529,19 @@ def test_enumerate_checks_each_candidate_once_and_proves_each_prime_once(monkeyp
 
         return counted_proof
 
-    class RecordedInadmissible(alquot.shimura._Inadmissible):
-        def __init__(self, *args):
-            raised.append(args)
-            super().__init__(*args)
+    check = alquot.shimura.AdmissiblePair.__init__
+
+    def checked_init(pair, *args):
+        checked.append(args)
+        check(pair, *args)
 
     def refuse(*args):
         raise AssertionError("enumerate computed a sieve report")
 
     monkeypatch.setattr(alquot.shimura, "is_prime", recording(alquot.shimura.is_prime, rule_proofs))
     monkeypatch.setattr(alquot.ntheory, "is_prime", recording(alquot.ntheory.is_prime, place_proofs))
-    monkeypatch.setattr(alquot.shimura, "_Inadmissible", RecordedInadmissible)
+    # the table admits its pairs without the checking constructor
+    monkeypatch.setattr(alquot.shimura.AdmissiblePair, "__init__", checked_init)
     monkeypatch.setattr(alquot.parity, "hyperelliptic_sieve", refuse)
     monkeypatch.setattr(alquot.parity, "_eichler_formula", refuse)
     monkeypatch.setattr(alquot.quaternion, "_eichler_formula", refuse)
@@ -553,7 +556,7 @@ def test_enumerate_checks_each_candidate_once_and_proves_each_prime_once(monkeyp
     ps = [p for p in range(1, 201) if prime(p) and p % 24 == 5]
     qs = [q for q in range(1, 201) if prime(q) and q % 12 == 5]
     assert pair_rule == [(p, q) for p in ps for q in qs]
-    assert raised == []
+    assert checked == []
     # each candidate is proven by the per-prime rule alone, and no prime
     # once per candidate pair; the table's Places trust those proofs
     assert rule_proofs == [n for _, n in prime_rule]
@@ -808,10 +811,10 @@ def test_certify_budget_admits_desk_scale_primes(capsys):
 
 
 def test_certify_integrity_failure_propagates(monkeypatch):
-    def broken(pair, *shared):
+    def broken(p, q, *factors):
         raise ValueError("integrity check failed")
 
-    monkeypatch.setattr(alquot.parity, "_genus_quotient", broken)
+    monkeypatch.setattr(alquot.parity, "_genus_VB", broken)
     with pytest.raises(ValueError, match="integrity check failed"):
         main(["certify", "5", "17"])
 

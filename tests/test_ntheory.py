@@ -28,6 +28,26 @@ def test_is_prime_examples():
     assert not is_prime(85)
 
 
+@pytest.mark.parametrize("n", [5.0, 4.0, 1.5, "5", None])
+def test_is_prime_refuses_a_non_int(n):
+    with pytest.raises(TypeError, match="primality is defined for ints"):
+        is_prime(n)
+
+
+def test_every_int_entry_point_refuses_a_float_prime():
+    # each one proves its primes through is_prime; a bool is an int
+    assert not is_prime(True) and not is_prime(False)
+    for call in (
+        lambda: Place(5.0),
+        lambda: alquot.check_admissible(5.0, 17),
+        lambda: alquot.genus_VB(5.0, 17),
+        lambda: alquot.certify(5.0, 17),
+        lambda: alquot.certify(5, 17.0),
+    ):
+        with pytest.raises(TypeError, match="not float"):
+            call()
+
+
 def test_is_prime_agrees_with_sieve():
     limit = 2000
     sieve = [True] * limit
@@ -108,6 +128,8 @@ def test_kronecker_examples():
     assert kronecker(-4, 5) == 1
     assert kronecker(-3, 2) == -1
     assert kronecker(-3, 17) == -1
+    # (a/-1) is -1 exactly for a < 0, so 0 is a unit there
+    assert [kronecker(a, -1) for a in (-3, 0, 3)] == [-1, 1, 1]
 
 
 def test_kronecker_at_zero_is_one_only_for_units():
@@ -181,6 +203,7 @@ def test_oracle_rejects_oversized_search():
         (2**8 * 3, -5, 2, -1),
         (3**5, -2, 3, 1),  # search modulus 3^11
         (3**5, 2, 3, -1),
+        (3, 5, 1031, 1),  # search modulus 1031, where 1031^2 > 2^20
     ],
 )
 def test_oracle_agrees_at_the_largest_admitted_moduli(a, b, p, symbol):

@@ -155,13 +155,18 @@ def _count_algebras(monkeypatch) -> list:
 
 def test_certify_computes_each_invariant_once(monkeypatch):
     class_numbers = _count_calls(monkeypatch, alquot.quadforms.class_number)
-    # the genus core, with the Places and class number the certificate shares
-    genera = _count_calls(monkeypatch, alquot.shimura._genus_quotient)
+    # the genus from its two integrity-checked parts, with the Places and
+    # class number the certificate shares
+    genera = _count_calls(monkeypatch, alquot.shimura._genus_VB)
+    fixed_points = _count_calls(monkeypatch, alquot.shimura._fixed_points_e)
     algebras = _count_algebras(monkeypatch)
     cert = certify(29, 17)
     assert cert.genus.g_quotient == 16
     assert class_numbers == [(-4 * 29,)]
-    assert [args[:3] for args in genera] == [(AdmissiblePair(29, 17), Place(29), Place(17))]
+    assert [args[:2] for args in genera] == [(29, 17)]
+    # h(-116) = 6, and Q(sqrt(-29)) splits B = {29, 17}: e_p = 2h
+    assert fixed_points == [(Place(29), Place(17), 6)]
+    assert cert.genus.e_p == 12
     # the Places of p and q carry B = {p, q}: no algebra is built
     assert algebras == []
 
@@ -191,15 +196,15 @@ def test_enumerate_computes_the_genus_factors_once_per_prime(monkeypatch, capsys
 def test_enumerate_shares_the_ledger_entries_that_do_not_read_the_pair(monkeypatch, capsys):
     # the entry at p reads only p, the entry at oo takes one of two values
     # and the symbolic entry one: only the entry at q is built per row, and
-    # every entry is checked by LocalStatus.__post_init__ when it is built
+    # every entry is checked by LocalStatus.__init__ when it is built
     built = []
-    check = LocalStatus.__post_init__
+    init = LocalStatus.__init__
 
-    def counted(status):
-        check(status)
+    def counted(status, *args, **kwargs):
+        init(status, *args, **kwargs)
         built.append(status)
 
-    monkeypatch.setattr(LocalStatus, "__post_init__", counted)
+    monkeypatch.setattr(LocalStatus, "__init__", counted)
     assert main(["enumerate", "--max", "500"]) == 0
     rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
     ps = sorted({int(row[0]) for row in rows})
@@ -351,6 +356,8 @@ def test_sieve_class_number_is_eichlers_formula():
 
 def test_enumerate_examples():
     assert [(x.p, x.q) for x in enumerate_admissible(30)] == [(5, 17), (29, 17)]
+    # the bound holds for p too: 29 is the next candidate p past 28
+    assert [(x.p, x.q) for x in enumerate_admissible(28)] == [(5, 17)]
     assert enumerate_admissible(16) == []
     assert enumerate_admissible(4) == []
     with pytest.raises(ValueError):

@@ -167,6 +167,8 @@ def test_genus_data_derives_the_quotient_genus():
     "g_VB, e_p, message",
     [
         (2, 0, "not integral"),
+        # zero is nonnegative: the odd check, not the sign check, refuses it
+        (0, 0, "not integral"),
         (3, 2, "not divisible by 4"),
         (1, 8, "negative quotient genus"),
         # each has g_VB odd and 4 | e_p, so only the sign check refuses it

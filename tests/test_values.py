@@ -73,7 +73,7 @@ def test_derived_and_fixed_fields_are_not_arguments():
         SieveReport(PAIR, 8, flag=SieveReport(PAIR, 8).flag)
 
 
-# each check and its message, one per class with a __post_init__
+# each constructor's check and its message, one per class that checks
 CHECKS = [
     (Place, lambda: Place(91), "91 is not prime"),
     (QuaternionAlgebra, lambda: QuaternionAlgebra(frozenset({Place(5)})), "even cardinality"),
@@ -88,13 +88,17 @@ CHECKS = [
 
 @pytest.mark.parametrize("cls, make, message", CHECKS, ids=[c.__name__ for c, _, _ in CHECKS])
 def test_init_runs_the_post_init_check(cls, make, message, monkeypatch):
-    # the check stays a method in the class dict, where perfbench's tracer
-    # and the construction counters of test_parity wrap it, and every
-    # __init__ calls it through the class
-    assert "__post_init__" in cls.__dict__
+    # each class checks its arguments in its own __init__; only
+    # QuaternionAlgebra keeps its check as a __post_init__ hook, which
+    # perfbench's tracer and the algebra counter of test_parity wrap, and
+    # its __init__ calls it through the class
     if message is not None:
         with pytest.raises(ValueError, match=message):
             make()
+    if cls is not QuaternionAlgebra:
+        assert not hasattr(cls, "__post_init__")
+        return
+    assert "__post_init__" in cls.__dict__
     checked = []
     monkeypatch.setattr(cls, "__post_init__", lambda self: checked.append(self))
     make()

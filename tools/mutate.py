@@ -17,8 +17,10 @@ first, and is killed by a failing test or by the timeout.  A full run of
 
     python tools/mutate.py src/alquot/cli.py --seed 31 --jobs 2 --out MUTANTS.json
 
-The output lists the survivors with their source lines; a survivor's
-``reason`` is left empty for a reader to fill in.
+The record lists the survivors with their source lines; a survivor's
+``reason`` is left empty for a reader to fill in.  ``--out`` names a JSON
+object keyed by module path, such as ``MUTANTS.json``: the run replaces
+its own module's record there and keeps the others.
 """
 
 from __future__ import annotations
@@ -96,7 +98,7 @@ def main() -> int:
     parser.add_argument("--sample", type=int, default=None, help="mutants to draw (default: every point)")
     parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument("--timeout", type=float, default=90.0, help="seconds per mutant")
-    parser.add_argument("--out", default=None, help="write the JSON record here instead of stdout")
+    parser.add_argument("--out", default=None, help="merge the record into this JSON file instead of printing it")
     args = parser.parse_args()
 
     module = Path(args.module).resolve().relative_to(ROOT)
@@ -138,11 +140,13 @@ def main() -> int:
         "survivors": [{"line": line, "mutation": change, "source": lines[line - 1].strip(), "reason": ""}
                       for line, change, outcome in sorted(results) if outcome == "survived"],
     }
-    text = json.dumps(record, indent=1, ensure_ascii=False) + "\n"
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+    if args.out:  # one record per module: replace this module's, keep the others
+        out = Path(args.out)
+        records = json.loads(out.read_text(encoding="utf-8")) if out.exists() else {}
+        records[str(module)] = record
+        out.write_text(json.dumps(dict(sorted(records.items())), indent=1, ensure_ascii=False) + "\n", encoding="utf-8")
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(json.dumps(record, indent=1, ensure_ascii=False) + "\n")
     return 0
 
 
