@@ -12,6 +12,12 @@ enough for Hensel lifting.  They share only ``_valuation``, the loop that
 search scans a byte mask of the squares in plain Python, so this module,
 like the whole package, needs nothing beyond the standard library.
 
+``is_prime``, ``prime_factors``, ``is_squarefree`` (of a nonzero n),
+``valuation`` and ``Place`` (of a finite prime) refuse a non-int with
+``TypeError``: a float would lose its low digits and give the factors or
+the valuation of another number.  ``kronecker`` and ``hilbert_symbol`` do
+not check, because the table calls each about four times a row.
+
 ``_Value``, the base of the package's immutable value classes, sits here
 beside ``Place``, in the layer every other module imports.
 
@@ -140,7 +146,9 @@ INFINITY = Place(None)
 
 
 def prime_factors(n: int) -> tuple[int, ...]:
-    """Distinct prime factors of n != 0, in ascending order."""
+    """Distinct prime factors of the int n != 0, in ascending order."""
+    if not isinstance(n, int):
+        raise TypeError(f"factoring is defined for ints, not {type(n).__name__}")
     if n == 0:
         raise ValueError("0 has no prime factorization")
     n = abs(n)
@@ -162,7 +170,9 @@ def is_squarefree(n: int) -> bool:
 
 
 def valuation(n: int, p: int) -> tuple[int, int]:
-    """Write n = p^e * u with p not dividing u; return (e, u)."""
+    """Write the int n = p^e * u with p not dividing u; return (e, u)."""
+    if not isinstance(n, int):
+        raise TypeError(f"valuations are defined for ints, not {type(n).__name__}")
     if n == 0:
         raise ValueError("the valuation of 0 is undefined")
     if not is_prime(p):

@@ -47,10 +47,15 @@ def ramified_places(a: int, b: int) -> frozenset[Place]:
 
     Only the archimedean place and the primes dividing 2ab can ramify, so
     the scan over those places is complete; the factors are proven prime.
+    It factors a and b apart, not the product 2ab: trial division of the
+    product runs up to its second-largest prime factor, which for two large
+    primes a and b is min(|a|, |b|), while a and b alone need about
+    sqrt|a| + sqrt|b| divisions.  Factoring refuses a non-int entry.
     """
     if a == 0 or b == 0:
         raise ValueError("symbol entries must be nonzero")
-    places = [INFINITY, *map(Place._proven, prime_factors(2 * a * b))]
+    primes = {2, *prime_factors(a), *prime_factors(b)}
+    places = [INFINITY, *map(Place._proven, primes)]
     return frozenset(v for v in places if hilbert_symbol(a, b, v) == -1)
 
 

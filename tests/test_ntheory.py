@@ -48,6 +48,23 @@ def test_every_int_entry_point_refuses_a_float_prime():
             call()
 
 
+def test_every_factoring_entry_point_refuses_a_float():
+    # a float loses its low digits: prime_factors(15.0) gave (3, 5.0),
+    # is_squarefree(15.0) True and valuation(75.0, 5) (2, 3.0)
+    B = alquot.QuaternionAlgebra.from_ramified_places([2, 3])
+    for call in (
+        lambda: prime_factors(15.0),
+        lambda: is_squarefree(15.0),
+        lambda: valuation(75.0, 5),
+        lambda: alquot.quad_field_splits(15.0, B),
+        lambda: alquot.eichler_class_number(15.0),
+        lambda: alquot.ramified_places(15.0, 7),
+        lambda: alquot.ramified_places(7, 15.0),
+    ):
+        with pytest.raises(TypeError, match="not float"):
+            call()
+
+
 def test_is_prime_agrees_with_sieve():
     limit = 2000
     sieve = [True] * limit

@@ -1,10 +1,11 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
 import alquot.ntheory
-from alquot.ntheory import INFINITY, Place, is_squarefree, kronecker, prime_factors
+from alquot.ntheory import INFINITY, Place, hilbert_symbol, is_squarefree, kronecker, prime_factors
 from alquot.quaternion import (
     QuaternionAlgebra,
     eichler_class_number,
@@ -25,19 +26,55 @@ def test_ramified_places_examples():
     assert ramified_places(-1, -1) == _places(2, None)
     assert ramified_places(-5, -17) == _places(2, 5, 17, None)
     assert ramified_places(-1, -15) == _places(3, None)
-    with pytest.raises(ValueError):
-        ramified_places(0, 3)
+    for a, b in [(0, 3), (3, 0)]:
+        with pytest.raises(ValueError, match="symbol entries must be nonzero"):
+            ramified_places(a, b)
 
 
-@pytest.mark.parametrize(("a", "b"), [(-5, -17), (-85, 1000003), (2 * 29, -10000229)])
+@pytest.mark.parametrize(
+    ("a", "b"), [(-5, -17), (-85, 1000003), (2 * 29, -10000229), (3 * 29, -29 * 10000229)]
+)
 def test_ramified_places_proves_each_prime_once(a, b, monkeypatch):
-    # the factors prime_factors proves are not proven again by their Places
+    # the factors prime_factors proves are not proven again by their Places;
+    # a prime that a and b share is proven once for each, and not again
     divisions = _count_calls(monkeypatch, alquot.ntheory._least_prime_factor)
-    prime_factors(2 * a * b)
+    prime_factors(a)
+    prime_factors(b)
     alone = len(divisions)
     divisions.clear()
     ramified_places(a, b)
     assert len(divisions) == alone
+
+
+def _ramified_places_of_the_product(a, b):
+    """The reference: the places over the primes of 2ab, factored whole."""
+    places = [INFINITY, *map(Place, prime_factors(2 * a * b))]
+    return frozenset(v for v in places if hilbert_symbol(a, b, v) == -1)
+
+
+@pytest.mark.parametrize(
+    ("a", "b"),
+    [(1, 1), (1, 7), (2, 1), (15, 21), (30, 105), (2**5, 3**4), (5**3, 5**2 * 7), (7**2, 2 * 7),
+     (999983, 999979), (2 * 999983, 999983)],
+)
+@pytest.mark.parametrize(("s", "t"), [(1, 1), (1, -1), (-1, 1), (-1, -1)])
+def test_ramified_places_matches_the_product_factorization(a, b, s, t):
+    assert ramified_places(s * a, t * b) == _ramified_places_of_the_product(s * a, t * b)
+
+
+def test_ramified_places_matches_the_product_factorization_sampled():
+    rng = random.Random(34)
+    for _ in range(500):
+        a, b = (rng.choice((-1, 1)) * rng.randrange(1, 10**6) for _ in range(2))
+        assert ramified_places(a, b) == _ramified_places_of_the_product(a, b), (a, b)
+
+
+def test_ramified_places_divides_about_the_square_roots_of_its_entries(monkeypatch):
+    # trial division of 2ab would run on to 999979, the smaller prime; each
+    # call (n, d) makes at most one division for each odd d' in [d, sqrt(n)]
+    calls = _count_calls(monkeypatch, alquot.ntheory._least_prime_factor)
+    ramified_places(999983, -999979)
+    assert sum(max(0, (math.isqrt(n) - d) // 2 + 1) for n, d in calls) <= math.isqrt(999983)
 
 
 def test_ramification_parity_small_box():

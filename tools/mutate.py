@@ -10,10 +10,14 @@ Each mutant changes one operator or constant of the module:
 
 The mutant is the module's syntax tree with that one change, written back
 with ``ast.unparse`` (so it loses its comments); the unmutated module,
-written back the same way, must pass first.  Each mutant runs tier-1 with
-``-x`` in its own copy of the repository, the module's own test file
-first, and is killed by a failing test or by the timeout.  A full run of
-``cli.py`` (45 mutants) takes about 3 minutes on two cores with ``--jobs 2``.
+written back the same way, must pass first, in every copy of the
+repository at once, as the mutants will run.  Each mutant runs tier-1 with
+``-x`` in its own copy, the module's own test file first, and is killed by
+a failing test or by the timeout.  Unless ``--timeout`` sets it, the
+timeout is a multiple of the slowest unmutated run, with a floor, so that
+an unmutated run never reaches it under the same contention.  A full run
+of ``cli.py`` (45 mutants) takes about 3 minutes on two cores with
+``--jobs 2``.
 
     python tools/mutate.py src/alquot/cli.py --seed 31 --jobs 2 --out MUTANTS.json
 
@@ -36,6 +40,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -46,6 +51,12 @@ SWAPS = {
     ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.FloorDiv, ast.FloorDiv: ast.Mult, ast.Mod: ast.FloorDiv,
     ast.And: ast.Or, ast.Or: ast.And,
 }
+# a mutant may take TIMEOUT_MULTIPLE times the slowest unmutated run, and
+# at least TIMEOUT_FLOOR_S, before it counts as killed by the timeout; an
+# unmutated run itself may take UNMUTATED_LIMIT_S
+TIMEOUT_MULTIPLE = 3
+TIMEOUT_FLOOR_S = 30.0
+UNMUTATED_LIMIT_S = 600.0
 
 
 def points(tree: ast.AST) -> list[tuple[int, int | None]]:
@@ -97,7 +108,9 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=0, help="draws the sample and orders the run")
     parser.add_argument("--sample", type=int, default=None, help="mutants to draw (default: every point)")
     parser.add_argument("--jobs", type=int, default=1)
-    parser.add_argument("--timeout", type=float, default=90.0, help="seconds per mutant")
+    parser.add_argument("--timeout", type=float, default=None,
+                        help=f"seconds per mutant (default: {TIMEOUT_MULTIPLE} times the slowest unmutated run, "
+                             f"at least {TIMEOUT_FLOOR_S:g})")
     parser.add_argument("--out", default=None, help="merge the record into this JSON file instead of printing it")
     args = parser.parse_args()
 
@@ -113,10 +126,22 @@ def main() -> int:
         copies = [Path(work) / str(j) for j in range(args.jobs)]
         for root in copies:
             shutil.copytree(ROOT, root, ignore=shutil.ignore_patterns(".git", "__pycache__", ".perfbench_*"))
-        (copies[0] / module).write_text(ast.unparse(tree), encoding="utf-8")
-        if run_tests(copies[0], first, args.timeout) != "survived":
-            print(f"error: tier-1 fails on {module} written back unmutated", file=sys.stderr)
+            (root / module).write_text(ast.unparse(tree), encoding="utf-8")
+
+        def unmutated(root):
+            start = time.monotonic()
+            outcome = run_tests(root, first, args.timeout or UNMUTATED_LIMIT_S)
+            return outcome, time.monotonic() - start
+
+        with ThreadPoolExecutor(args.jobs) as pool:
+            runs = list(pool.map(unmutated, copies))
+        outcomes = {outcome for outcome, _ in runs}
+        if outcomes != {"survived"}:
+            verb = "times out" if "timeout" in outcomes else "fails"
+            print(f"error: tier-1 {verb} on {module} written back unmutated", file=sys.stderr)
             return 1
+        baseline = max(seconds for _, seconds in runs)
+        timeout = args.timeout or max(TIMEOUT_FLOOR_S, TIMEOUT_MULTIPLE * baseline)
         free: queue.Queue[Path] = queue.Queue()  # the copies no mutant is using
         for root in copies:
             free.put(root)
@@ -126,7 +151,7 @@ def main() -> int:
             try:
                 text, line, change = mutate(tree, point)
                 (root / module).write_text(text, encoding="utf-8")
-                return line, change, run_tests(root, first, args.timeout)
+                return line, change, run_tests(root, first, timeout)
             finally:
                 free.put(root)
 
@@ -136,7 +161,7 @@ def main() -> int:
     counts = {outcome: sum(r[2] == outcome for r in results) for outcome in ("killed", "timeout", "survived")}
     record = {
         "command": " ".join(["python", "tools/mutate.py", *sys.argv[1:]]), "module": str(module), "seed": args.seed, "points": len(every), "mutants": len(chosen),
-        "timeout_s": args.timeout, **counts,
+        "baseline_s": round(baseline, 1), "timeout_s": round(timeout, 1), **counts,
         "survivors": [{"line": line, "mutation": change, "source": lines[line - 1].strip(), "reason": ""}
                       for line, change, outcome in sorted(results) if outcome == "survived"],
     }
