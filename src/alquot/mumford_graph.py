@@ -38,9 +38,10 @@ subclass where they need it, never KeyError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterable, Mapping
+
+from .ntheory import _Value
 
 __all__ = [
     "LengthedQuotientGraph",
@@ -89,8 +90,7 @@ def opposite(edge_id: str) -> str:
     return edge_id[1:] if edge_id[:1] == "~" else "~" + edge_id
 
 
-@dataclass(frozen=True, eq=True)
-class LengthedQuotientGraph:
+class LengthedQuotientGraph(_Value):
     """Parity-classed graph with lengthed opposite edge pairs and the
     three named involutions.
 
@@ -98,15 +98,28 @@ class LengthedQuotientGraph:
     edge (both e and ~e); each involution is a total map on oriented
     edges.  The ``bipartite`` flag declares that every edge joins the two
     parity classes; parsed graphs always declare it, while a quotient by
-    a class-exchanging involution clears it.  Instances are treated as
-    immutable; ``validate`` reports any invariant violations as values.
+    a class-exchanging involution clears it.  Fields cannot be reassigned,
+    and the dicts are treated as immutable: ``base_change`` shares them.
+    Unlike the other value classes, the constructor checks nothing:
+    ``validate`` reports any invariant violations as values.  The dict
+    fields make a graph unhashable.
     """
 
-    vertex_parity: dict[str, str]
-    edge_endpoints: dict[str, tuple[str, str]]
-    edge_length: dict[str, int]
-    involutions: dict[str, dict[str, str]]
-    bipartite: bool = True
+    __slots__ = _fields = ("vertex_parity", "edge_endpoints", "edge_length", "involutions", "bipartite")
+
+    def __init__(
+        self,
+        vertex_parity: dict[str, str],
+        edge_endpoints: dict[str, tuple[str, str]],
+        edge_length: dict[str, int],
+        involutions: dict[str, dict[str, str]],
+        bipartite: bool = True,
+    ) -> None:
+        object.__setattr__(self, "vertex_parity", vertex_parity)
+        object.__setattr__(self, "edge_endpoints", edge_endpoints)
+        object.__setattr__(self, "edge_length", edge_length)
+        object.__setattr__(self, "involutions", involutions)
+        object.__setattr__(self, "bipartite", bipartite)
 
     def base_edges(self) -> list[str]:
         return sorted(e for e in self.edge_endpoints if e[:1] != "~")
@@ -180,6 +193,10 @@ def parse_graph(text: str) -> LengthedQuotientGraph:
             if src not in vertices or dst not in vertices:
                 raise GraphParseError(lineno, "edge endpoints must be declared first")
             try:
+                # int() also reads "1_0" and non-ASCII digits, which
+                # serialize_graph would write back as other text
+                if "_" in raw_len or not raw_len.isascii():
+                    raise ValueError
                 length = int(raw_len)
             except ValueError:
                 raise GraphParseError(lineno, f"bad length {raw_len!r}") from None
@@ -463,7 +480,13 @@ def base_change(
     if not (isinstance(e, int) and isinstance(f, int)) or e < 1 or f < 1:
         raise ValueError("e and f must be positive integers")
     # instances are immutable, so the unchanged tables are shared
-    scaled = replace(graph, edge_length={eid: n * e for eid, n in graph.edge_length.items()})
+    scaled = LengthedQuotientGraph(
+        graph.vertex_parity,
+        graph.edge_endpoints,
+        {eid: n * e for eid, n in graph.edge_length.items()},
+        graph.involutions,
+        graph.bipartite,
+    )
     frobenius = dict(graph.involution("wp")) if f % 2 else {eid: eid for eid in graph.edge_endpoints}
     return scaled, frobenius
 

@@ -67,12 +67,14 @@ def _least_prime_factor(n: int, d: int) -> int:
 
 
 class _Value:
-    """Base of the package's immutable value classes: what a frozen
-    dataclass gives, without importing ``dataclasses``.  A subclass lists
-    its fields, in order, in ``_fields`` and keeps them in ``__slots__``,
-    but for a field every instance shares, a class attribute.  Its
-    ``__init__`` checks its arguments and derives what follows from them,
-    then sets the slots through ``object.__setattr__``.  Pickle and
+    """Base of the package's immutable value classes, the graph layer's
+    ``LengthedQuotientGraph`` among them: what a frozen dataclass gives,
+    without importing ``dataclasses``.  A subclass lists its fields, in
+    order, in ``_fields`` and keeps them in ``__slots__``, but for a field
+    every instance shares, a class attribute.  Its ``__init__`` checks its
+    arguments and derives what follows from them (the graph's checks
+    nothing), then sets the slots through ``object.__setattr__``.  A value
+    with an unhashable field, such as a dict, does not hash.  Pickle and
     ``copy`` carry the slots as the state."""
 
     __slots__ = ()

@@ -1,5 +1,4 @@
 import hashlib
-from dataclasses import replace
 from random import Random
 
 import pytest
@@ -52,13 +51,19 @@ inv wpq
 """
 
 
+def _with(g, **changes):
+    """A copy of the graph g with the named fields changed, built by the
+    constructor, as for every value class."""
+    return LengthedQuotientGraph(**{name: getattr(g, name) for name in g._fields} | changes)
+
+
 def _with_three_cycle(g):
     """g with wp replaced by the edge cycle e1 -> e2 -> e3 -> e1, which the
     file format cannot state."""
     cycle = {}
     for src, dst in (("e1", "e2"), ("e2", "e3"), ("e3", "e1")):
         cycle[src], cycle[opposite(src)] = dst, opposite(dst)
-    return replace(g, involutions={**g.involutions, "wp": cycle})
+    return _with(g, involutions={**g.involutions, "wp": cycle})
 
 
 def test_opposite():
@@ -117,6 +122,11 @@ def test_parse_accepts_comments_and_blanks():
         ("v a even # x\n", 1, "vertex line needs: v <id> <even|odd>"),
         ("v a even\nv b odd\ne e1 a b\n", 3, "edge line needs: e <id> <from> <to> <length>"),
         ("v a even\nv b odd\ne e1 a b two\n", 3, "bad length 'two'"),
+        # int() reads these two as 10 and 3, which serialize_graph would
+        # write back as other text: an underscore, an Arabic-Indic digit
+        ("v a even\nv b odd\ne e1 a b 1_0\n", 3, "bad length '1_0'"),
+        ("v a even\nv b odd\ne e1 a b \u0663\n", 3, "bad length '\u0663'"),
+        ("v a even\nv b odd\ne e1 a b -1\n", 3, "length must be a positive integer"),
         ("v a even\nv b odd\ne e1 a b 1\ninv wp e1 e1 e1 ~e1\n", 4, "involution wp maps 'e1' inconsistently"),
     ],
 )
@@ -149,10 +159,10 @@ def test_validate_flags_length_mismatch_and_bad_opposites():
 
 def test_validate_flags_a_bad_parity_an_unreversed_opposite_and_a_non_involution():
     two_edge = parse_graph(TWO_EDGE)
-    unreversed = replace(two_edge, edge_endpoints={**two_edge.edge_endpoints, "~e1": ("a", "b")})
+    unreversed = _with(two_edge, edge_endpoints={**two_edge.edge_endpoints, "~e1": ("a", "b")})
     assert "opposite of 'e1' does not reverse its endpoints" in validate(unreversed)
     g = parse_graph(TRIANGLE)
-    purple = replace(g, vertex_parity={**g.vertex_parity, "c": "purple"})
+    purple = _with(g, vertex_parity={**g.vertex_parity, "c": "purple"})
     assert "vertex 'c' has parity 'purple'" in validate(purple)
     assert "wp is not an involution at 'e1'" in validate(_with_three_cycle(g))
 
@@ -202,7 +212,7 @@ inv wpq e2 ~e2
 
 @pytest.mark.parametrize("lengths", [{"e1": 2}, {"~e1": 2}])
 def test_validate_reports_a_missing_length(lengths):
-    g = replace(parse_graph(TWO_EDGE), edge_length=lengths)
+    g = _with(parse_graph(TWO_EDGE), edge_length=lengths)
     missing = next(eid for eid in ("e1", "~e1") if eid not in lengths)
     for checks in (False, True):
         violations = validate(g, dual_graph_checks=checks)
@@ -222,13 +232,13 @@ def test_validate_reports_a_missing_length(lengths):
 def test_a_missing_involution_image_is_reported_not_raised():
     two_edge = parse_graph(TWO_EDGE)
     wp = {eid: image for eid, image in two_edge.involutions["wp"].items() if eid != "e1"}
-    g = replace(two_edge, involutions={**two_edge.involutions, "wp": wp})
+    g = _with(two_edge, involutions={**two_edge.involutions, "wp": wp})
     assert "wp is not a permutation of the oriented edges" in validate(g, dual_graph_checks=True)
     assert has_local_point(g, "wp") == (True, "~e1")
 
     swap = parse_graph(TWO_CYCLE_SWAP)
     wq = {eid: image for eid, image in swap.involutions["wq"].items() if eid != "~e2"}
-    g = replace(swap, involutions={**swap.involutions, "wq": wq})
+    g = _with(swap, involutions={**swap.involutions, "wq": wq})
     assert "wq is not a permutation of the oriented edges" in validate(g)
     with pytest.raises(QuotientError, match="wq is not a permutation of the oriented edges"):
         quotient_by_involution(g, "wp")
@@ -236,7 +246,7 @@ def test_a_missing_involution_image_is_reported_not_raised():
     # wq sends ~e1 to an edge the graph no longer has
     endpoints = {eid: ends for eid, ends in swap.edge_endpoints.items() if eid != "~e2"}
     with pytest.raises(QuotientError, match="wq is not a permutation of the oriented edges"):
-        quotient_by_involution(replace(swap, edge_endpoints=endpoints), "wp")
+        quotient_by_involution(_with(swap, edge_endpoints=endpoints), "wp")
 
 
 def test_a_one_sided_edge_or_an_undeclared_vertex_is_reported_not_raised():
@@ -244,7 +254,7 @@ def test_a_one_sided_edge_or_an_undeclared_vertex_is_reported_not_raised():
     one_sided = LengthedQuotientGraph({"a": "even", "b": "odd"}, {"e1": ("a", "b")}, {"e1": 2}, identity)
     assert "edge 'e1' has no opposite" in validate(one_sided)
 
-    undeclared = replace(parse_graph(TWO_EDGE), vertex_parity={"a": "even"})
+    undeclared = _with(parse_graph(TWO_EDGE), vertex_parity={"a": "even"})
     assert "edge 'e1' touches an undeclared vertex" in validate(undeclared)
     with pytest.raises(QuotientError, match="an edge touches an undeclared vertex"):
         quotient_by_involution(undeclared, "wq")
@@ -265,7 +275,7 @@ def test_a_one_sided_edge_or_an_undeclared_vertex_is_reported_not_raised():
 def test_a_missing_involution_raises_a_value_error_naming_it(missing, call):
     two_edge = parse_graph(TWO_EDGE)
     kept = {name: w for name, w in two_edge.involutions.items() if name != missing}
-    g = replace(two_edge, involutions=kept)
+    g = _with(two_edge, involutions=kept)
     assert validate(g) == ["involutions must be exactly wp, wq, wpq"]
     with pytest.raises(ValueError, match=f"graph has no involution '{missing}'"):
         call(g)
@@ -274,7 +284,7 @@ def test_a_missing_involution_raises_a_value_error_naming_it(missing, call):
 def _without_image_of_e1(name):
     two_edge = parse_graph(TWO_EDGE)
     w = {eid: image for eid, image in two_edge.involutions[name].items() if eid != "e1"}
-    return replace(two_edge, involutions={**two_edge.involutions, name: w})
+    return _with(two_edge, involutions={**two_edge.involutions, name: w})
 
 
 @pytest.mark.parametrize("name", INVOLUTION_NAMES)
@@ -304,12 +314,12 @@ def _corruptions(g, rng):
     eid, name = rng.choice(g.oriented_edges()), rng.choice(INVOLUTION_NAMES)
     w = g.involutions[name]
     return [
-        replace(g, involutions={**g.involutions, name: {e: t for e, t in w.items() if e != eid}}),
-        replace(g, involutions={**g.involutions, name: {**w, eid: "nowhere"}}),
-        replace(g, edge_length={e: n for e, n in g.edge_length.items() if e != eid}),
-        replace(g, edge_length={**g.edge_length, eid: 0}),
-        replace(g, involutions={n: u for n, u in g.involutions.items() if n != name}),
-        replace(g, edge_endpoints={e: ends for e, ends in g.edge_endpoints.items() if e != eid}),
+        _with(g, involutions={**g.involutions, name: {e: t for e, t in w.items() if e != eid}}),
+        _with(g, involutions={**g.involutions, name: {**w, eid: "nowhere"}}),
+        _with(g, edge_length={e: n for e, n in g.edge_length.items() if e != eid}),
+        _with(g, edge_length={**g.edge_length, eid: 0}),
+        _with(g, involutions={n: u for n, u in g.involutions.items() if n != name}),
+        _with(g, edge_endpoints={e: ends for e, ends in g.edge_endpoints.items() if e != eid}),
     ]
 
 
@@ -402,9 +412,18 @@ inv wq e1 ~e1
 inv wpq e1 ~e1
 """
     g = parse_graph(text)
-    g = replace(g, edge_endpoints={**g.edge_endpoints, "~e1": ("a", "b")})
+    g = _with(g, edge_endpoints={**g.edge_endpoints, "~e1": ("a", "b")})
     with pytest.raises(QuotientError, match="^wq reverses edge 'e1'; quotient length undefined$"):
         quotient_by_involution(g, "wq")
+
+
+def test_quotient_names_the_first_reversed_edge_in_edge_order():
+    # a hand-built graph may list ~e1 before e1; wp reverses both, and the
+    # first in edge order is named
+    g = parse_graph(TWO_EDGE)
+    g = _with(g, edge_endpoints=dict(reversed(g.edge_endpoints.items())))
+    with pytest.raises(QuotientError, match="^wp reverses edge '~e1'; quotient length undefined$"):
+        quotient_by_involution(g, "wp")
 
 
 def test_quotient_reports_a_broken_vertex_action_before_an_earlier_reversal():
@@ -453,12 +472,12 @@ def test_descent_reports_a_noncommuting_edge_after_one_sent_off_the_graph():
     # the one reported
     swap = parse_graph(TWO_CYCLE_SWAP)
     wp, wq = swap.involutions["wp"], swap.involutions["wq"]
-    g = replace(swap, involutions={**swap.involutions, "wp": {**wp, "e1": "x"}, "wq": {**wq, "x": "e2"}})
+    g = _with(swap, involutions={**swap.involutions, "wp": {**wp, "e1": "x"}, "wq": {**wq, "x": "e2"}})
     with pytest.raises(QuotientError, match="^wp does not commute with wq; descent undefined$"):
         quotient_by_involution(g, "wq")
     # when every edge commutes, the edge sent off the graph is reported
     wp, wq = {**wp, "e1": "x", "e2": "z"}, {**wq, "x": "z", "z": "x"}
-    g = replace(swap, involutions={**swap.involutions, "wp": wp, "wq": wq})
+    g = _with(swap, involutions={**swap.involutions, "wp": wp, "wq": wq})
     with pytest.raises(QuotientError, match="^wp is not a permutation of the oriented edges$"):
         quotient_by_involution(g, "wq")
 
@@ -529,8 +548,20 @@ inv wq e1 ~e1
 inv wpq
 """
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"condition \(1\)"):
         lift_case_analysis(no_precondition, "e1")
+
+    # even, and fixed by every involution
+    neither_reversed = parse_graph(TWO_EDGE.replace("inv wp e1 ~e1", "inv wp").replace("inv wpq e1 ~e1", "inv wpq"))
+    with pytest.raises(ValueError, match=r"condition \(2\)"):
+        lift_case_analysis(neither_reversed, "e1")
+
+    # even and wp-reversed, with wpq = wp o wq fixing it: excluded, not a
+    # failed precondition
+    wq_reversed = parse_graph(TWO_EDGE.replace("inv wq", "inv wq e1 ~e1").replace("inv wpq e1 ~e1", "inv wpq"))
+    assert validate(wq_reversed) == []
+    with pytest.raises(ImpossibleCaseError):
+        lift_case_analysis(wq_reversed, "e1")
 
 
 def test_lift_case_analysis_rejects_an_unknown_edge_and_inconsistent_involutions():
@@ -594,14 +625,14 @@ def _single_faults(g, rng):
     swap = {eid: other, other: eid, opp: opposite(other), opposite(other): opp}
     conjugate = {swap.get(e, e): swap.get(t, t) for e, t in wq.items()}
     return [
-        replace(g, involutions={**g.involutions, name: {e: t for e, t in w.items() if e != eid}}),
-        replace(g, edge_endpoints={**g.edge_endpoints, opp: (src, dst)}),
-        replace(g, edge_length={**g.edge_length, opp: g.edge_length[opp] + 1}),
+        _with(g, involutions={**g.involutions, name: {e: t for e, t in w.items() if e != eid}}),
+        _with(g, edge_endpoints={**g.edge_endpoints, opp: (src, dst)}),
+        _with(g, edge_length={**g.edge_length, opp: g.edge_length[opp] + 1}),
         # still a permutation, but eid's source has two images unless w
         # moves eid and other alike
-        replace(g, involutions={**g.involutions, name: {**w, eid: w[other], other: w[eid]}}),
-        replace(g, involutions={**g.involutions, "wq": conjugate}),
-        replace(
+        _with(g, involutions={**g.involutions, name: {**w, eid: w[other], other: w[eid]}}),
+        _with(g, involutions={**g.involutions, "wq": conjugate}),
+        _with(
             g,
             edge_length={**g.edge_length, eid: 2, opp: 2},
             involutions={**g.involutions, "wp": {**wp, eid: opp, opp: eid}},

@@ -1,7 +1,8 @@
-"""The value classes are immutable slotted classes on one base,
-``ntheory._Value``.  They behave as the frozen dataclasses they replaced:
-the same constructors and checks, equality and hash over the fields, the
-``Name(field=value, ...)`` repr, and pickle and copy round trips."""
+"""The value classes, the graph layer's ``LengthedQuotientGraph`` among
+them, are immutable slotted classes on one base, ``ntheory._Value``.  They
+behave as the frozen dataclasses they replaced: the same constructors and
+checks, equality and hash over the fields, the ``Name(field=value, ...)``
+repr, and pickle and copy round trips."""
 
 import copy
 import inspect
@@ -11,6 +12,7 @@ import pytest
 
 from alquot.cli import OutputRecord
 from alquot.localpoints import DeficiencyLedger, LocalStatus, StatusSource
+from alquot.mumford_graph import LengthedQuotientGraph, parse_graph
 from alquot.ntheory import INFINITY, Place
 from alquot.parity import ParityCertificate, SieveReport, certify
 from alquot.quadforms import QuadraticForm
@@ -20,6 +22,8 @@ from alquot.shimura import AdmissibilityRejection, AdmissiblePair, GenusData, ch
 CERT = certify(5, 17)
 PAIR = CERT.pair
 AT_Q = CERT.ledger.at_q
+# the two-edge graph of test_mumford_graph
+GRAPH = parse_graph("v a even\nv b odd\ne e1 a b 2\ninv wp e1 ~e1\ninv wq\ninv wpq e1 ~e1\n")
 
 VALUES = [
     Place(5),
@@ -34,6 +38,7 @@ VALUES = [
     CERT,
     SieveReport(PAIR, 8),
     OutputRecord.from_certificate(CERT),
+    GRAPH,
 ]
 
 
@@ -54,7 +59,10 @@ SIGNATURES = {
     ParityCertificate: ["pair", "genus", "ledger"],
     SieveReport: ["pair", "definite_class_number"],
     OutputRecord: list(OutputRecord._fields),
+    LengthedQuotientGraph: ["vertex_parity", "edge_endpoints", "edge_length", "involutions", "bipartite"],
 }
+
+DEFAULTS = {Place: {"prime": None}, LengthedQuotientGraph: {"bipartite": True}}
 
 
 @pytest.mark.parametrize("cls", SIGNATURES, ids=lambda cls: cls.__name__)
@@ -62,7 +70,7 @@ def test_constructor_signature(cls):
     parameters = inspect.signature(cls).parameters
     assert list(parameters) == SIGNATURES[cls]
     defaults = {name: p.default for name, p in parameters.items() if p.default is not p.empty}
-    assert defaults == ({"prime": None} if cls is Place else {})
+    assert defaults == DEFAULTS.get(cls, {})
 
 
 def test_derived_and_fixed_fields_are_not_arguments():
@@ -119,8 +127,8 @@ def test_values_are_immutable(value):
 def test_equality_and_hash_read_the_fields(value):
     fields = tuple(getattr(value, name) for name in value._fields)
     assert value.__eq__(fields) is NotImplemented
-    if isinstance(value, OutputRecord):
-        with pytest.raises(TypeError, match="unhashable"):  # its list fields
+    if isinstance(value, (OutputRecord, LengthedQuotientGraph)):
+        with pytest.raises(TypeError, match="unhashable"):  # their list or dict fields
             hash(value)
     elif isinstance(value, Place):
         assert hash(value) == hash(value.prime)
@@ -138,6 +146,9 @@ def test_equality_compares_class_and_every_field():
     # deficient places, which follow from its entries, are not
     assert CERT.ledger._fields == ("at_infinity", "at_p", "at_q", "elsewhere")
     assert CERT.ledger.elsewhere is DeficiencyLedger.elsewhere
+    # a graph compares every field, the bipartite flag too
+    tables = [getattr(GRAPH, name) for name in GRAPH._fields[:4]]
+    assert LengthedQuotientGraph(*tables) == GRAPH != LengthedQuotientGraph(*tables, bipartite=False)
 
 
 def test_repr_names_every_field():
@@ -154,6 +165,13 @@ def test_repr_names_every_field():
         "SieveReport(pair=AdmissiblePair(p=5, q=17), "
         "flag=<HyperellipticFlag.POSSIBLY_HYPERELLIPTIC: 'possibly_hyperelliptic'>, "
         "genus_product=64, definite_class_number=8, supersingular_lower_bound=4)"
+    )
+    # as the frozen dataclass printed it
+    assert repr(GRAPH) == (
+        "LengthedQuotientGraph(vertex_parity={'a': 'even', 'b': 'odd'}, "
+        "edge_endpoints={'e1': ('a', 'b'), '~e1': ('b', 'a')}, edge_length={'e1': 2, '~e1': 2}, "
+        "involutions={'wp': {'e1': '~e1', '~e1': 'e1'}, 'wq': {'e1': 'e1', '~e1': '~e1'}, "
+        "'wpq': {'e1': '~e1', '~e1': 'e1'}}, bipartite=True)"
     )
     ledger = CERT.ledger
     assert repr(ledger) == "DeficiencyLedger(at_infinity=%r, at_p=%r, at_q=%r, elsewhere=%r)" % ledger.entries()
