@@ -100,12 +100,8 @@ class OutputRecord(_Value):
         return cls(*[data[name] for name in cls._fields])
 
     def csv_row(self) -> list[str]:
-        return _cells(self._values())
-
-
-def _cells(values: Iterable[object]) -> list[str]:
-    """Field values as CSV cells: list (or tuple) items joined by semicolons."""
-    return [";".join(v) if isinstance(v, (list, tuple)) else str(v) for v in values]
+        """Field values as CSV cells: list (or tuple) items joined by semicolons."""
+        return [";".join(v) if isinstance(v, (list, tuple)) else str(v) for v in self._values()]
 
 
 CSV_HEADER = list(OutputRecord._fields)
@@ -181,16 +177,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Building the parser costs ~0.25 ms, over twenty parses of one command's
-# arguments (2-core AMD EPYC, Python 3.11), so ``main`` reuses one.
+# Building the parser costs as much as many parses of one command's
+# arguments, so ``main`` reuses one.
 _PARSER = build_parser()
 
 
 # Desk-scale budgets, checked before any work.  ``certify`` proves p and q
-# by trial division and counts h(-4p) from square roots mod 4a: ~18 ms at
-# p = 10^8, after ~25 ms of start-up (2-core AMD EPYC, Python 3.11, with a
-# bytecode cache); ``hilbert`` proves its place by trial division, ~20 ms
-# at 10^12.
+# by trial division and counts h(-4p) from square roots mod 4a;
+# ``hilbert`` proves its place by trial division.  Both budgets refuse an
+# input before any trial division, so a large one fails fast.
 _MAX_CERTIFY_PRIME = 10**8
 _MAX_HILBERT_PRIME = 10**12
 
@@ -251,10 +246,10 @@ def _csv_tail(assumptions: tuple[str, ...]) -> str:
 def _write_csv(handle: TextIO, rows: Iterable[Sequence]) -> None:
     """The CSV table of ``_row`` values, byte for byte what
     ``csv.writer(handle, lineterminator="\\n")`` writes for the header and
-    each row's ``_cells``.  The first nine cells are encoded per row, the
-    ints as they are, and the last, about 40% of a row, is ``_csv_tail``.
-    The csv module encodes every cell, so its quoting rules apply to each;
-    it loads here, as only this table needs it."""
+    each row's ``OutputRecord.csv_row``.  The first nine cells are encoded
+    per row, the ints as they are, and the last, about 40% of a row, is
+    ``_csv_tail``.  The csv module encodes every cell, so its quoting rules
+    apply to each; it loads here, as only this table needs it."""
     import csv
 
     encode = csv.writer(_Line, lineterminator="\n").writerow

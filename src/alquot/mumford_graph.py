@@ -447,7 +447,7 @@ def quotient_by_involution(graph: LengthedQuotientGraph, name: str) -> LengthedQ
         raise QuotientError("an edge touches an undeclared vertex")
     # vmap misses only isolated vertices, which stay put
     vertex_orbit = {v: min(v, vmap.get(v, v)) for v in graph.vertex_parity}
-    parities = {orbit: graph.vertex_parity[orbit] for orbit in set(vertex_orbit.values())}
+    parities = {orbit: graph.vertex_parity[orbit] for orbit in vertex_orbit.values()}
     bipartite = graph.bipartite and all(
         graph.vertex_parity[v] == graph.vertex_parity[vmap.get(v, v)] for v in graph.vertex_parity
     )

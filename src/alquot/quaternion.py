@@ -3,14 +3,14 @@
 A quaternion algebra B(a,b) over Q (basis 1, i, j, k with i^2 = a,
 j^2 = b, ij = -ji = k) is classified up to isomorphism by the finite set
 of places where it ramifies, which always has even cardinality.  This
-module computes that set from a symbol pair, tests isomorphism as set
-equality, exchanges the local invariants at a prime and infinity,
-decides whether a quadratic field splits an algebra, and evaluates
-Eichler's class number formula for the definite case.  The exchange rule
-is stated once, in ``interchange``, which the interchange criterion of
-``localpoints`` reads once, at import.  ``_local_factors``, the local
-factors of Eichler's formula, is shared with the genus formula of
-``shimura``.
+module computes that set from a symbol pair, so that two algebras are
+isomorphic exactly when they are equal values.  It exchanges the local
+invariants at a prime and infinity, decides whether a quadratic field
+splits an algebra, and evaluates Eichler's class number formula for the
+definite case.  The exchange rule is stated once, in ``interchange``,
+which the interchange criterion of ``localpoints`` reads once, at
+import.  ``_local_factors``, the local factors of Eichler's formula, is
+shared with the genus formula of ``shimura``.
 
 Maximal orders, ideal classes and unit groups are deliberately absent:
 the ramification set carries everything the rest of the package needs.
@@ -35,7 +35,6 @@ __all__ = [
     "QuaternionAlgebra",
     "ramified_places",
     "reduced_discriminant",
-    "is_isomorphic",
     "interchange",
     "quad_field_splits",
     "eichler_class_number",
@@ -60,7 +59,9 @@ def ramified_places(a: int, b: int) -> frozenset[Place]:
 
 
 class QuaternionAlgebra(_Value):
-    """A rational quaternion algebra, canonically its ramification set."""
+    """A rational quaternion algebra, canonically its ramification set:
+    equal values are isomorphic algebras.  B(a, b) is
+    ``QuaternionAlgebra(ramified_places(a, b))``."""
 
     __slots__ = _fields = ("ram_set",)
 
@@ -72,18 +73,6 @@ class QuaternionAlgebra(_Value):
     def __post_init__(self) -> None:
         if len(self.ram_set) % 2:
             raise ValueError("a ramification set has even cardinality")
-
-    @classmethod
-    def from_symbols(cls, a: int, b: int) -> "QuaternionAlgebra":
-        return cls(ramified_places(a, b))
-
-    @classmethod
-    def from_ramified_places(cls, places: Iterable[Place | int | None]) -> "QuaternionAlgebra":
-        """Build from places given as Place values, primes, or None for oo."""
-        normalized = frozenset(
-            v if isinstance(v, Place) else Place(v) for v in places
-        )
-        return cls(normalized)
 
     @property
     def is_definite(self) -> bool:
@@ -97,11 +86,6 @@ def reduced_discriminant(B: QuaternionAlgebra) -> int:
         if v.prime is not None:
             d *= v.prime
     return d
-
-
-def is_isomorphic(B1: QuaternionAlgebra, B2: QuaternionAlgebra) -> bool:
-    """Isomorphism over Q is equality of ramification sets."""
-    return B1.ram_set == B2.ram_set
 
 
 def interchange(B: QuaternionAlgebra, p: int) -> QuaternionAlgebra:

@@ -36,7 +36,6 @@ from alquot.quaternion import (
     QuaternionAlgebra,
     eichler_class_number,
     interchange,
-    is_isomorphic,
     ramified_places,
 )
 from alquot.shimura import AdmissiblePair, check_admissible, genus_VB
@@ -143,10 +142,10 @@ def test_criterion_6_criterion_non_isomorphism():
         p, q = pair.p, pair.q
         assert hilbert_symbol(-1, -p * q, Place(p)) == 1, pair
         assert hilbert_symbol(-p, -q, Place(q)) == -1, pair
-        B = QuaternionAlgebra.from_ramified_places({p, q})
+        B = QuaternionAlgebra(frozenset({Place(p), Place(q)}))
         swapped = interchange(B, q)
-        assert not is_isomorphic(swapped, QuaternionAlgebra.from_symbols(-1, -p * q)), pair
-        assert not is_isomorphic(swapped, QuaternionAlgebra.from_symbols(-p, -q)), pair
+        assert swapped != QuaternionAlgebra(ramified_places(-1, -p * q)), pair
+        assert swapped != QuaternionAlgebra(ramified_places(-p, -q)), pair
     _report(6, time.monotonic() - start, 30, f"both isomorphism tests fail on {len(pairs)} pairs")
 
 

@@ -1,4 +1,8 @@
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -611,6 +615,39 @@ def test_random_quotients_match_direct_orbit_scan():
             for s in g.edge_endpoints
         )
         assert got == expected
+
+
+# the sha256 of the reprs of every defined quotient of 40 generated graphs
+QUOTIENT_REPRS = """
+import hashlib, random
+from alquot.mumford_graph import INVOLUTION_NAMES, QuotientError, quotient_by_involution
+from graphgen import random_quotient_graph
+rng, reprs = random.Random(7), []
+for _ in range(40):
+    g = random_quotient_graph(rng)
+    for name in INVOLUTION_NAMES:
+        try:
+            reprs.append(repr(quotient_by_involution(g, name)))
+        except QuotientError:
+            pass
+print(len(reprs), hashlib.sha256("\\n".join(reprs).encode()).hexdigest())
+"""
+
+
+def test_quotient_repr_does_not_depend_on_the_hash_seed():
+    # the quotient's vertex dict keeps its first-seen order, so no string
+    # hash order reaches the repr; each seed needs a fresh interpreter
+    tests = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+    digests = [
+        subprocess.run(
+            [sys.executable, "-c", QUOTIENT_REPRS],
+            env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed},
+            capture_output=True, text=True, check=True,
+        ).stdout
+        for seed in ("0", "1")
+    ]
+    assert digests[0] == digests[1]
 
 
 def _single_faults(g, rng):

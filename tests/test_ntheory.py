@@ -51,7 +51,7 @@ def test_every_int_entry_point_refuses_a_float_prime():
 def test_every_factoring_entry_point_refuses_a_float():
     # a float loses its low digits: prime_factors(15.0) gave (3, 5.0),
     # is_squarefree(15.0) True and valuation(75.0, 5) (2, 3.0)
-    B = alquot.QuaternionAlgebra.from_ramified_places([2, 3])
+    B = alquot.QuaternionAlgebra(frozenset({Place(2), Place(3)}))
     for call in (
         lambda: prime_factors(15.0),
         lambda: is_squarefree(15.0),

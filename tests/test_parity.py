@@ -295,7 +295,7 @@ def test_genus_and_ledger_of_a_pair_trust_its_admission(monkeypatch):
         (pic1_real, (2, 5, 5)),
         (pic1_real, (5, 2, 5)),
         (pic1_real, (9, 17, 17)),
-        (interchange, (QuaternionAlgebra.from_ramified_places({5, 17}), 9)),
+        (interchange, (QuaternionAlgebra(frozenset({Place(5), Place(17)})), 9)),
         (valuation, (8, 4)),
         (legendre, (3, 9)),
     ],

@@ -64,9 +64,11 @@ def test_form_dataclass():
     assert f.discriminant() == -20
     assert QuadraticForm(2, -2, 3).is_reduced is False
     assert QuadraticForm(2, 4, 6).is_primitive is False
-    # positive definite needs both a > 0 and a negative discriminant
+    # positive definite needs both a > 0 and a negative discriminant; at
+    # discriminant 0, (x + y)^2 is only semidefinite
     assert QuadraticForm(1, 3, 1).is_positive_definite is False
     assert QuadraticForm(-1, 0, -1).is_positive_definite is False
+    assert QuadraticForm(1, 2, 1).is_positive_definite is False
 
 
 @pytest.mark.parametrize("abc", [(2, 3, 4), (2, -3, 4), (3, 1, 2)])
@@ -209,7 +211,7 @@ def test_prime_table_is_the_sieve_and_stays_capped(monkeypatch, grown):
             monkeypatch.setattr(quadforms, "_prime_table", (b"", ()))
         assert list(quadforms._primes(n)) == _primes_to(n), n
         sieve, primes = quadforms._prime_table
-        assert len(sieve) <= cap + 1
+        assert len(sieve) <= (1 << 14) + 1  # the bound the module documents
         assert list(primes) == (_primes_to(len(sieve) - 1) if sieve else [])
 
 

@@ -10,7 +10,6 @@ from alquot.quaternion import (
     QuaternionAlgebra,
     eichler_class_number,
     interchange,
-    is_isomorphic,
     quad_field_splits,
     ramified_places,
     reduced_discriminant,
@@ -98,20 +97,18 @@ def test_reduced_discriminant():
     assert reduced_discriminant(QuaternionAlgebra(_places(17, None))) == 17
 
 
-def test_is_isomorphic_examples():
-    assert is_isomorphic(QuaternionAlgebra.from_symbols(-1, -1), QuaternionAlgebra(_places(2, None)))
-    assert not is_isomorphic(
-        QuaternionAlgebra.from_symbols(-5, -17), QuaternionAlgebra(_places(5, None))
-    )
-    assert is_isomorphic(
-        QuaternionAlgebra.from_symbols(-1, -15), QuaternionAlgebra(_places(3, None))
-    )
+def _symbol_algebra(a, b):
+    return QuaternionAlgebra(ramified_places(a, b))
+
+
+def test_isomorphism_examples():
+    assert _symbol_algebra(-1, -1) == QuaternionAlgebra(_places(2, None))
+    assert _symbol_algebra(-5, -17) != QuaternionAlgebra(_places(5, None))
+    assert _symbol_algebra(-1, -15) == QuaternionAlgebra(_places(3, None))
 
 
 def test_symbol_order_is_erased():
-    assert is_isomorphic(
-        QuaternionAlgebra.from_symbols(-5, -17), QuaternionAlgebra.from_symbols(-17, -5)
-    )
+    assert _symbol_algebra(-5, -17) == _symbol_algebra(-17, -5)
 
 
 def test_even_cardinality_enforced():
