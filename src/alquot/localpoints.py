@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .ntheory import INFINITY, Place, _Value, hilbert_symbol
+from .ntheory import INFINITY, Place, _Value, _hilbert_symbol
 from .quaternion import QuaternionAlgebra, _quad_field_splits, interchange
 from .shimura import AdmissiblePair, _pair_places
 
@@ -177,7 +177,7 @@ def _pic1_at_other_prime(P: Place, Q: Place) -> bool:
     p, q = P.prime, Q.prime
     for a, b in ((-1, -p * q), (-p, -q)):
         for held, v in zip(_SWAPPED, places):
-            if held != (hilbert_symbol(a, b, v) == -1):
+            if held != (_hilbert_symbol(a, b, v) == -1):
                 break
         else:
             return True

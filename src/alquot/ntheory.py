@@ -13,10 +13,12 @@ search scans a byte mask of the squares in plain Python, so this module,
 like the whole package, needs nothing beyond the standard library.
 
 ``is_prime``, ``prime_factors``, ``is_squarefree`` (of a nonzero n),
-``valuation`` and ``Place`` (of a finite prime) refuse a non-int with
-``TypeError``: a float would lose its low digits and give the factors or
-the valuation of another number.  ``kronecker`` and ``hilbert_symbol`` do
-not check, because the table calls each about four times a row.
+``valuation``, ``legendre``, ``kronecker``, ``hilbert_symbol`` and
+``Place`` (of a finite prime) refuse a non-int with ``TypeError``: a float
+would lose its low digits and give the factors, the valuation or the
+symbol of another number.  The table calls the unchecked cores
+``_kronecker`` and ``_hilbert_symbol`` about four times a row, on ints
+that its admission has already proven.
 
 ``_Value``, the base of the package's immutable value classes, sits here
 beside ``Place``, in the layer every other module imports.
@@ -46,11 +48,18 @@ __all__ = [
 ]
 
 
+def _check_ints(subject: str, *values: object) -> None:
+    """Refuse a non-int (a bool counts as one) with ``TypeError``: "<subject>
+    defined for ints, not <its type>"."""
+    for value in values:
+        if not isinstance(value, int):
+            raise TypeError(f"{subject} defined for ints, not {type(value).__name__}")
+
+
 def is_prime(n: int) -> bool:
     """Deterministic primality test by trial division (desk scale); n must
     be an int (a bool counts as one)."""
-    if not isinstance(n, int):
-        raise TypeError(f"primality is defined for ints, not {type(n).__name__}")
+    _check_ints("primality is", n)
     if n < 4:
         return n > 1
     return n % 2 == 1 and _least_prime_factor(n, 3) == n
@@ -149,8 +158,7 @@ INFINITY = Place(None)
 
 def prime_factors(n: int) -> tuple[int, ...]:
     """Distinct prime factors of the int n != 0, in ascending order."""
-    if not isinstance(n, int):
-        raise TypeError(f"factoring is defined for ints, not {type(n).__name__}")
+    _check_ints("factoring is", n)
     if n == 0:
         raise ValueError("0 has no prime factorization")
     n = abs(n)
@@ -173,8 +181,7 @@ def is_squarefree(n: int) -> bool:
 
 def valuation(n: int, p: int) -> tuple[int, int]:
     """Write the int n = p^e * u with p not dividing u; return (e, u)."""
-    if not isinstance(n, int):
-        raise TypeError(f"valuations are defined for ints, not {type(n).__name__}")
+    _check_ints("valuations are", n)
     if n == 0:
         raise ValueError("the valuation of 0 is undefined")
     if not is_prime(p):
@@ -192,7 +199,8 @@ def _valuation(n: int, p: int) -> tuple[int, int]:
 
 def legendre(a: int, p: int) -> int:
     """Legendre symbol (a/p) for an odd prime p, by Euler's criterion."""
-    if p == 2 or not is_prime(p):
+    _check_ints("Legendre symbols are", a)
+    if not is_prime(p) or p == 2:
         raise ValueError("legendre symbol needs an odd prime modulus")
     r = pow(a, (p - 1) // 2, p)
     return -1 if r == p - 1 else int(r)
@@ -204,6 +212,12 @@ def kronecker(a: int, n: int) -> int:
     Multiplicative in n, agrees with ``legendre`` for odd prime n, and at
     n = 2 equals 0 for even a, +1 for a = +-1 mod 8, -1 for a = +-3 mod 8.
     """
+    _check_ints("Kronecker symbols are", a, n)
+    return _kronecker(a, n)
+
+
+def _kronecker(a: int, n: int) -> int:
+    """``kronecker`` for ints a and n, unchecked."""
     if n == 0:
         return 1 if a in (1, -1) else 0
     sign = 1
@@ -249,6 +263,12 @@ def hilbert_symbol(a: int, b: int, v: Place) -> int:
 
     where eps(x) = (x-1)/2 and omega(x) = (x^2-1)/8 taken mod 2.
     """
+    _check_ints("Hilbert symbols are", a, b)
+    return _hilbert_symbol(a, b, v)
+
+
+def _hilbert_symbol(a: int, b: int, v: Place) -> int:
+    """``hilbert_symbol`` for ints a and b, unchecked."""
     if a == 0 or b == 0:
         raise ValueError("hilbert symbol needs nonzero arguments")
     if v.prime is None:
@@ -267,9 +287,9 @@ def hilbert_symbol(a: int, b: int, v: Place) -> int:
     if (alpha * beta * ((p - 1) // 2)) % 2:
         sign = -sign
     if beta % 2:
-        sign *= kronecker(u, p)
+        sign *= _kronecker(u, p)
     if alpha % 2:
-        sign *= kronecker(w, p)
+        sign *= _kronecker(w, p)
     return sign
 
 

@@ -10,8 +10,8 @@ shorter side, with rho(a) as the row's total.  The primes come from one
 shared table, sieved on first use and capped at 2^14, which covers the
 CLI's certify budget; past the cap they are sieved per call.  A Moebius
 sum over the square factors of D keeps the primitive forms.  ``reduced_forms``
-lists the forms themselves by the classical scan over (a, b) with
-a <= sqrt(|D|/3); it is the reference the count is tested against.
+lists the forms themselves, as (a, b, c) triples, by the classical scan
+over (a, b) with a <= sqrt(|D|/3): the reference the count is tested against.
 """
 
 from __future__ import annotations
@@ -20,63 +20,32 @@ import math
 from itertools import compress
 from typing import Sequence
 
-from .ntheory import _Value
+from .ntheory import _check_ints
 
-__all__ = ["QuadraticForm", "reduced_forms", "class_number"]
-
-
-class QuadraticForm(_Value):
-    """The integral binary quadratic form a x^2 + b x y + c y^2."""
-
-    __slots__ = _fields = ("a", "b", "c")
-
-    def __init__(self, a: int, b: int, c: int) -> None:
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-
-    def discriminant(self) -> int:
-        return self.b * self.b - 4 * self.a * self.c
-
-    @property
-    def is_positive_definite(self) -> bool:
-        return self.a > 0 and self.discriminant() < 0
-
-    @property
-    def is_reduced(self) -> bool:
-        """|b| <= a <= c, with b >= 0 whenever |b| = a or a = c."""
-        a, b, c = self.a, self.b, self.c
-        if not (abs(b) <= a <= c):
-            return False
-        if (abs(b) == a or a == c) and b < 0:
-            return False
-        return True
-
-    @property
-    def is_primitive(self) -> bool:
-        return math.gcd(math.gcd(self.a, self.b), self.c) == 1
+__all__ = ["reduced_forms", "class_number"]
 
 
 def _check_discriminant(D: int) -> None:
+    _check_ints("class numbers are", D)
     if D >= 0:
         raise ValueError("discriminant must be negative")
     if D % 4 not in (0, 1):
         raise ValueError("a discriminant is 0 or 1 mod 4")
 
 
-def reduced_forms(D: int) -> frozenset[QuadraticForm]:
-    """All reduced primitive positive-definite forms of discriminant D < 0,
-    as ``QuadraticForm.is_reduced`` and ``is_primitive`` decide; each proper
-    equivalence class contains exactly one reduced form.
-    """
+def reduced_forms(D: int) -> frozenset[tuple[int, int, int]]:
+    """The reduced primitive positive-definite forms a x^2 + b x y + c y^2 of
+    discriminant D < 0, as triples (a, b, c): one per proper equivalence class."""
     _check_discriminant(D)
-    forms = (
-        QuadraticForm(a, b, (b * b - D) // (4 * a))
+    return frozenset(
+        (a, b, c)
         for a in range(1, math.isqrt(-D // 3) + 1)
         for b in range(-a, a + 1)
         if (b * b - D) % (4 * a) == 0
+        for c in [(b * b - D) // (4 * a)]
+        # reduced: |b| <= a <= c, with b >= 0 whenever |b| = a or a = c; and primitive
+        if abs(b) <= a <= c and (b >= 0 or -b != a != c) and math.gcd(a, b, c) == 1
     )
-    return frozenset(f for f in forms if f.is_reduced and f.is_primitive)
 
 
 def class_number(D: int) -> int:
@@ -114,11 +83,6 @@ def _sieve(n: int) -> bytearray:
     return sieve
 
 
-def _primes_to(n: int) -> list[int]:
-    """The primes up to n >= 1, by the sieve of Eratosthenes."""
-    return list(compress(range(n + 1), _sieve(n)))
-
-
 # The primes up to 2^14 cover class_number at the certify budget |D| = 4 * 10^8,
 # whose bound sqrt(|D|/3) is 11547.  The table is (sieve, primes) for the
 # primes below len(sieve): it is sieved on first use and grows by doubling
@@ -133,7 +97,7 @@ def _primes(n: int) -> Sequence[int]:
     """The primes up to n >= 1, read off the shared table when n <= _PRIME_CAP."""
     global _prime_table
     if n > _PRIME_CAP:
-        return _primes_to(n)
+        return list(compress(range(n + 1), _sieve(n)))
     sieve, primes = _prime_table
     if n >= len(sieve):
         sieve = bytes(_sieve(min(_PRIME_CAP, 1 << n.bit_length())))

@@ -25,9 +25,9 @@ from .ntheory import (
     INFINITY,
     Place,
     _Value,
+    _kronecker,
     hilbert_symbol,
     is_squarefree,
-    kronecker,
     prime_factors,
 )
 
@@ -126,7 +126,7 @@ def _quad_field_splits(d: int, ram: Iterable[Place]) -> bool:
     disc = d if d % 4 == 1 else 4 * d
     for v in ram:
         if v.prime is not None:
-            if kronecker(disc, v.prime) == 1:
+            if _kronecker(disc, v.prime) == 1:
                 return False
         elif d > 0:
             return False
@@ -156,8 +156,8 @@ def _local_factors(primes: Iterable[int]) -> tuple[int, int, int]:
     mass, e2, e3 = 1, 1, 1
     for ell in primes:
         mass *= ell - 1
-        e2 *= 1 - kronecker(-4, ell)
-        e3 *= 1 - kronecker(-3, ell)
+        e2 *= 1 - _kronecker(-4, ell)
+        e3 *= 1 - _kronecker(-3, ell)
     return mass, e2, e3
 
 

@@ -39,7 +39,7 @@ from __future__ import annotations
 from operator import mul
 from typing import Iterator
 
-from .ntheory import Place, _Value, is_prime, kronecker
+from .ntheory import Place, _Value, _check_ints, _kronecker, is_prime
 from .quadforms import class_number
 from .quaternion import _local_factors, _quad_field_splits
 
@@ -109,7 +109,7 @@ def _pair_failure(p: int, q: int) -> str | None:
     """The per-pair rule, for p and q that pass the per-prime rule."""
     if p == q:
         return "p and q must be distinct"
-    if kronecker(p, q) != -1:
+    if _kronecker(p, q) != -1:
         return "p is a square mod q"
     return None
 
@@ -132,6 +132,7 @@ def _admissible_pairs(bound: int) -> Iterator[AdmissiblePair]:
     """All admissible (p, q) with p <= bound and q <= bound, sorted, as a
     generator: the bound and each candidate prime are checked now, and
     each pair by the per-pair rule alone when it is drawn."""
+    _check_ints("enumeration bounds are", bound)
     if not 0 < bound < 2**15:
         raise ValueError("bound must be a positive integer below 2^15")
     # The per-prime rule builds the lists, once per candidate of each class,

@@ -575,9 +575,8 @@ def _python(*args: str) -> subprocess.CompletedProcess:
 
 
 # modules the CLI never needs: numpy, and dataclasses with the inspect
-# module it imports, whose import alone costs 7-11 ms (cumulative -X
-# importtime, 2-core Intel Xeon, Python 3.11); and json, csv and array,
-# which only some commands need (see the next tests)
+# module it imports; and json, csv and array, which only some commands
+# need (see the next tests)
 _NOT_ON_THE_CLI_PATH = ("numpy", "dataclasses", "inspect", "json", "csv", "array")
 
 

@@ -86,13 +86,13 @@ def test_pic1_at_other_prime_evaluates_every_place_it_concludes_from(monkeypatch
     # p and q; none is inferred from the product formula, although the
     # even cardinality of both sets would let three of them decide
     calls = []
-    symbol = alquot.localpoints.hilbert_symbol
+    symbol = alquot.localpoints._hilbert_symbol
 
     def recorded(a, b, v):
         calls.append((a, b, v.prime))
         return symbol(a, b, v)
 
-    monkeypatch.setattr(alquot.localpoints, "hilbert_symbol", recorded)
+    monkeypatch.setattr(alquot.localpoints, "_hilbert_symbol", recorded)
     small = [p for p in range(3, 60) if is_prime(p)]
     found = 0
     for p in small:

@@ -7,18 +7,30 @@ from hypothesis import given, settings, strategies as st
 
 from alquot import quadforms
 from alquot.ntheory import is_prime, is_squarefree, kronecker
-from alquot.quadforms import (QuadraticForm, _primes_to, _reduced_form_count, _root_counts, class_number,
-                              reduced_forms)
+from alquot.quadforms import _reduced_form_count, _root_counts, class_number, reduced_forms
 
 
 def _forms(D):
-    return {(f.a, f.b, f.c) for f in reduced_forms(D)}
+    return set(reduced_forms(D))
+
+
+def _primes_to(n):
+    """The primes up to n, by trial division: no sieve of the module's."""
+    return [p for p in range(n + 1) if is_prime(p)]
 
 
 def test_reduced_forms_examples():
+    assert _forms(-3) == {(1, 1, 1)}  # not (1, -1, 1): b >= 0 when |b| = a
     assert _forms(-4) == {(1, 0, 1)}
-    assert _forms(-20) == {(1, 0, 5), (2, 2, 3)}
-    assert _forms(-3) == {(1, 1, 1)}
+    assert _forms(-12) == {(1, 0, 3)}  # not (2, 2, 2): imprimitive
+    assert _forms(-15) == {(1, 1, 4), (2, 1, 2)}  # not (2, -1, 2): b >= 0 when a = c
+    assert _forms(-16) == {(1, 0, 4)}  # not (2, 0, 2): imprimitive
+    assert _forms(-20) == {(1, 0, 5), (2, 2, 3)}  # not (2, -2, 3): b >= 0 when |b| = a
+    assert _forms(-23) == {(1, 1, 6), (2, 1, 3), (2, -1, 3)}
+    # h(-164) = 8; (7, 2, 6) and (7, -2, 6) have a > c
+    assert _forms(-164) == {
+        (1, 0, 41), (2, 2, 21), (3, 2, 14), (3, -2, 14), (5, 4, 9), (5, -4, 9), (6, 2, 7), (6, -2, 7)
+    }
 
 
 def test_classic_class_numbers():
@@ -39,11 +51,11 @@ def test_every_form_satisfies_the_invariants():
     for D in (-3, -4, -15, -20, -23, -116, -420, -1000004):
         if D % 4 not in (0, 1):
             continue
-        for f in reduced_forms(D):
-            assert f.discriminant() == D
-            assert f.is_positive_definite
-            assert f.is_reduced
-            assert f.is_primitive
+        for a, b, c in reduced_forms(D):
+            assert b * b - 4 * a * c == D
+            assert a > 0  # positive definite, as D < 0
+            assert abs(b) <= a <= c and not (b < 0 and (abs(b) == a or a == c))  # reduced
+            assert math.gcd(math.gcd(a, b), c) == 1  # primitive
 
 
 def test_class_number_positive():
@@ -59,22 +71,12 @@ def test_congruence_for_5_mod_8_primes_sampled():
             assert class_number(-4 * p) % 4 == 2
 
 
-def test_form_dataclass():
-    f = QuadraticForm(2, 2, 3)
-    assert f.discriminant() == -20
-    assert QuadraticForm(2, -2, 3).is_reduced is False
-    assert QuadraticForm(2, 4, 6).is_primitive is False
-    # positive definite needs both a > 0 and a negative discriminant; at
-    # discriminant 0, (x + y)^2 is only semidefinite
-    assert QuadraticForm(1, 3, 1).is_positive_definite is False
-    assert QuadraticForm(-1, 0, -1).is_positive_definite is False
-    assert QuadraticForm(1, 2, 1).is_positive_definite is False
-
-
 @pytest.mark.parametrize("abc", [(2, 3, 4), (2, -3, 4), (3, 1, 2)])
 def test_form_outside_the_reduction_bounds_is_not_reduced(abc):
-    # |b| <= a <= c fails: |b| > a in the first two, a > c in the last
-    assert QuadraticForm(*abc).is_reduced is False
+    # |b| <= a <= c fails: |b| > a in the first two, a > c in the last;
+    # all three have discriminant -23
+    a, b, c = abc
+    assert abc not in reduced_forms(b * b - 4 * a * c)
 
 
 # f^2 d0 for fundamental d0: square parts 2^2, 2^4, 2^6, 3^2, 5^2, 7^2 and
@@ -168,13 +170,14 @@ def test_root_counts_are_the_square_roots_mod_4a():
 
 def _all_reduced_form_count(d):
     """N(d) by the classical scan: the reduced forms of discriminant d < 0,
-    primitive or not."""
-    return sum(
-        QuadraticForm(a, b, (b * b - d) // (4 * a)).is_reduced
-        for a in range(1, math.isqrt(-d // 3) + 1)
-        for b in range(-a, a + 1)
-        if (b * b - d) % (4 * a) == 0
-    )
+    primitive or not, those with |b| <= a <= c and b >= 0 whenever |b| = a
+    or a = c."""
+    count = 0
+    for a in range(1, math.isqrt(-d // 3) + 1):
+        for b in range(-a, a + 1):
+            c, r = divmod(b * b - d, 4 * a)
+            count += r == 0 and a <= c and not (b < 0 and (-b == a or a == c))
+    return count
 
 
 def test_band_rows_counted_from_the_short_side():
@@ -203,10 +206,11 @@ def test_band_rows_counted_from_the_short_side():
 @pytest.mark.parametrize("grown", [False, True], ids=["first-use", "grown"])
 def test_prime_table_is_the_sieve_and_stays_capped(monkeypatch, grown):
     # n on both sides of the cap, each read off an empty table or off the
-    # table the reads before it grew
+    # table the reads before it grew; 16411 is the least prime past the cap
     monkeypatch.setattr(quadforms, "_prime_table", (b"", ()))
     cap = quadforms._PRIME_CAP
-    for n in (1, 2, 3, 4, 100, 1000, 11547, cap - 1, cap, cap + 1, 2 * cap, 3, 70_000):
+    assert quadforms._sieve(1) == bytearray(2)  # the least n the sieve takes
+    for n in (1, 2, 3, 4, 100, 1000, 11547, cap - 1, cap, cap + 1, 16411, 2 * cap, 3, 70_000):
         if not grown:
             monkeypatch.setattr(quadforms, "_prime_table", (b"", ()))
         assert list(quadforms._primes(n)) == _primes_to(n), n

@@ -13,9 +13,8 @@ import pytest
 from alquot.cli import OutputRecord
 from alquot.localpoints import DeficiencyLedger, LocalStatus, StatusSource
 from alquot.mumford_graph import LengthedQuotientGraph, parse_graph
-from alquot.ntheory import INFINITY, Place
+from alquot.ntheory import INFINITY, Place, _Value
 from alquot.parity import ParityCertificate, SieveReport, certify
-from alquot.quadforms import QuadraticForm
 from alquot.quaternion import QuaternionAlgebra
 from alquot.shimura import AdmissibilityRejection, AdmissiblePair, GenusData, check_admissible
 
@@ -29,7 +28,6 @@ VALUES = [
     Place(5),
     INFINITY,
     QuaternionAlgebra(frozenset({Place(5), Place(17)})),
-    QuadraticForm(2, 1, 3),
     PAIR,
     check_admissible(7, 17),
     GenusData(5, 4),
@@ -50,7 +48,6 @@ def _id(value) -> str:
 SIGNATURES = {
     Place: ["prime"],
     QuaternionAlgebra: ["ram_set"],
-    QuadraticForm: ["a", "b", "c"],
     AdmissiblePair: ["p", "q"],
     AdmissibilityRejection: ["p", "q", "reason"],
     GenusData: ["g_VB", "e_p"],
@@ -136,12 +133,23 @@ def test_equality_and_hash_read_the_fields(value):
         assert hash(value) == hash(fields)
 
 
+class _Triple(_Value):
+    """A value class with ``AdmissibilityRejection``'s three fields."""
+
+    __slots__ = _fields = ("p", "q", "reason")
+
+    def __init__(self, p: int, q: int, reason: str) -> None:
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "reason", reason)
+
+
 def test_equality_compares_class_and_every_field():
     assert AdmissiblePair(5, 17) == AdmissiblePair(5, 17)
     assert AdmissiblePair(5, 17) != AdmissiblePair(29, 17)
     assert AdmissibilityRejection(5, 17, "") != AdmissibilityRejection(5, 17, "x")
     # the same field values in another class are not equal
-    assert QuadraticForm(5, 17, 1) != AdmissibilityRejection(5, 17, 1)
+    assert _Triple(5, 17, "") != AdmissibilityRejection(5, 17, "")
     # the shared entry at the other places is a field; the ledger's
     # deficient places, which follow from its entries, are not
     assert CERT.ledger._fields == ("at_infinity", "at_p", "at_q", "elsewhere")
@@ -154,7 +162,6 @@ def test_equality_compares_class_and_every_field():
 def test_repr_names_every_field():
     assert repr(Place(5)) == "Place(prime=5)"
     assert repr(INFINITY) == "Place(prime=None)"
-    assert repr(QuadraticForm(2, 1, 3)) == "QuadraticForm(a=2, b=1, c=3)"
     assert repr(check_admissible(7, 17)) == "AdmissibilityRejection(p=7, q=17, reason='p ≢ 5 mod 24')"
     assert repr(GenusData(5, 4)) == "GenusData(g_VB=5, e_p=4, g_quotient=2, mass_half=3)"
     assert repr(AT_Q) == (
