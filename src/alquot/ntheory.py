@@ -18,7 +18,8 @@ like the whole package, needs nothing beyond the standard library.
 would lose its low digits and give the factors, the valuation or the
 symbol of another number.  The table calls the unchecked cores
 ``_kronecker`` and ``_hilbert_symbol`` about four times a row, on ints
-that its admission has already proven.
+that its admission has already proven, and ``quaternion.ramified_places``
+calls ``_hilbert_symbol`` on a and b once factoring has checked them.
 
 ``_Value``, the base of the package's immutable value classes, sits here
 beside ``Place``, in the layer every other module imports.
@@ -59,7 +60,8 @@ def _check_ints(subject: str, *values: object) -> None:
 def is_prime(n: int) -> bool:
     """Deterministic primality test by trial division (desk scale); n must
     be an int (a bool counts as one)."""
-    _check_ints("primality is", n)
+    if not isinstance(n, int):
+        raise TypeError(f"primality is defined for ints, not {type(n).__name__}")
     if n < 4:
         return n > 1
     return n % 2 == 1 and _least_prime_factor(n, 3) == n
@@ -158,7 +160,8 @@ INFINITY = Place(None)
 
 def prime_factors(n: int) -> tuple[int, ...]:
     """Distinct prime factors of the int n != 0, in ascending order."""
-    _check_ints("factoring is", n)
+    if not isinstance(n, int):
+        raise TypeError(f"factoring is defined for ints, not {type(n).__name__}")
     if n == 0:
         raise ValueError("0 has no prime factorization")
     n = abs(n)
@@ -181,7 +184,8 @@ def is_squarefree(n: int) -> bool:
 
 def valuation(n: int, p: int) -> tuple[int, int]:
     """Write the int n = p^e * u with p not dividing u; return (e, u)."""
-    _check_ints("valuations are", n)
+    if not isinstance(n, int):
+        raise TypeError(f"valuations are defined for ints, not {type(n).__name__}")
     if n == 0:
         raise ValueError("the valuation of 0 is undefined")
     if not is_prime(p):

@@ -34,8 +34,9 @@ def _check_discriminant(D: int) -> None:
 
 
 def reduced_forms(D: int) -> frozenset[tuple[int, int, int]]:
-    """The reduced primitive positive-definite forms a x^2 + b x y + c y^2 of
-    discriminant D < 0, as triples (a, b, c): one per proper equivalence class."""
+    """The positive-definite forms a x^2 + b x y + c y^2 of discriminant D < 0,
+    as triples (a, b, c), that are reduced (|b| <= a <= c, the range of b giving
+    |b| <= a, and b >= 0 if |b| = a or a = c) and primitive: one per proper class."""
     _check_discriminant(D)
     return frozenset(
         (a, b, c)
@@ -43,8 +44,7 @@ def reduced_forms(D: int) -> frozenset[tuple[int, int, int]]:
         for b in range(-a, a + 1)
         if (b * b - D) % (4 * a) == 0
         for c in [(b * b - D) // (4 * a)]
-        # reduced: |b| <= a <= c, with b >= 0 whenever |b| = a or a = c; and primitive
-        if abs(b) <= a <= c and (b >= 0 or -b != a != c) and math.gcd(a, b, c) == 1
+        if a <= c and (b >= 0 or -b != a != c) and math.gcd(a, b, c) == 1
     )
 
 

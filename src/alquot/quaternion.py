@@ -25,8 +25,8 @@ from .ntheory import (
     INFINITY,
     Place,
     _Value,
+    _hilbert_symbol,
     _kronecker,
-    hilbert_symbol,
     is_squarefree,
     prime_factors,
 )
@@ -55,7 +55,7 @@ def ramified_places(a: int, b: int) -> frozenset[Place]:
         raise ValueError("symbol entries must be nonzero")
     primes = {2, *prime_factors(a), *prime_factors(b)}
     places = [INFINITY, *map(Place._proven, primes)]
-    return frozenset(v for v in places if hilbert_symbol(a, b, v) == -1)
+    return frozenset(v for v in places if _hilbert_symbol(a, b, v) == -1)
 
 
 class QuaternionAlgebra(_Value):

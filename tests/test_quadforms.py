@@ -71,10 +71,10 @@ def test_congruence_for_5_mod_8_primes_sampled():
             assert class_number(-4 * p) % 4 == 2
 
 
-@pytest.mark.parametrize("abc", [(2, 3, 4), (2, -3, 4), (3, 1, 2)])
+@pytest.mark.parametrize("abc", [(4, 0, 3), (5, 2, 4), (5, -1, 4)])
 def test_form_outside_the_reduction_bounds_is_not_reduced(abc):
-    # |b| <= a <= c fails: |b| > a in the first two, a > c in the last;
-    # all three have discriminant -23
+    # primitive, and reached by the scan over a <= sqrt(|D|/3) and |b| <= a
+    # at D = -48, -76 and -79, but a > c
     a, b, c = abc
     assert abc not in reduced_forms(b * b - 4 * a * c)
 
