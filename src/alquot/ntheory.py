@@ -16,10 +16,12 @@ like the whole package, needs nothing beyond the standard library.
 ``valuation``, ``legendre``, ``kronecker``, ``hilbert_symbol`` and
 ``Place`` (of a finite prime) refuse a non-int with ``TypeError``: a float
 would lose its low digits and give the factors, the valuation or the
-symbol of another number.  The table calls the unchecked cores
-``_kronecker`` and ``_hilbert_symbol`` about four times a row, on ints
-that its admission has already proven, and ``quaternion.ramified_places``
-calls ``_hilbert_symbol`` on a and b once factoring has checked them.
+symbol of another number.  ``hilbert_symbol`` and ``hilbert_symbol_oracle``
+refuse a place v that is not a ``Place`` with ``TypeError`` too.  The
+table calls the unchecked cores ``_kronecker`` and ``_hilbert_symbol``
+about four times a row, on ints that its admission has already proven, and
+``quaternion.ramified_places`` calls ``_hilbert_symbol`` on a and b once
+factoring has checked them.
 
 ``_Value``, the base of the package's immutable value classes, sits here
 beside ``Place``, in the layer every other module imports.
@@ -55,6 +57,12 @@ def _check_ints(subject: str, *values: object) -> None:
     for value in values:
         if not isinstance(value, int):
             raise TypeError(f"{subject} defined for ints, not {type(value).__name__}")
+
+
+def _check_place(v: object) -> None:
+    """Refuse a place that is not a ``Place`` with ``TypeError``."""
+    if not isinstance(v, Place):
+        raise TypeError(f"Hilbert symbols are defined at a Place, not {type(v).__name__}")
 
 
 def is_prime(n: int) -> bool:
@@ -268,6 +276,7 @@ def hilbert_symbol(a: int, b: int, v: Place) -> int:
     where eps(x) = (x-1)/2 and omega(x) = (x^2-1)/8 taken mod 2.
     """
     _check_ints("Hilbert symbols are", a, b)
+    _check_place(v)
     return _hilbert_symbol(a, b, v)
 
 
@@ -336,6 +345,7 @@ def hilbert_symbol_oracle(a: int, b: int, v: Place) -> int:
     lifts to Z_p; conversely a p-adic zero rescales to a primitive one and
     reduces.  The search itself is an exhaustive scan of the residue ring.
     """
+    _check_place(v)
     if a == 0 or b == 0:
         raise ValueError("hilbert symbol needs nonzero arguments")
     if v.prime is None:

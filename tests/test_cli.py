@@ -157,9 +157,14 @@ def test_certify_json_rejection_exit_2(capsys):
     assert capsys.readouterr().out == json.dumps(rejected, indent=2) + "\n"
 
 
-def test_certify_parse_error_exit_1(capsys):
-    assert main(["certify", "5", "x"]) == 1
-    assert "usage error" in capsys.readouterr().err
+@pytest.mark.parametrize("args, message", [
+    (["5", "x"], "argument q: invalid int value: 'x'"),
+    (["5", "17", "extra"], "unrecognized arguments: extra"),
+], ids=["not-an-int", "extra"])
+def test_certify_parse_error_exit_1(args, message, capsys):
+    # one line holding argparse's message alone
+    assert main(["certify", *args]) == 1
+    assert capsys.readouterr() == ("", f"usage error: {message}\n")
 
 
 def test_enumerate_csv_golden(capsys):
@@ -648,13 +653,16 @@ def test_each_command_loads_only_the_modules_it_runs(argv, code, loaded, tmp_pat
         "import sys\n"
         f"names = set({_LOADED_ON_USE!r}) - set(sys.modules)\n"
         "import alquot.cli\n"
+        "sieved = alquot.quadforms._prime_table != (b'', ())\n"
         f"code = alquot.cli.main({argv!r}) if {argv!r} else 0\n"
-        "print((code, sorted(names), sorted(names & set(sys.modules))))\n"
+        "print((code, sorted(names), sorted(names & set(sys.modules)), sieved))\n"
     )
     done = _python("-c", script)
     assert done.returncode == 0, done.stderr
-    returned, names, new = ast.literal_eval(done.stdout.splitlines()[-1])
+    returned, names, new, sieved = ast.literal_eval(done.stdout.splitlines()[-1])
     assert (returned, new) == (code, [name for name in names if name in loaded])
+    # the class-number prime table is sieved on first use: the import sieves nothing
+    assert not sieved
 
 
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
@@ -803,10 +811,15 @@ def test_certify_budget(p, q, monkeypatch, capsys):
 
 
 def test_certify_budget_admits_desk_scale_primes(capsys):
-    # p near 10^7, and the largest pairs perfbench's certify_large draws
-    # (p <= 2*10^5, q <= 10^7)
-    assert main(["certify", "10000229", "29", "--format", "json"]) == 0
-    assert json.loads(capsys.readouterr().out)["verdict"] == "odd"
+    # p near 10^7 (e_p = 2 h(-4p) with h = 3150); p = 99999989 at the
+    # budget's edge, where the shared prime table reaches its cap (h = 9974);
+    # and the largest pairs perfbench's certify_large draws (p <= 2*10^5,
+    # q <= 10^7)
+    for p, q, e_p, g_quotient in [(10000229, 29, 6300, 11665358), (99999989, 17, 19948, 66661672)]:
+        assert main(["certify", str(p), str(q), "--format", "json"]) == 0
+        record = json.loads(capsys.readouterr().out)
+        fields = (record["e_p"], record["g_quotient"], record["verdict"], record["deficient_places"])
+        assert fields == (e_p, g_quotient, "odd", [str(q)])
     assert main(["certify", "199877", "9999749"]) == 0
     assert "verdict: odd" in capsys.readouterr().out
 
@@ -842,6 +855,8 @@ def test_hilbert_budget_admits_its_largest_primes(capsys):
 def test_hilbert_rejects_composite_place(capsys):
     assert main(["hilbert", "3", "5", "6"]) == 1
     assert "not prime" in capsys.readouterr().err
+    assert main(["hilbert", "3", "5", "9"]) == 1
+    assert capsys.readouterr() == ("", "error: 9 is not prime\n")
     assert main(["hilbert", "0", "5", "3"]) == 1
 
 
@@ -897,12 +912,25 @@ def test_graph_file_roundtrip(tmp_path):
 
 
 def test_unknown_command_exit_1(capsys):
+    # the top-level parser's message alone, on one line; how argparse
+    # lists the choices varies between Python versions
     assert main(["frobnicate"]) == 1
+    out, err = capsys.readouterr()
+    assert (out, err.count("\n")) == ("", 1)
+    assert err.startswith("usage error: argument command: invalid choice: 'frobnicate'")
 
 
-@pytest.mark.parametrize("argv", [["certify", "5"], ["enumerate"], ["hilbert", "1", "2"]])
-def test_missing_arguments_exit_1(argv):
+# one line holding argparse's message alone, whether the top-level parser
+# ([]) or a command's own parser finds it
+@pytest.mark.parametrize("argv, missing", [
+    ([], "command"),
+    (["certify", "5"], "q"),
+    (["enumerate"], "--max"),
+    (["hilbert", "1", "2"], "v"),
+], ids=["no-arguments", "certify", "enumerate", "hilbert"])
+def test_missing_arguments_exit_1(argv, missing, capsys):
     assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"usage error: the following arguments are required: {missing}\n")
 
 
 def test_package_invocation_matches_main(capsys):
@@ -935,6 +963,11 @@ def test_main_reuses_one_parser(monkeypatch, capsys):
     assert "usage error" in capsys.readouterr().err
     assert main(["certify", "5", "17", "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["verdict"] == "odd"
+    # help exits 0 and names the program as the console script does
+    with pytest.raises(SystemExit) as done:
+        main(["certify", "--help"])
+    assert done.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: alquot certify ")
 
 
 @pytest.mark.parametrize("argv", cli_corpus.CORPUS, ids=lambda argv: ",".join(argv) or "no-arguments")

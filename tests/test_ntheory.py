@@ -91,6 +91,13 @@ def test_symbol_class_number_and_bound_entry_points_refuse_a_non_int(entry, make
         NON_INT_ENTRY_POINTS[entry](make)
 
 
+@pytest.mark.parametrize("v", [5, "5", None], ids=repr)
+@pytest.mark.parametrize("symbol", [hilbert_symbol, hilbert_symbol_oracle], ids=lambda f: f.__name__)
+def test_hilbert_symbols_refuse_a_place_that_is_not_a_place(symbol, v):
+    with pytest.raises(TypeError, match=f"at a Place, not {type(v).__name__}$"):
+        symbol(3, 5, v)
+
+
 def test_is_prime_agrees_with_sieve():
     limit = 2000
     sieve = [True] * limit
