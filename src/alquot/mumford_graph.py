@@ -13,8 +13,8 @@ supplied, via a small line-oriented text format -- but it evaluates the
 combinatorics on them: validation of all structural invariants, quotient
 by an involution (with the stabilizer-doubling length rule), base change,
 the even-length reversed-edge criterion for local points, and the
-two-case reduction used when lifting an edge of a quotient graph.  These
-three share one predicate for the criterion, ``_reversed_with_even_length``;
+two-case reduction used when lifting an edge of a quotient graph.  The
+last two share one predicate for the criterion, ``_reversed_with_even_length``;
 the quotient, its edge map and serialization share one orbit-naming rule,
 ``_orbit_id``.
 
@@ -263,15 +263,12 @@ def _reversed_with_even_length(
     return [eid for eid in eids if lengths.get(eid, 1) % 2 == 0 and w.get(eid) == opposite(eid)]
 
 
-def validate(graph: LengthedQuotientGraph, dual_graph_checks: bool = False) -> list[str]:
+def validate(graph: LengthedQuotientGraph) -> list[str]:
     """All invariant violations, as strings; empty means valid.
 
     The vertex action each involution forces is derived in the loop that
     checks the involution edge by edge; the first vertex given two images
-    is reported.  With ``dual_graph_checks`` the list also flags any edge
-    of even length reversed by wp, a combination that cannot occur on the
-    dual graph of a quaternionic Mumford curve with two odd ramified
-    primes.
+    is reported.
     """
     out: list[str] = []
     edges, lengths, classes = graph.edge_endpoints, graph.edge_length, graph.vertex_parity
@@ -332,10 +329,6 @@ def validate(graph: LengthedQuotientGraph, dual_graph_checks: bool = False) -> l
         for eid in edges:
             if wpq[eid] != wp.get(wq[eid]):
                 out.append(f"wpq differs from wp o wq at {eid!r}")
-
-    if dual_graph_checks:
-        for eid in _reversed_with_even_length(graph, wp, graph.base_edges()):
-            out.append(f"edge {eid!r} has even length and is reversed by wp")
 
     return out
 

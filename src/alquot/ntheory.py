@@ -12,14 +12,14 @@ enough for Hensel lifting.  They share only ``_valuation``, the loop that
 search scans a byte mask of the squares in plain Python, so this module,
 like the whole package, needs nothing beyond the standard library.
 
-``is_prime``, ``prime_factors``, ``is_squarefree`` (of a nonzero n),
-``valuation``, ``legendre``, ``kronecker``, ``hilbert_symbol`` and
-``Place`` (of a finite prime) refuse a non-int with ``TypeError``: a float
-would lose its low digits and give the factors, the valuation or the
-symbol of another number.  ``hilbert_symbol`` and ``hilbert_symbol_oracle``
-refuse a place v that is not a ``Place`` with ``TypeError`` too.  The
-table calls the unchecked cores ``_kronecker`` and ``_hilbert_symbol``
-about four times a row, on ints that its admission has already proven, and
+``is_prime``, ``prime_factors``, ``is_squarefree``, ``valuation``,
+``legendre``, ``kronecker``, ``hilbert_symbol``, ``hilbert_symbol_oracle``
+and ``Place`` (of a finite prime) refuse a non-int with ``TypeError``: a
+float would lose its low digits and give the factors, the valuation or the
+symbol of another number.  Both Hilbert symbols refuse a place v that is
+not a ``Place`` with ``TypeError`` too.  The table calls the unchecked
+cores ``_kronecker`` and ``_hilbert_symbol`` about four times a row, on
+ints that its admission has already proven, and
 ``quaternion.ramified_places`` calls ``_hilbert_symbol`` on a and b once
 factoring has checked them.
 
@@ -187,6 +187,7 @@ def prime_factors(n: int) -> tuple[int, ...]:
 
 
 def is_squarefree(n: int) -> bool:
+    _check_ints("factoring is", n)
     return n != 0 and math.prod(prime_factors(n)) == abs(n)
 
 
@@ -345,6 +346,7 @@ def hilbert_symbol_oracle(a: int, b: int, v: Place) -> int:
     lifts to Z_p; conversely a p-adic zero rescales to a primitive one and
     reduces.  The search itself is an exhaustive scan of the residue ring.
     """
+    _check_ints("Hilbert symbols are", a, b)
     _check_place(v)
     if a == 0 or b == 0:
         raise ValueError("hilbert symbol needs nonzero arguments")

@@ -4,10 +4,7 @@ parse of the whole parser tree would, and that slow reference.
 ``main`` hands a command's arguments straight to the command's own parser;
 ``reference`` parses every argv with ``_PARSER.parse_args`` and then calls
 the handler the namespace names.  ``test_cli.py`` compares the two on each
-argv below; run as a script, this module does the same without pytest, so
-any Python with the package's sources beside it can check it:
-
-    python tests/cli_corpus.py
+argv below.
 """
 
 from __future__ import annotations
@@ -15,7 +12,6 @@ from __future__ import annotations
 import contextlib
 import io
 import sys
-import tempfile
 from pathlib import Path
 
 # "{graph}" is a valid two-edge graph file, "{out}" a path to write
@@ -114,15 +110,3 @@ def outcome(run, argv: list[str]) -> tuple[object, str, str]:
             code = ("SystemExit", exc.code)
     return code, out.getvalue(), err.getvalue()
 
-
-if __name__ == "__main__":
-    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
-    from alquot.cli import main
-
-    with tempfile.TemporaryDirectory() as tmp:
-        filled = [fill(argv, Path(tmp)) for argv in CORPUS]
-        differ = [argv for argv in filled if outcome(main, argv) != outcome(reference, argv)]
-    print(f"Python {sys.version.split()[0]}: {len(CORPUS) - len(differ)} of {len(CORPUS)} argvs agree")
-    for argv in differ:
-        print(f"differs: {argv}")
-    sys.exit(1 if differ else 0)

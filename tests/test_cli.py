@@ -579,57 +579,8 @@ def _python(*args: str) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=_env(), check=False)
 
 
-# modules the CLI never needs: numpy, and dataclasses with the inspect
-# module it imports; and json, csv and array, which only some commands
-# need (see the next tests)
-_NOT_ON_THE_CLI_PATH = ("numpy", "dataclasses", "inspect", "json", "csv", "array")
-
-
-def test_cli_import_does_not_load_numpy():
-    # neither the import nor a certify run loads any of them; some site
-    # hooks load inspect before any import, so only new modules count
-    script = (
-        "import sys\n"
-        f"names = set({_NOT_ON_THE_CLI_PATH!r}) - set(sys.modules)\n"
-        "import alquot.cli\n"
-        "imported = sorted(names & set(sys.modules))\n"
-        "code = alquot.cli.main(['certify', '5', '17'])\n"
-        "print(imported, sorted(names & set(sys.modules)), code)\n"
-    )
-    done = _python("-c", script)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout == CERTIFY_TEXT[5, 17] + "[] [] 0\n"
-
-
-def test_only_graph_check_loads_the_graph_layer(tmp_path, capsys):
-    graph = tmp_path / "g.graph"
-    graph.write_text(GRAPH_OK, encoding="utf-8")
-    commands = [
-        ["certify", "5", "17"],
-        ["hilbert", "-1", "-85", "5"],
-        ["enumerate", "--max", "50", "--out", str(tmp_path / "table.csv")],
-        ["graph-check", str(graph)],
-    ]
-    expected = ""
-    for argv in commands:
-        assert main(argv) == 0
-        expected += capsys.readouterr().out
-    assert expected.endswith("\n+1\nviolations: none\nlocal point: yes, witness e1\n")
-    script = (
-        "import sys, alquot.cli\n"
-        "loaded = ['alquot.mumford_graph' in sys.modules]\n"
-        f"for argv in {commands!r}:\n"
-        "    assert alquot.cli.main(argv) == 0\n"
-        "    loaded.append('alquot.mumford_graph' in sys.modules)\n"
-        "print(loaded)\n"
-    )
-    done = _python("-c", script)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout == expected + "[False, False, False, False, True]\n"
-
-
-# dataclasses and inspect load for no command, graph-check included
-_LOADED_ON_USE = ("json", "csv", "array", "alquot.mumford_graph", "dataclasses", "inspect")
+# numpy, dataclasses and inspect load for no command, graph-check included
+_LOADED_ON_USE = ("json", "csv", "array", "alquot.mumford_graph", "numpy", "dataclasses", "inspect")
 
 
 @pytest.mark.parametrize("argv, code, loaded", [
@@ -640,15 +591,18 @@ _LOADED_ON_USE = ("json", "csv", "array", "alquot.mumford_graph", "dataclasses",
     (["hilbert", "-1", "-85", "5"], 0, []),
     (["enumerate", "--max", "50"], 0, ["csv"]),
     (["enumerate", "--max", "50", "--format", "json"], 0, ["json"]),
+    (["enumerate", "--max", "50", "--out", "OUT"], 0, ["csv"]),
     (["graph-check", "GRAPH"], 0, ["alquot.mumford_graph"]),
 ], ids=["import", "certify", "certify-json", "rejection-json", "hilbert", "enumerate-csv", "enumerate-json",
-        "graph-check"])
-def test_each_command_loads_only_the_modules_it_runs(argv, code, loaded, tmp_path):
-    # one fresh process per command ([] is the import alone); a module
-    # loaded before the import, as a site hook may do, counts for none
+        "enumerate-out", "graph-check"])
+def test_each_command_loads_only_the_modules_it_runs(argv, code, loaded, tmp_path, capsys):
+    # one fresh process per command ([] is the import alone), printing what
+    # main prints in process; a module loaded before the import, as a site
+    # hook may do, counts for none
     graph = tmp_path / "g.graph"
     graph.write_text(GRAPH_OK, encoding="utf-8")
-    argv = [str(graph) if arg == "GRAPH" else arg for arg in argv]
+    paths = {"GRAPH": str(graph), "OUT": str(tmp_path / "table.csv")}
+    argv = [paths.get(arg, arg) for arg in argv]
     script = (
         "import sys\n"
         f"names = set({_LOADED_ON_USE!r}) - set(sys.modules)\n"
@@ -659,10 +613,13 @@ def test_each_command_loads_only_the_modules_it_runs(argv, code, loaded, tmp_pat
     )
     done = _python("-c", script)
     assert done.returncode == 0, done.stderr
-    returned, names, new, sieved = ast.literal_eval(done.stdout.splitlines()[-1])
+    *printed, last = done.stdout.splitlines(keepends=True)
+    returned, names, new, sieved = ast.literal_eval(last)
     assert (returned, new) == (code, [name for name in names if name in loaded])
     # the class-number prime table is sieved on first use: the import sieves nothing
     assert not sieved
+    assert (main(argv) if argv else 0) == code
+    assert "".join(printed) == capsys.readouterr().out
 
 
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
@@ -769,10 +726,11 @@ def test_package_imports_only_the_standard_library():
     assert foreign == []
 
 
-def test_module_invocation_matches_main(capsys):
+@pytest.mark.parametrize("module", ["alquot", "alquot.cli"])
+def test_module_invocation_matches_main(module, capsys):
     assert main(["certify", "5", "17", "--format", "json"]) == 0
     expected = capsys.readouterr().out
-    done = _python("-m", "alquot.cli", "certify", "5", "17", "--format", "json")
+    done = _python("-m", module, "certify", "5", "17", "--format", "json")
     assert done.returncode == 0, done.stderr
     assert done.stdout == expected
 
@@ -864,9 +822,7 @@ def test_graph_check_yes(tmp_path, capsys):
     path = tmp_path / "g.graph"
     path.write_text(GRAPH_OK, encoding="utf-8")
     assert main(["graph-check", str(path)]) == 0
-    out = capsys.readouterr().out
-    assert "violations: none" in out
-    assert "local point: yes, witness e1" in out
+    assert capsys.readouterr().out == "violations: none\nlocal point: yes, witness e1\n"
 
 
 def test_graph_check_no(tmp_path, capsys):
@@ -931,14 +887,6 @@ def test_unknown_command_exit_1(capsys):
 def test_missing_arguments_exit_1(argv, missing, capsys):
     assert main(argv) == 1
     assert capsys.readouterr() == ("", f"usage error: the following arguments are required: {missing}\n")
-
-
-def test_package_invocation_matches_main(capsys):
-    assert main(["certify", "5", "17", "--format", "json"]) == 0
-    expected = capsys.readouterr().out
-    done = _python("-m", "alquot", "certify", "5", "17", "--format", "json")
-    assert done.returncode == 0, done.stderr
-    assert done.stdout == expected
 
 
 def test_hilbert_error_texts(capsys):

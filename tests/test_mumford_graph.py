@@ -218,10 +218,9 @@ inv wpq e2 ~e2
 def test_validate_reports_a_missing_length(lengths):
     g = _with(parse_graph(TWO_EDGE), edge_length=lengths)
     missing = next(eid for eid in ("e1", "~e1") if eid not in lengths)
-    for checks in (False, True):
-        violations = validate(g, dual_graph_checks=checks)
-        assert f"edge {missing!r} has nonpositive length" in violations
-        assert any("does not preserve the length" in v for v in violations)
+    violations = validate(g)
+    assert f"edge {missing!r} has nonpositive length" in violations
+    assert any("does not preserve the length" in v for v in violations)
     # an edge without a length does not meet the local-point criterion
     assert has_local_point(g, "wp") == (True, opposite(missing))
     with pytest.raises(ValueError, match="has no length"):
@@ -237,7 +236,7 @@ def test_a_missing_involution_image_is_reported_not_raised():
     two_edge = parse_graph(TWO_EDGE)
     wp = {eid: image for eid, image in two_edge.involutions["wp"].items() if eid != "e1"}
     g = _with(two_edge, involutions={**two_edge.involutions, "wp": wp})
-    assert "wp is not a permutation of the oriented edges" in validate(g, dual_graph_checks=True)
+    assert "wp is not a permutation of the oriented edges" in validate(g)
     assert has_local_point(g, "wp") == (True, "~e1")
 
     swap = parse_graph(TWO_CYCLE_SWAP)
@@ -338,7 +337,7 @@ def test_operations_on_a_corrupted_graph_raise_only_value_errors():
     rng = Random(15)
     for _ in range(200):
         for g in _corruptions(random_quotient_graph(rng), rng):
-            assert validate(g) and validate(g, dual_graph_checks=True)
+            assert validate(g)
             for call in operations + [lambda g, s=s: lift_case_analysis(g, s) for s in g.edge_endpoints]:
                 try:
                     call(g)
@@ -346,11 +345,15 @@ def test_operations_on_a_corrupted_graph_raise_only_value_errors():
                     pass
 
 
-def test_validate_dual_graph_checks():
+def test_the_even_wp_reversed_exclusion_is_left_to_the_local_point_layer():
+    # validation holds the structural invariants only; an even-length edge
+    # that wp reverses is the local-point criterion's witness, and
+    # lift_case_analysis is where that case is excluded
     g = parse_graph(TWO_EDGE)
     assert validate(g) == []
-    warnings = validate(g, dual_graph_checks=True)
-    assert any("even length and is reversed by wp" in v for v in warnings)
+    assert has_local_point(g, "wp") == (True, "e1")
+    with pytest.raises(ImpossibleCaseError, match="even length and is reversed by wp"):
+        lift_case_analysis(g, "e1")
 
 
 def test_quotient_fixed_edge_doubles_length():
@@ -691,7 +694,7 @@ def _quotient_text(g, name):
 
 def _observed(g):
     """Everything the public operations report on g, in a fixed order."""
-    seen = [validate(g), validate(g, dual_graph_checks=True)]
+    seen = [validate(g)]
     for name in INVOLUTION_NAMES:
         seen.append(_outcome(lambda: list(quotient_edge_map(g, name).items())))
         seen.append(_outcome(lambda: _quotient_text(g, name)))
@@ -706,7 +709,7 @@ def _observed(g):
 # sha256 of the observations below, recorded before mumford_graph's
 # per-edge loops were rewritten for speed; any change in a violation
 # list, its order, an exception message or a serialized quotient moves it
-OBSERVED_SHA256 = "85341ab4d41c943e3796cb003d9f4348bed773720f118f1582b602604eff1d21"
+OBSERVED_SHA256 = "2c52f3d8e2b4218812fed86bec29d30d2e3887a692edd1fbe7de116a54c547cb"
 
 
 def test_generated_graphs_and_their_single_faults_are_observed_unchanged():

@@ -53,11 +53,13 @@ def test_every_int_entry_point_refuses_a_float_prime():
 
 def test_every_factoring_entry_point_refuses_a_float():
     # a float loses its low digits: prime_factors(15.0) gave (3, 5.0),
-    # is_squarefree(15.0) True and valuation(75.0, 5) (2, 3.0)
+    # is_squarefree(15.0) True and valuation(75.0, 5) (2, 3.0); and
+    # is_squarefree(0.0) gave False without looking at the type
     B = alquot.QuaternionAlgebra(frozenset({Place(2), Place(3)}))
     for call in (
         lambda: prime_factors(15.0),
         lambda: is_squarefree(15.0),
+        lambda: is_squarefree(0.0),
         lambda: valuation(75.0, 5),
         lambda: alquot.quad_field_splits(15.0, B),
         lambda: alquot.eichler_class_number(15.0),
@@ -77,6 +79,9 @@ NON_INT_ENTRY_POINTS = {
     "kronecker-n": lambda make: kronecker(3, make(5)),
     "hilbert_symbol-a": lambda make: hilbert_symbol(make(3 * 5**23), 2, Place(5)),
     "hilbert_symbol-b": lambda make: hilbert_symbol(2, make(3 * 5**23), Place(5)),
+    # at infinity the oracle's sign check took any number: (-1.5, -2.0) gave -1
+    "hilbert_symbol_oracle-a": lambda make: hilbert_symbol_oracle(make(-1), -2, INFINITY),
+    "hilbert_symbol_oracle-b": lambda make: hilbert_symbol_oracle(-1, make(-2), INFINITY),
     "legendre": lambda make: legendre(make(2), 5),
     "class_number": lambda make: alquot.class_number(make(-20)),
     "reduced_forms": lambda make: alquot.reduced_forms(make(-20)),

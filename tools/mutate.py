@@ -13,11 +13,10 @@ with ``ast.unparse`` (so it loses its comments); the unmutated module,
 written back the same way, must pass first, in every copy of the
 repository at once, as the mutants will run.  Each mutant runs tier-1 with
 ``-x`` in its own copy, the module's own test file first, and is killed by
-a failing test or by the timeout.  Unless ``--timeout`` sets it, the
-timeout is a multiple of the slowest unmutated run, with a floor, so that
-an unmutated run never reaches it under the same contention.  A full run
-of ``cli.py`` (45 mutants) takes about 3 minutes on two cores with
-``--jobs 2``.
+a failing test or by the timeout.  The timeout is a multiple of the
+slowest unmutated run, with a floor, so that an unmutated run never
+reaches it under the same contention.  A full run of ``cli.py`` (45
+mutants) takes about 3 minutes on two cores with ``--jobs 2``.
 
     python tools/mutate.py src/alquot/cli.py --seed 31 --jobs 2 --out MUTANTS.json
 
@@ -108,9 +107,6 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=0, help="draws the sample and orders the run")
     parser.add_argument("--sample", type=int, default=None, help="mutants to draw (default: every point)")
     parser.add_argument("--jobs", type=int, default=1)
-    parser.add_argument("--timeout", type=float, default=None,
-                        help=f"seconds per mutant (default: {TIMEOUT_MULTIPLE} times the slowest unmutated run, "
-                             f"at least {TIMEOUT_FLOOR_S:g})")
     parser.add_argument("--out", default=None, help="merge the record into this JSON file instead of printing it")
     args = parser.parse_args()
 
@@ -130,7 +126,7 @@ def main() -> int:
 
         def unmutated(root):
             start = time.monotonic()
-            outcome = run_tests(root, first, args.timeout or UNMUTATED_LIMIT_S)
+            outcome = run_tests(root, first, UNMUTATED_LIMIT_S)
             return outcome, time.monotonic() - start
 
         with ThreadPoolExecutor(args.jobs) as pool:
@@ -141,7 +137,7 @@ def main() -> int:
             print(f"error: tier-1 {verb} on {module} written back unmutated", file=sys.stderr)
             return 1
         baseline = max(seconds for _, seconds in runs)
-        timeout = args.timeout or max(TIMEOUT_FLOOR_S, TIMEOUT_MULTIPLE * baseline)
+        timeout = max(TIMEOUT_FLOOR_S, TIMEOUT_MULTIPLE * baseline)
         free: queue.Queue[Path] = queue.Queue()  # the copies no mutant is using
         for root in copies:
             free.put(root)
