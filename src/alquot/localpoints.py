@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .ntheory import INFINITY, Place, _Value, _hilbert_symbol
+from .ntheory import INFINITY, Place, _Value, _check_ints, _hilbert_symbol
 from .quaternion import QuaternionAlgebra, _quad_field_splits, interchange
 from .shimura import AdmissiblePair, _pair_places
 
@@ -133,6 +133,7 @@ def pic1_real(p: int, q: int, quotient_prime: int) -> bool:
     Existence is equivalent to Q(sqrt(d)) splitting the algebra of
     discriminant pq, where d is the prime defining the involution.
     """
+    _check_ints("quotient primes are", quotient_prime)
     places = _pair_places(p, q)
     if quotient_prime not in (p, q):
         raise ValueError("the quotient prime must divide the discriminant")

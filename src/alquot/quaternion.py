@@ -25,6 +25,7 @@ from .ntheory import (
     INFINITY,
     Place,
     _Value,
+    _check_ints,
     _hilbert_symbol,
     _kronecker,
     is_squarefree,
@@ -71,7 +72,13 @@ class QuaternionAlgebra(_Value):
 
     # the one check kept as a hook: perfbench's tracer counts algebras built through it
     def __post_init__(self) -> None:
-        if len(self.ram_set) % 2:
+        ram = self.ram_set
+        if not isinstance(ram, frozenset):
+            raise TypeError(f"a ramification set is a frozenset, not {type(ram).__name__}")
+        for v in ram:
+            if not isinstance(v, Place):
+                raise TypeError(f"a ramification set holds Places, not {type(v).__name__}")
+        if len(ram) % 2:
             raise ValueError("a ramification set has even cardinality")
 
     @property
@@ -96,6 +103,7 @@ def interchange(B: QuaternionAlgebra, p: int) -> QuaternionAlgebra:
     algebra ramified at p this yields a definite algebra unramified at p,
     and the operation is an involution.
     """
+    _check_ints("interchange is", p)
     if p == 2:
         raise ValueError("interchange is defined at an odd prime")
     held = [v for v in B.ram_set if v.prime == p]
@@ -143,6 +151,7 @@ def eichler_class_number(D: int) -> int:
     in integers.  A non-integral result means D is not the reduced
     discriminant of a definite maximal order and raises.
     """
+    _check_ints("Eichler class numbers are", D)
     primes = prime_factors(D) if D >= 1 else ()
     if math.prod(primes) != D:
         raise ValueError("D must be a squarefree positive integer")

@@ -6,7 +6,7 @@ import json
 import time
 from random import Random
 
-from alquot.cli import main
+from alquot.cli import _row, main
 from alquot.mumford_graph import (
     base_change,
     has_local_point,
@@ -24,13 +24,7 @@ from alquot.ntheory import (
     hilbert_symbol_oracle,
     prime_factors,
 )
-from alquot.parity import (
-    HyperellipticFlag,
-    ParityCertificate,
-    Verdict,
-    certify,
-    hyperelliptic_sieve,
-)
+from alquot.parity import HyperellipticFlag, certify, hyperelliptic_sieve
 from alquot.quadforms import class_number
 from alquot.quaternion import (
     QuaternionAlgebra,
@@ -40,6 +34,8 @@ from alquot.quaternion import (
 )
 from alquot.shimura import AdmissiblePair, check_admissible, genus_VB
 from graphgen import random_quotient_graph
+from test_cli import CERTIFY_5_17_JSON, ENUMERATE_30_CSV, GRAPH_OK
+from test_family import _predicted_row, _predicted_symbols, _reduced_row
 
 
 def _admissible_pairs_with_disc_below(bound: int) -> list[AdmissiblePair]:
@@ -107,10 +103,7 @@ def test_criterion_4_mass_formula_consistency():
     pairs = _admissible_pairs_with_disc_below(10**4)
     assert pairs
     for pair in pairs:
-        g = genus_VB(pair.p, pair.q)
-        closed_form = 2 * (1 + ((pair.p - 1) * (pair.q - 1) - 16) // 24) - 1
-        assert g == closed_form, pair
-        assert ((g + 1) // 2) % 2 == 1, pair
+        assert genus_VB(pair.p, pair.q) == _predicted_row(pair.p, pair.q)[3], pair
     _report(4, time.monotonic() - start, 10, f"mass formula reproduced on {len(pairs)} pairs")
 
 
@@ -119,18 +112,8 @@ def test_criterion_5_parity_certification():
     pairs = _admissible_pairs_with_disc_below(10**4)
     assert pairs
     for pair in pairs:
-        cert = certify(pair.p, pair.q)
-        assert isinstance(cert, ParityCertificate), pair
-        assert cert.verdict is Verdict.ODD, pair
-        assert cert.ledger.deficient_count == 1, pair
-        assert cert.ledger.deficient_places() == (Place(pair.q),), pair
-        assert cert.genus.g_quotient % 2 == 0, pair
-        assert cert.genus.e_p % 8 == 4, pair
-
-    spot = certify(5, 17)
-    assert (spot.genus.g_VB, spot.genus.e_p, spot.genus.g_quotient) == (5, 4, 2)
-    spot = certify(29, 17)
-    assert (spot.genus.g_VB, spot.genus.e_p, spot.genus.g_quotient) == (37, 12, 16)
+        row = _reduced_row(_row(certify(pair.p, pair.q)))
+        assert row == _predicted_row(pair.p, pair.q), pair
     _report(5, time.monotonic() - start, 60, f"odd verdict, deficient exactly at q, on {len(pairs)} pairs")
 
 
@@ -140,10 +123,11 @@ def test_criterion_6_criterion_non_isomorphism():
     assert pairs
     for pair in pairs:
         p, q = pair.p, pair.q
-        assert hilbert_symbol(-1, -p * q, Place(p)) == 1, pair
-        assert hilbert_symbol(-p, -q, Place(q)) == -1, pair
-        B = QuaternionAlgebra(frozenset({Place(p), Place(q)}))
-        swapped = interchange(B, q)
+        P, Q = Place(p), Place(q)
+        for (a, b), symbols in _predicted_symbols(p, q).items():
+            assert (hilbert_symbol(a, b, P), hilbert_symbol(a, b, Q)) == symbols[2:], (pair, a, b)
+        # B interchanged at q is neither symbol algebra
+        swapped = interchange(QuaternionAlgebra(frozenset({P, Q})), q)
         assert swapped != QuaternionAlgebra(ramified_places(-1, -p * q)), pair
         assert swapped != QuaternionAlgebra(ramified_places(-p, -q)), pair
     _report(6, time.monotonic() - start, 30, f"both isomorphism tests fail on {len(pairs)} pairs")
@@ -245,31 +229,15 @@ def test_criterion_8_graph_properties():
     _report(8, time.monotonic() - start, 30, f"1000 random graphs; implication exercised {implication_hits}x")
 
 
-def test_criterion_9_cli_contract(tmp_path, capsys):
+def test_criterion_9_cli_contract(capsys):
     start = time.monotonic()
 
     assert main(["certify", "5", "17", "--format", "json"]) == 0
-    record = json.loads(capsys.readouterr().out)
-    assert record["p"] == 5 and record["q"] == 17
-    assert record["verdict"] == "odd"
-    assert record["deficient_places"] == ["17"]
-    assert record["g_quotient"] == 2
-
+    assert json.loads(capsys.readouterr().out) == CERTIFY_5_17_JSON
     assert main(["enumerate", "--max", "30"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "p,q,disc,g_VB,e_p,g_quotient,deficient_places,verdict,hyperelliptic_flag,assumptions"
-    assert len(lines) == 3
-    assert lines[1].startswith("5,17,85,5,4,2,17,odd,possibly_hyperelliptic,")
-    assert lines[2].startswith("29,17,493,37,12,16,17,odd,not_hyperelliptic,")
+    assert capsys.readouterr().out == ENUMERATE_30_CSV
 
-    text = """v a even
-v b odd
-e e1 a b 2
-inv wp e1 ~e1
-inv wq
-inv wpq e1 ~e1
-"""
-    graph = parse_graph(text)
+    graph = parse_graph(GRAPH_OK)
     assert parse_graph(serialize_graph(graph)) == graph
 
     elapsed = time.monotonic() - start

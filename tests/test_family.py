@@ -1,11 +1,13 @@
-"""The family theorem, steps 1-3: why every admissible pair is odd.
+"""The family theorem: every admissible pair is odd (steps 1-3), and
+every p of the family has infinitely many q (step 4).
 
 Write an admissible pair as p = 24a + 5 and q = 12b + 5, with (p/q) = -1.
-Each step predicts certificate fields from these residues alone: no
+Steps 1-3 predict certificate fields from these residues alone: no
 prediction calls ``class_number``, a Hilbert symbol or the Eichler-Shimura
-factors ``_local_factors``.  The tests compare the predictions with every
-row of a certified table.  A disagreement means either the derivation or
-the program is wrong, and the failing assertion names the row.
+factors ``_local_factors``.  Step 4 predicts the q of each p from the
+squares mod p alone.  The tests compare the predictions with every row of
+a certified table.  A disagreement means either the derivation or the
+program is wrong, and the failing assertion names the row.
 
 1. Genus.  p and q are 1 mod 4 and 2 mod 3, so e_2 = 0 and e_3 = 4, and
    g_VB = 1 + (p-1)(q-1)/12 - 4/3 = 24ab + 8a + 4b + 1.  So g_VB = 1 mod 8
@@ -26,6 +28,14 @@ the program is wrong, and the failing assertion names the row.
    B(-1, -pq) ramifies exactly at {oo, 2}, B(-p, -q) at {oo, 2, p, q},
    and B interchanged at p at {oo, q}; it matches neither, so q is
    deficient.  One deficient place makes the verdict odd.
+4. Infinitely many q.  As p = 1 mod 4, reciprocity gives (p/q) = (q/p),
+   so the q of p are the primes q = 5 mod 12 that are nonresidues mod p.
+   By the Chinese remainder theorem these are the primes in (p-1)/2
+   classes mod 12p, one for each nonresidue, and each class is prime to
+   12p.  Dirichlet's theorem on primes in arithmetic progressions, which
+   is cited, not re-proved, puts infinitely many primes in each class.
+   So every p = 5 mod 24 has infinitely many q, and by steps 1-3 each
+   pair (p, q) is odd.
 """
 
 from alquot.cli import _row
@@ -40,16 +50,22 @@ TABLE_BOUND = 12000
 SYMBOL_BOUND = 3000
 
 
-def _family(bound: int) -> list[tuple[int, int]]:
-    """The admissible pairs up to bound, from a sieve and Euler's criterion:
-    p = 5 mod 24 and q = 5 mod 12 prime, p != q and p^((q-1)/2) = -1 mod q."""
+def _primes(bound: int) -> list[int]:
+    """The primes up to bound, from a sieve."""
     sieve = bytearray([1]) * (bound + 1)
     sieve[:2] = b"\0\0"
     for n in range(2, int(bound**0.5) + 1):
         if sieve[n]:
             sieve[n * n :: n] = bytes(len(range(n * n, bound + 1, n)))
-    ps = [p for p in range(5, bound + 1, 24) if sieve[p]]
-    qs = [q for q in range(5, bound + 1, 12) if sieve[q]]
+    return [n for n in range(bound + 1) if sieve[n]]
+
+
+def _family(bound: int) -> list[tuple[int, int]]:
+    """The admissible pairs up to bound, from a sieve and Euler's criterion:
+    p = 5 mod 24 and q = 5 mod 12 prime, p != q and p^((q-1)/2) = -1 mod q."""
+    primes = _primes(bound)
+    ps = [p for p in primes if p % 24 == 5]
+    qs = [q for q in primes if q % 12 == 5]
     return [(p, q) for p in ps for q in qs if p != q and pow(p, (q - 1) // 2, q) == q - 1]
 
 
@@ -63,10 +79,15 @@ def _predicted_row(p: int, q: int) -> tuple:
     return p, q, p * q, g_VB, 4, 0, (str(q),), "odd"
 
 
+def _reduced_row(row: tuple) -> tuple:
+    """The fields of a ``cli._row`` that steps 1-3 predict, with e_p mod 8
+    and g_quotient mod 2 in place of e_p and g_quotient."""
+    p, q, disc, g_VB, e_p, g_quotient, places, verdict, _, _ = row
+    return p, q, disc, g_VB, e_p % 8, g_quotient % 2, places, verdict
+
+
 def test_every_row_of_the_table_is_predicted_by_its_residues():
-    rows = [_row(cert) for cert in _certify_table(enumerate_admissible(TABLE_BOUND))]
-    got = [(p, q, disc, g_VB, e_p % 8, g_quotient % 2, places, verdict)
-           for p, q, disc, g_VB, e_p, g_quotient, places, verdict, _, _ in rows]
+    got = [_reduced_row(_row(cert)) for cert in _certify_table(enumerate_admissible(TABLE_BOUND))]
     predicted = [_predicted_row(p, q) for p, q in _family(TABLE_BOUND)]
     assert len(got) == len(predicted) == 33419
     for row, prediction in zip(got, predicted):
@@ -116,3 +137,25 @@ def test_the_symbol_table_of_small_pairs_is_the_oracles():
         places = (INFINITY, Place(2), Place(p), Place(q))
         for (x, y), symbols in _predicted_symbols(p, q).items():
             assert tuple(hilbert_symbol_oracle(x, y, v) for v in places) == symbols, (p, q, x, y)
+
+
+def _classes_mod_12p(p: int) -> set[int]:
+    """Step 4: the classes mod 12p of the q of p, q = 5 mod 12 and
+    (q/p) = -1, from the squares mod p alone: by the Chinese remainder
+    theorem, one class for each nonresidue r mod p."""
+    squares = {x * x % p for x in range(1, p)}
+    twelfth = pow(12, -1, p)
+    return {5 + 12 * ((r - 5) * twelfth % p) for r in range(1, p) if r not in squares}
+
+
+def test_the_q_of_each_p_are_the_primes_in_its_classes_mod_12p():
+    table = {}
+    for pair in enumerate_admissible(TABLE_BOUND):
+        table.setdefault(pair.p, []).append(pair.q)
+    primes = _primes(TABLE_BOUND)
+    ps = [p for p in primes if p % 24 == 5]
+    assert len(ps) == len(table)
+    for p in ps:
+        classes = _classes_mod_12p(p)
+        assert len(classes) == (p - 1) // 2, p
+        assert table[p] == [q for q in primes if q % (12 * p) in classes], p

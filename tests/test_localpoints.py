@@ -32,11 +32,6 @@ def test_pic1_real_examples():
         pic1_real(5, 17, 7)
 
 
-def test_pic1_real_true_on_admissible_pairs():
-    for pair in enumerate_admissible(120):
-        assert pic1_real(pair.p, pair.q, pair.p) is True
-
-
 def test_own_prime_is_constant_true():
     assert pic1_at_own_prime() is True
 
@@ -46,12 +41,6 @@ def test_pic1_at_other_prime_examples():
     assert pic1_at_other_prime(17, 5) is False  # quotient by 5, over Q_17
     with pytest.raises(ValueError):
         pic1_at_other_prime(5, 5)
-
-
-def test_pic1_at_other_prime_false_on_admissible_pairs():
-    # the quotient by p viewed over Q_q, the deficiency that drives the verdict
-    for pair in enumerate_admissible(120):
-        assert pic1_at_other_prime(pair.q, pair.p) is False
 
 
 def test_pic1_at_other_prime_symbol_order_irrelevant():

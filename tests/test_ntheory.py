@@ -86,6 +86,13 @@ NON_INT_ENTRY_POINTS = {
     "class_number": lambda make: alquot.class_number(make(-20)),
     "reduced_forms": lambda make: alquot.reduced_forms(make(-20)),
     "enumerate_admissible": lambda make: alquot.enumerate_admissible(make(200)),
+    # pic1_real(5, 17, 5.0) gave True, interchange(B, 5.0) an algebra, and
+    # eichler_class_number(-6.0) a ValueError
+    "pic1_real-quotient_prime": lambda make: alquot.pic1_real(5, 17, make(5)),
+    "interchange-p": lambda make: alquot.interchange(
+        alquot.QuaternionAlgebra(frozenset({Place(5), Place(17)})), make(5)
+    ),
+    "eichler_class_number": lambda make: alquot.eichler_class_number(make(-6)),
 }
 
 

@@ -81,12 +81,6 @@ def test_certify_examples():
     assert rejection.reason == "p ≢ 5 mod 24"
 
 
-def test_certificate_consistency_guard():
-    cert = certify(5, 17)
-    with pytest.raises(TypeError):
-        ParityCertificate(cert.pair, cert.genus, cert.ledger, assumptions=())
-
-
 def test_certificate_cites_the_fixed_assumptions():
     # (pair, genus, ledger) is the whole constructor: the citations are a
     # fixed field, shared by every certificate
@@ -389,13 +383,6 @@ def test_for_pair_is_what_certify_builds():
     assert ParityCertificate.for_pair(pair) == certify(101, 29)
 
 
-def test_enumerate_sorted_and_admissible():
-    pairs = enumerate_admissible(200)
-    assert pairs == sorted(pairs, key=lambda x: (x.p, x.q))
-    for pair in pairs:
-        assert pair.p % 24 == 5 and pair.q % 12 == 5
-
-
 def test_sieve_examples():
     reports = hyperelliptic_sieve([AdmissiblePair(5, 17), AdmissiblePair(29, 17)])
     first, second = reports
@@ -430,13 +417,3 @@ def test_sieve_report_stores_no_copy_of_its_flag():
     names = list(SieveReport._fields)
     assert "refined_not_hyperelliptic" not in names
     assert names == ["pair", "flag", "genus_product", "definite_class_number", "supersingular_lower_bound"]
-
-
-def test_sieve_flag_matches_product_rule():
-    for report in hyperelliptic_sieve(enumerate_admissible(120)):
-        expected = (
-            HyperellipticFlag.NOT_HYPERELLIPTIC
-            if report.genus_product > 240
-            else HyperellipticFlag.POSSIBLY_HYPERELLIPTIC
-        )
-        assert report.flag is expected

@@ -64,13 +64,6 @@ def test_class_number_positive():
             assert class_number(D) >= 1
 
 
-def test_congruence_for_5_mod_8_primes_sampled():
-    # full range is covered by the acceptance suite
-    for p in range(5, 600, 8):
-        if is_prime(p):
-            assert class_number(-4 * p) % 4 == 2
-
-
 @pytest.mark.parametrize("abc", [(4, 0, 3), (5, 2, 4), (5, -1, 4)])
 def test_form_outside_the_reduction_bounds_is_not_reduced(abc):
     # primitive, and reached by the scan over a <= sqrt(|D|/3) and |b| <= a

@@ -76,13 +76,6 @@ def test_ramified_places_divides_about_the_square_roots_of_its_entries(monkeypat
     assert sum(max(0, (math.isqrt(n) - d) // 2 + 1) for n, d in calls) <= math.isqrt(999983)
 
 
-def test_ramification_parity_small_box():
-    for a in range(-25, 26):
-        for b in range(-25, 26):
-            if a and b:
-                assert len(ramified_places(a, b)) % 2 == 0
-
-
 def test_ramification_square_rescaling():
     for a, b in [(-1, -1), (-5, -17), (3, 7), (-6, 10)]:
         base = ramified_places(a, b)
@@ -111,9 +104,20 @@ def test_symbol_order_is_erased():
     assert _symbol_algebra(-5, -17) == _symbol_algebra(-17, -5)
 
 
-def test_even_cardinality_enforced():
-    with pytest.raises(ValueError):
-        QuaternionAlgebra(_places(5))
+# a list of two equal Places built an algebra of reduced discriminant 25,
+# and a frozenset of ints one that failed later, with AttributeError
+@pytest.mark.parametrize(
+    "ram_set, message",
+    [
+        ([Place(5), Place(5)], "is a frozenset, not list"),
+        ({Place(5), Place(17)}, "is a frozenset, not set"),
+        (frozenset({5, 17}), "holds Places, not int"),
+    ],
+    ids=["list", "set", "frozenset-of-ints"],
+)
+def test_a_ramification_set_is_a_frozenset_of_places(ram_set, message):
+    with pytest.raises(TypeError, match=f"^a ramification set {message}$"):
+        QuaternionAlgebra(ram_set)
 
 
 def test_interchange_examples():

@@ -35,11 +35,6 @@ def test_check_admissible_rejections():
     assert check_admissible(5, 5).reason == "p and q must be distinct"
 
 
-def test_admissible_pair_constructor_validates():
-    with pytest.raises(ValueError):
-        AdmissiblePair(7, 17)
-
-
 def test_check_admissible_evaluates_the_rule_once(monkeypatch):
     rule = alquot.shimura._admissibility_failure
     calls = []
@@ -137,19 +132,6 @@ def test_genus_quotient_examples():
         data = genus_quotient(AdmissiblePair(p, q))
         assert (data.g_VB, data.e_p, data.g_quotient) == (g, e, gq)
         assert data.mass_half == (data.g_VB + 1) // 2
-
-
-def test_congruences_on_small_admissible_pairs():
-    pairs = [(5, 17), (29, 17), (5, 53), (53, 5), (5, 89)]
-    for p, q in pairs:
-        pair = check_admissible(p, q)
-        if not isinstance(pair, AdmissiblePair):
-            continue
-        data = genus_quotient(pair)
-        assert data.e_p % 8 == 4
-        assert data.mass_half % 2 == 1
-        assert data.g_quotient % 2 == 0
-        assert data.mass_half == 1 + ((p - 1) * (q - 1) - 16) // 24
 
 
 def test_genus_data_derives_the_quotient_genus():

@@ -20,10 +20,11 @@ mutants) takes about 3 minutes on two cores with ``--jobs 2``.
 
     python tools/mutate.py src/alquot/cli.py --seed 31 --jobs 2 --out MUTANTS.json
 
-The record lists the survivors with their source lines; a survivor's
-``reason`` is left empty for a reader to fill in.  ``--out`` names a JSON
-object keyed by module path, such as ``MUTANTS.json``: the run replaces
-its own module's record there and keeps the others.
+The record gives the run's wall time in seconds and lists the survivors
+with their source lines; a survivor's ``reason`` is left empty for a
+reader to fill in.  ``--out`` names a JSON object keyed by module path,
+such as ``MUTANTS.json``: the run replaces its own module's record there
+and keeps the others.
 """
 
 from __future__ import annotations
@@ -109,6 +110,7 @@ def main() -> int:
     parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument("--out", default=None, help="merge the record into this JSON file instead of printing it")
     args = parser.parse_args()
+    started = time.monotonic()
 
     module = Path(args.module).resolve().relative_to(ROOT)
     source = (ROOT / module).read_text(encoding="utf-8")
@@ -157,7 +159,8 @@ def main() -> int:
     counts = {outcome: sum(r[2] == outcome for r in results) for outcome in ("killed", "timeout", "survived")}
     record = {
         "command": " ".join(["python", "tools/mutate.py", *sys.argv[1:]]), "module": str(module), "seed": args.seed, "points": len(every), "mutants": len(chosen),
-        "baseline_s": round(baseline, 1), "timeout_s": round(timeout, 1), **counts,
+        "baseline_s": round(baseline, 1), "timeout_s": round(timeout, 1),
+        "wall_s": round(time.monotonic() - started), **counts,
         "survivors": [{"line": line, "mutation": change, "source": lines[line - 1].strip(), "reason": ""}
                       for line, change, outcome in sorted(results) if outcome == "survived"],
     }
